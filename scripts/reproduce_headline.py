@@ -8,7 +8,6 @@ Usage: python3 scripts/reproduce_headline.py [--truncation N]
 
 import argparse
 import sys
-import time
 
 from stablemoduli.dataset import embedded_dataset
 from stablemoduli.pipeline import (
@@ -33,10 +32,8 @@ def main() -> int:
     table = embedded_dataset()
     trunc = Truncation.standard(args.truncation)
 
-    start = time.perf_counter()
     closed = closed_moduli_series(open_moduli_series(table, trunc))
     report = build_slot_report(closed, 3, 1)
-    elapsed = time.perf_counter() - start
 
     print(report.render_text())
     print()
@@ -50,7 +47,6 @@ def main() -> int:
     print(f"boundary part:     {boundary.render_q()}")
     residual = report.rank - open_rank - boundary
     print(f"open + boundary == closed: {'yes' if not residual else 'NO'}")
-    print(f"\ncomputed in {elapsed:.2f}s")
     return 0 if not residual else 1
 
 

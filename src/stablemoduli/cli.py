@@ -110,12 +110,15 @@ def config_from_args(ns: argparse.Namespace) -> CliConfig:
         if len(pieces) != 2 or not all(p.strip().isdigit() for p in pieces):
             raise UsageError(f"--withhold expects 'g,n', got {raw!r}")
         withhold = (int(pieces[0]), int(pieces[1]))
+    truncation = getattr(ns, "truncation", 5)
+    if truncation < 0:
+        raise UsageError(f"--truncation must be nonnegative, got {truncation}")
     return CliConfig(
         command=ns.command,
         g=getattr(ns, "g", None),
         n=getattr(ns, "n", None),
         input_path=getattr(ns, "input_path", None),
-        truncation=getattr(ns, "truncation", 5),
+        truncation=truncation,
         delta_mode=GluingMode(getattr(ns, "delta_mode", "graded")),
         fmt=getattr(ns, "fmt", "text"),
         withhold=withhold,

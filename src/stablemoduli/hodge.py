@@ -110,11 +110,12 @@ class HodgePoly:
             return NotImplemented
         out = dict(self._terms)
         for key, c in other._terms.items():
-            s = out.get(key, Fraction(0)) + c
+            s = out.get(key)
+            s = c if s is None else s + c
             if s:
                 out[key] = s
             else:
-                out.pop(key, None)
+                del out[key]
         return _wrap(out)
 
     __radd__ = __add__
@@ -132,14 +133,20 @@ class HodgePoly:
         return _coerce(other) - self
 
     def __mul__(self, other: "HodgePoly | Scalar") -> "HodgePoly":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            # A nonzero scalar times a nonzero coefficient is nonzero, so
+            # only a zero scalar can leave zeros behind.
+            if not other:
+                return _wrap({})
+            return _wrap({key: c * other for key, c in self._terms.items()})
+        if not isinstance(other, HodgePoly):
             return NotImplemented
         out: dict[tuple[int, int], Fraction] = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
                 key = (i1 + i2, j1 + j2)
-                s = out.get(key, Fraction(0)) + c1 * c2
+                s = out.get(key)
+                s = c1 * c2 if s is None else s + c1 * c2
                 if s:
                     out[key] = s
                 else:

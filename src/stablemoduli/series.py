@@ -173,39 +173,14 @@ class SymSeries:
         return self + (-other)
 
     def __mul__(self, other: "SymSeries | HodgePoly | Scalar") -> "SymSeries":
-        if isinstance(other, (int, Fraction)):
-            other = HodgePoly.const(other)
-        if isinstance(other, HodgePoly):
+        if isinstance(other, (int, Fraction, HodgePoly)):
             return self.scale(other)
         if not isinstance(other, SymSeries):
             return NotImplemented
         self._check_compatible(other)
-        trunc = self.trunc
-        by_lam_a = _group_by_lambda(self._terms)
-        by_lam_b = _group_by_lambda(other._terms)
         out: dict[Key, HodgePoly] = {}
-        for e1, terms_a in by_lam_a.items():
-            for e2, terms_b in by_lam_b.items():
-                e = e1 + e2
-                if e > trunc.lambda_max:
-                    continue
-                cap = trunc.cap(e)
-                for rho, c1 in terms_a:
-                    w1 = weight(rho)
-                    if w1 > cap:
-                        continue
-                    for sigma, c2 in terms_b:
-                        if w1 + weight(sigma) > cap:
-                            continue
-                        key = (e, _merge_parts(rho, sigma))
-                        prod = c1 * c2
-                        s = out.get(key)
-                        s = prod if s is None else s + prod
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
-        return _wrap(trunc, out)
+        _add_product(out, self._terms, other._terms, self.trunc)
+        return _wrap(self.trunc, out)
 
     __rmul__ = __mul__
 
@@ -222,14 +197,7 @@ class SymSeries:
         return result
 
     def scale(self, coeff: HodgePoly | Scalar) -> "SymSeries":
-        if not isinstance(coeff, HodgePoly):
-            coeff = HodgePoly.const(coeff)
-        out: dict[Key, HodgePoly] = {}
-        for key, c in self._terms.items():
-            s = c * coeff
-            if s:
-                out[key] = s
-        return _wrap(self.trunc, out)
+        return _wrap(self.trunc, _scaled(self._terms, coeff))
 
     # -- graded structure -------------------------------------------------------
 
@@ -322,13 +290,18 @@ class SymSeries:
         order, zero coefficients dropped.  The coefficient of s_mu is
         sum over rho of chi^mu(rho) times the p_rho coefficient.
         """
+        terms = [
+            (rho, c)
+            for rho in partitions_of(n)
+            if (c := self._terms.get((e, rho))) is not None
+        ]
         out = []
         for mu in partitions_of(n):
             total = HodgePoly.zero()
-            for rho in partitions_of(n):
-                c = self._terms.get((e, rho))
-                if c is not None:
-                    total = total + character(mu, rho) * c
+            for rho, c in terms:
+                chi = character(mu, rho)
+                if chi:
+                    total = total + c * chi
             if total:
                 out.append((mu, total))
         return out
@@ -374,49 +347,116 @@ def _merge_parts(rho: Partition, sigma: Partition) -> Partition:
 
 def _group_by_lambda(
     terms: dict[Key, HodgePoly]
-) -> dict[int, list[tuple[Partition, HodgePoly]]]:
-    grouped: dict[int, list[tuple[Partition, HodgePoly]]] = {}
+) -> dict[int, list[tuple[Partition, int, HodgePoly]]]:
+    grouped: dict[int, list[tuple[Partition, int, HodgePoly]]] = {}
     for (e, rho), c in terms.items():
-        grouped.setdefault(e, []).append((rho, c))
+        grouped.setdefault(e, []).append((rho, weight(rho), c))
     return grouped
+
+
+def _add_product(
+    out: dict[Key, HodgePoly],
+    a: dict[Key, HodgePoly],
+    b: dict[Key, HodgePoly],
+    trunc: Truncation,
+) -> None:
+    """Add the truncated product of the term maps a and b into out."""
+    by_lam_b = _group_by_lambda(b)
+    for e1, terms_a in _group_by_lambda(a).items():
+        for e2, terms_b in by_lam_b.items():
+            e = e1 + e2
+            if e > trunc.lambda_max:
+                continue
+            cap = trunc.cap(e)
+            for rho, w1, c1 in terms_a:
+                if w1 > cap:
+                    continue
+                for sigma, w2, c2 in terms_b:
+                    if w1 + w2 > cap:
+                        continue
+                    key = (e, _merge_parts(rho, sigma))
+                    prod = c1 * c2
+                    s = out.get(key)
+                    s = prod if s is None else s + prod
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+
+
+def _scaled(terms: dict[Key, HodgePoly], coeff: HodgePoly | Scalar) -> dict[Key, HodgePoly]:
+    # Q[u, v] has no zero divisors, so only a zero factor leaves zeros.
+    if not coeff:
+        return {}
+    return {key: c * coeff for key, c in terms.items()}
+
+
+def _graded_parts(terms: dict[Key, HodgePoly]) -> dict[int, dict[Key, HodgePoly]]:
+    """Split terms by total degree d = e + |rho|."""
+    parts: dict[int, dict[Key, HodgePoly]] = {}
+    for key, c in terms.items():
+        parts.setdefault(key[0] + weight(key[1]), {})[key] = c
+    return parts
+
+
+def _max_degree(trunc: Truncation) -> int:
+    return max(e + cap for e, cap in enumerate(trunc.weight_caps))
 
 
 # -- ordinary exp/log series machinery ------------------------------------------
 
 
 def exp_series(f: SymSeries) -> SymSeries:
-    """Ordinary exponential sum over f^m / m! of a series with no constant
-    term.  Terminates because every term of f has positive lambda exponent
-    or positive weight, and the truncation bounds both."""
+    """Ordinary exponential of a series f with no constant term.
+
+    Solved degree by degree in the total degree d = e + |rho| from the Euler
+    identity D(exp f) = D(f) exp f, where D multiplies the degree-d part by
+    d: E_0 = 1 and E_d = (1/d) sum over j = 1..d of j f_j E_{d-j}.  This
+    equals the truncated power series sum f^m / m! whenever the discarded
+    monomials form an ideal of the monoid the retained ones generate, so
+    that truncated arithmetic is exact in a quotient ring; that holds for
+    ``Truncation.standard`` and ``Truncation.flat``.
+    """
     if f.constant_term():
         raise PreconditionError("exp needs a series with zero constant term")
-    total = SymSeries.constant(f.trunc, 1)
-    power = SymSeries.constant(f.trunc, 1)
-    m = 1
-    while True:
-        power = power * f * Fraction(1, m)
-        if not power:
-            return total
-        total = total + power
-        m += 1
+    trunc = f.trunc
+    df = {j: _scaled(part, j) for j, part in _graded_parts(f._terms).items()}
+    parts = [{CONSTANT_KEY: HodgePoly.one()}]
+    total = dict(parts[0])
+    for d in range(1, _max_degree(trunc) + 1):
+        acc: dict[Key, HodgePoly] = {}
+        for j, fj in df.items():
+            if j <= d:
+                _add_product(acc, fj, parts[d - j], trunc)
+        part = _scaled(acc, Fraction(1, d))
+        parts.append(part)
+        total.update(part)
+    return _wrap(trunc, total)
 
 
 def log_series(g: SymSeries) -> SymSeries:
-    """Ordinary logarithm sum over (-1)^(m-1) (g-1)^m / m of a series whose
-    constant term is exactly 1."""
+    """Ordinary logarithm of a series g whose constant term is exactly 1.
+
+    The inverse of the recurrence in :func:`exp_series`: with g_0 = 1,
+    L_d = g_d - (1/d) sum over j = 1..d-1 of j L_j g_{d-j}.  It equals the
+    truncated power series sum (-1)^(m-1) (g-1)^m / m under the same
+    condition on the truncation.
+    """
     if g.constant_term() != HodgePoly.one():
         raise PreconditionError("log needs a series with constant term 1")
-    x = g - SymSeries.constant(g.trunc, 1)
-    total = SymSeries.zero(g.trunc)
-    power = SymSeries.constant(g.trunc, 1)
-    m = 1
-    while True:
-        power = power * x
-        if not power:
-            return total
-        sign = 1 if m % 2 else -1
-        total = total + power * Fraction(sign, m)
-        m += 1
+    trunc = g.trunc
+    gparts = _graded_parts(g._terms)
+    neg_dl: dict[int, dict[Key, HodgePoly]] = {}  # j -> -j L_j
+    total: dict[Key, HodgePoly] = {}
+    for d in range(1, _max_degree(trunc) + 1):
+        acc = _scaled(gparts.get(d, {}), d)  # becomes d L_d
+        for j, lj in neg_dl.items():
+            if d - j in gparts:
+                _add_product(acc, lj, gparts[d - j], trunc)
+        if acc:
+            total.update(_scaled(acc, Fraction(1, d)))
+            neg_dl[d] = _scaled(acc, -1)
+    return _wrap(trunc, total)
 
 
 # -- basis elements and conversions ------------------------------------------------

@@ -1,14 +1,19 @@
 """Independent test-only oracles.
 
-Nothing here imports the package under test.  Polynomials in q are plain
-dicts mapping exponent -> integer coefficient, so a disagreement with the
-package cannot share a root cause with it.
+Apart from the power-series exp/log references at the end, nothing here
+imports the package under test.  Polynomials in q are plain dicts mapping
+exponent -> integer coefficient, so a disagreement with the package cannot
+share a root cause with it.  The exp/log references reuse the package's
+series arithmetic but not its exp/log recurrences.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+
+from stablemoduli.hodge import HodgePoly
+from stablemoduli.series import SymSeries
 
 QPoly = dict[int, int]
 
@@ -182,3 +187,38 @@ def _all_partitions(n: int, maxpart: int | None = None) -> list[tuple[int, ...]]
         for rest in _all_partitions(n - first, first):
             out.append((first,) + rest)
     return out
+
+
+# -- ordinary exp and log as sums of powers ---------------------------------------------
+
+
+def exp_by_powers(f: SymSeries) -> SymSeries:
+    """Sum over m of f^m / m! for a series with no constant term, each power a
+    full truncated product.  Terminates because every term of f has positive
+    lambda exponent or positive weight, and the truncation bounds both."""
+    assert not f.constant_term()
+    total = SymSeries.constant(f.trunc, 1)
+    power = SymSeries.constant(f.trunc, 1)
+    m = 1
+    while True:
+        power = power * f * Fraction(1, m)
+        if not power:
+            return total
+        total = total + power
+        m += 1
+
+
+def log_by_powers(g: SymSeries) -> SymSeries:
+    """Sum over m of (-1)^(m-1) (g-1)^m / m for a series with constant term 1."""
+    assert g.constant_term() == HodgePoly.one()
+    x = g - SymSeries.constant(g.trunc, 1)
+    total = SymSeries.zero(g.trunc)
+    power = SymSeries.constant(g.trunc, 1)
+    m = 1
+    while True:
+        power = power * x
+        if not power:
+            return total
+        sign = 1 if m % 2 else -1
+        total = total + power * Fraction(sign, m)
+        m += 1

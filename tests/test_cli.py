@@ -199,6 +199,17 @@ def test_bad_withhold_is_usage_error(capsys):
     assert "--withhold expects 'g,n'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "--g", "1", "--n", "1"], ["table"], ["verify"]],
+)
+def test_negative_truncation_is_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--truncation", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "--truncation must be nonnegative, got -1" in err
+
+
 def test_missing_input_file_is_usage_error(capsys):
     rc, _, err = run(capsys, "compute", "--g", "1", "--n", "1", "--input", "/no/such/file")
     assert rc == 2

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from stablemoduli.errors import ExprParseError, OffDiagonalError, PreconditionError
 from stablemoduli.hodge import HodgePoly
 
-from strategies import hodge_polys
+from strategies import hodge_polys, small_fractions
 
 Q = HodgePoly.q()
 U = HodgePoly.u()
@@ -29,6 +29,22 @@ def test_ring_identities():
     assert (U + V) ** 2 == U**2 + 2 * Q + V**2
     assert 2 - Q == -(Q - 2)
     assert (1 + Q) ** 0 == 1
+
+
+def test_scalar_products_are_canonical():
+    p = 1 + Fraction(1, 2) * U + 3 * Q
+    for zero in (p * 0, 0 * p, p * Fraction(0)):
+        assert zero == HodgePoly.zero()
+        assert len(zero) == 0
+    doubled = p * 2
+    assert all(type(c) is Fraction for _, c in doubled.items())
+    assert doubled.render() == "2 + u + 6*q"
+    assert (2 * (1 + Q)).is_integral()
+
+
+@given(hodge_polys(), st.one_of(st.integers(-3, 3), small_fractions))
+def test_scalar_product_matches_constant_product(p, c):
+    assert p * c == p * HodgePoly.const(c) == c * p
 
 
 def test_negative_exponents_rejected():

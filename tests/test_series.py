@@ -18,8 +18,13 @@ from stablemoduli.series import (
     schur_via_characters,
 )
 
-from oracles import homogeneous_p_expansion, hook_length_count
-from strategies import FLAT_08, FLAT_33, hodge_polys, series
+from oracles import (
+    exp_by_powers,
+    homogeneous_p_expansion,
+    hook_length_count,
+    log_by_powers,
+)
+from strategies import FLAT_08, FLAT_33, STD_3, hodge_polys, series, small_fractions
 
 T8 = FLAT_08
 HALF = Fraction(1, 2)
@@ -102,6 +107,33 @@ def test_scale_and_scalar_mul():
     s = P((2,))
     assert s.scale(HodgePoly.q()) == s * HodgePoly.q()
     assert 2 * s == s + s
+
+
+def test_scalar_zero_gives_canonical_zero():
+    s = SymSeries(FLAT_33, {(1, (2,)): HodgePoly.q(), (0, ()): 1})
+    for zero in (s * 0, 0 * s, s.scale(Fraction(0)), s.scale(HodgePoly.zero())):
+        assert zero == SymSeries.zero(FLAT_33)
+        assert len(zero) == 0
+
+
+def test_int_scalar_keeps_fraction_coefficients():
+    s = SymSeries(FLAT_33, {(1, (2, 1)): HodgePoly.u() + 2, (0, (1,)): HALF})
+    tripled = s * 3
+    assert all(
+        type(c) is Fraction for _, coeff in tripled.items() for _, c in coeff.items()
+    )
+    assert tripled.coefficient(1, (2, 1)).is_integral()
+    assert not tripled.coefficient(0, (1,)).is_integral()
+    assert tripled.to_json_obj() == [
+        {"lambda": 0, "p": [1], "coeff": {"u^0 v^0": "3/2"}},
+        {"lambda": 1, "p": [2, 1], "coeff": {"u^0 v^0": "6", "u^1 v^0": "3"}},
+    ]
+
+
+@given(series(FLAT_33, coeffs=hodge_polys(2)), st.one_of(small_fractions, st.integers(-3, 3)))
+@settings(max_examples=40)
+def test_scalar_product_matches_constant_product(s, c):
+    assert s * c == s * SymSeries.constant(FLAT_33, c) == c * s
 
 
 # -- graded structure ------------------------------------------------------------------
@@ -190,6 +222,18 @@ def test_log_inverts_exp(f):
 @settings(max_examples=40)
 def test_exp_turns_sums_into_products(f, g):
     assert exp_series(f + g) == exp_series(f) * exp_series(g)
+
+
+@pytest.mark.parametrize("trunc", [FLAT_33, FLAT_08, STD_3], ids=["flat33", "flat08", "std3"])
+@given(data=st.data())
+@settings(max_examples=40)
+def test_exp_log_match_power_series_oracle(trunc, data):
+    # lambda^0 terms of positive weight are drawn too (flat truncations)
+    f = data.draw(series(trunc, coeffs=st.one_of(small_fractions, hodge_polys(2))))
+    f = f - SymSeries.constant(trunc, f.constant_term())
+    assert exp_series(f) == exp_by_powers(f)
+    g = SymSeries.constant(trunc, 1) + f
+    assert log_series(g) == log_by_powers(g)
 
 
 # -- basis elements ---------------------------------------------------------------------
