@@ -16,7 +16,9 @@ table; the shipped dataset file is a fixed point of render-then-parse.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
+from math import lgamma, log, log10
 from typing import Union
 
 from .errors import ExprParseError, PreconditionError, TableFormatError
@@ -120,6 +122,13 @@ def _tokenize(text: str, line: int, col: int) -> list[_Token]:
             col += 1
         elif ch.isdigit():
             m = re.match(r"\d+", text[idx:])
+            limit = sys.get_int_max_str_digits()
+            if limit and m.end() > limit:
+                raise ExprParseError(
+                    f"integer literal of {m.end()} digits exceeds the {limit}-digit limit",
+                    line,
+                    col,
+                )
             tokens.append(_Token("int", m.group(), line, col))
             idx += m.end()
             col += m.end()
@@ -266,6 +275,51 @@ def weight_bound(expr: Expr) -> int:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def digits_bound(expr: Expr) -> float:
+    """Syntactic upper bound on log10 of every numerator and denominator of
+    the value's coefficients, so a value is printable if this is below the
+    interpreter's digit limit for int-to-str conversion."""
+    norm, den = _size_bound(expr)
+    return norm + den
+
+
+def _size_bound(expr: Expr) -> tuple[float, float]:
+    # (log10 of a bound on the l1 norm, the sum of |coefficient| over all
+    # terms; log10 of a common multiple of the denominators).  The l1 norm
+    # is subadditive under +, submultiplicative under * and ^, and at most
+    # 1 for s, h and p atoms; s and h coefficients have denominators
+    # dividing n!.  A numerator is then at most l1 norm times denominator.
+    # Both parts are nonnegative and grow from every operand to its parent,
+    # so the bound of the whole also covers each intermediate value.
+    if isinstance(expr, IntLit):
+        return (log10(abs(expr.value)) if expr.value else 0.0), 0.0
+    if isinstance(expr, (VarAtom, PowerAtom)):
+        return 0.0, 0.0
+    if isinstance(expr, (SchurAtom, HomAtom)):
+        n = weight(expr.mu) if isinstance(expr, SchurAtom) else expr.n
+        return 0.0, lgamma(n + 1) / log(10)
+    if isinstance(expr, Neg):
+        return _size_bound(expr.operand)
+    if isinstance(expr, (Add, Sub, Mul)):
+        norm_a, den_a = _size_bound(expr.left)
+        norm_b, den_b = _size_bound(expr.right)
+        if isinstance(expr, Mul):
+            return norm_a + norm_b, den_a + den_b
+        hi, lo = max(norm_a, norm_b), min(norm_a, norm_b)
+        norm = hi + log10(1 + 10 ** (lo - hi)) if lo < hi else hi + log10(2)
+        return norm, den_a + den_b
+    if isinstance(expr, Pow):
+        norm, den = _size_bound(expr.base)
+        if expr.exponent == 0:
+            # The base is still evaluated, so its bound stays.
+            return norm, den
+        # A float cap keeps a huge exponent from overflowing the
+        # conversion; the products then read inf.
+        n = min(expr.exponent, sys.float_info.max)
+        return n * norm, n * den
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
 def eval_expression(expr: Expr, trunc: Truncation) -> SymSeries:
     """Evaluate to a series at lambda^0; q expands to u*v."""
     if isinstance(expr, IntLit):
@@ -294,8 +348,16 @@ def eval_expression(expr: Expr, trunc: Truncation) -> SymSeries:
 
 def evaluate(text: str) -> SymSeries:
     """Parse and evaluate standalone expression text, sizing the truncation
-    from the expression itself."""
+    from the expression itself.  Expressions whose coefficients might be too
+    long to print are refused before any evaluation."""
     expr = parse_expression(text)
+    limit = sys.get_int_max_str_digits()
+    bound = digits_bound(expr)
+    if limit and bound >= limit:
+        raise PreconditionError(
+            f"coefficients may run to {bound + 1:.6g} digits, past the "
+            f"{limit}-digit limit for printing an integer"
+        )
     return eval_expression(expr, Truncation.flat(0, weight_bound(expr)))
 
 

@@ -1,18 +1,28 @@
 """Exact sparse polynomials in the Hodge variables u and v.
 
-A ``HodgePoly`` maps exponent pairs ``(i, j)`` (the powers of u and v) to
-nonzero rational coefficients.  It is the coefficient ring for everything
-else in this package: Serre and Hodge polynomials of varieties live here,
-with ``q = u*v`` as the preferred shorthand for diagonal monomials.
+A ``HodgePoly`` is a polynomial in u and v with rational coefficients.  It
+is the coefficient ring for everything else in this package: Serre and
+Hodge polynomials of varieties live here, with ``q = u*v`` as the preferred
+shorthand for diagonal monomials.
+
+The polynomial is stored as integer numerators over one shared positive
+denominator: ``_terms`` maps exponent pairs ``(i, j)`` (the powers of u and
+v) to nonzero ints and ``_den`` divides them all.  The form is canonical:
+the gcd of ``_den`` and all numerators is 1, and the zero polynomial has
+``_den == 1``.  Equal values therefore have equal representations.  The
+arithmetic works on ints and reduces each result once by that gcd; the
+public accessors (``items``, ``coefficient``, ``q_coefficients``) hand out
+``Fraction`` coefficients.
 
 Values are immutable; all arithmetic returns fresh polynomials in canonical
-form (no stored zeros, iteration in ascending ``(i, j)`` order).
+form, and ``items`` iterates in ascending ``(i, j)`` order.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ExprParseError, OffDiagonalError, PreconditionError
@@ -21,20 +31,27 @@ Scalar = Union[int, Fraction]
 
 
 class HodgePoly:
-    """Sparse bivariate polynomial over the rationals, keyed by (i, j)."""
+    """Sparse bivariate polynomial over the rationals, keyed by (i, j) and
+    stored as integer numerators over one shared denominator."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
+        given: dict[tuple[int, int], Fraction] = {}
         if terms:
             for (i, j), c in terms.items():
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent pair ({i}, {j})")
                 c = Fraction(c)
                 if c:
-                    clean[(i, j)] = c
-        self._terms = clean
+                    given[(i, j)] = c
+        # Over the lcm of reduced denominators the numerators are coprime
+        # to it, so this is already canonical.
+        den = lcm(*(c.denominator for c in given.values()))
+        self._terms = {
+            key: c.numerator * (den // c.denominator) for key, c in given.items()
+        }
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -78,23 +95,24 @@ class HodgePoly:
 
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Terms in canonical ascending (i, j) order."""
-        return iter(sorted(self._terms.items()))
+        den = self._den
+        return iter([(key, Fraction(c, den)) for key, c in sorted(self._terms.items())])
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
+        return Fraction(self._terms.get((i, j), 0), self._den)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, HodgePoly):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == HodgePoly.const(other)._terms
+            other = HodgePoly.const(other)
+        if isinstance(other, HodgePoly):
+            return self._den == other._den and self._terms == other._terms
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -108,20 +126,28 @@ class HodgePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
+        # Bring both over the lcm of the denominators.
+        g = gcd(self._den, other._den)
+        ma, mb = other._den // g, self._den // g
+        if ma == 1:
+            out = dict(self._terms)
+        else:
+            out = {key: c * ma for key, c in self._terms.items()}
         for key, c in other._terms.items():
+            if mb != 1:
+                c *= mb
             s = out.get(key)
             s = c if s is None else s + c
             if s:
                 out[key] = s
             else:
                 del out[key]
-        return _wrap(out)
+        return _reduced(out, self._den * ma)
 
     __radd__ = __add__
 
     def __neg__(self) -> "HodgePoly":
-        return _wrap({key: -c for key, c in self._terms.items()})
+        return _wrap({key: -c for key, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: "HodgePoly | Scalar") -> "HodgePoly":
         other = _coerce(other)
@@ -133,25 +159,37 @@ class HodgePoly:
         return _coerce(other) - self
 
     def __mul__(self, other: "HodgePoly | Scalar") -> "HodgePoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, HodgePoly):
+            out: dict[tuple[int, int], int] = {}
+            for (i1, j1), c1 in self._terms.items():
+                for (i2, j2), c2 in other._terms.items():
+                    key = (i1 + i2, j1 + j2)
+                    s = out.get(key)
+                    s = c1 * c2 if s is None else s + c1 * c2
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+            return _reduced(out, self._den * other._den)
+        if isinstance(other, Fraction):
+            if other.denominator != 1:
+                n = other.numerator
+                return _reduced(
+                    {key: c * n for key, c in self._terms.items()},
+                    self._den * other.denominator,
+                )
+            other = other.numerator
+        if isinstance(other, int):
             # A nonzero scalar times a nonzero coefficient is nonzero, so
-            # only a zero scalar can leave zeros behind.
+            # only a zero scalar can leave zeros behind; and with
+            # g = gcd(den, n) the pair (den/g, n/g) is coprime, so no
+            # further reduction is needed.
             if not other:
-                return _wrap({})
-            return _wrap({key: c * other for key, c in self._terms.items()})
-        if not isinstance(other, HodgePoly):
-            return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = out.get(key)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return _wrap(out)
+                return _wrap({}, 1)
+            g = gcd(self._den, other)
+            n = other // g
+            return _wrap({key: c * n for key, c in self._terms.items()}, self._den // g)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -175,7 +213,7 @@ class HodgePoly:
             raise PreconditionError(f"Adams operation needs k >= 1, got {k}")
         if k == 1:
             return self
-        return _wrap({(k * i, k * j): c for (i, j), c in self._terms.items()})
+        return _wrap({(k * i, k * j): c for (i, j), c in self._terms.items()}, self._den)
 
     def dual(self, d: int) -> "HodgePoly":
         """Poincare-duality flip at dimension d: u^i v^j -> u^{d-i} v^{d-j}.
@@ -189,7 +227,7 @@ class HodgePoly:
                 raise PreconditionError(
                     f"duality domain violation: term u^{i}*v^{j} exceeds dimension {d}"
                 )
-        return _wrap({(d - i, d - j): c for (i, j), c in self._terms.items()})
+        return _wrap({(d - i, d - j): c for (i, j), c in self._terms.items()}, self._den)
 
     # -- diagonal (pure q) inspection ---------------------------------------
 
@@ -209,7 +247,8 @@ class HodgePoly:
         witness = self.off_diagonal_witness()
         if witness is not None:
             raise OffDiagonalError(*witness)
-        return sorted((i, c) for (i, _), c in self._terms.items())
+        den = self._den
+        return sorted((i, Fraction(c, den)) for (i, _), c in self._terms.items())
 
     def q_coefficient_list(self) -> list[Fraction]:
         """Dense [c0, c1, ..., c_deg] of q-coefficients (empty for zero)."""
@@ -222,7 +261,7 @@ class HodgePoly:
         return out
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
+        return self._den == 1
 
     def max_exponent(self) -> int:
         """Largest single-variable exponent appearing (0 for the zero poly)."""
@@ -298,10 +337,23 @@ def _coerce(value: object) -> HodgePoly:
     return NotImplemented
 
 
-def _wrap(terms: dict[tuple[int, int], Fraction]) -> HodgePoly:
+def _wrap(terms: dict[tuple[int, int], int], den: int) -> HodgePoly:
+    """Wrap numerators and a denominator already in canonical form."""
     poly = HodgePoly.__new__(HodgePoly)
     poly._terms = terms
+    poly._den = den
     return poly
+
+
+def _reduced(terms: dict[tuple[int, int], int], den: int) -> HodgePoly:
+    """Wrap nonzero numerators over a positive denominator, dividing out
+    their common factor (an empty map gets denominator 1)."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {key: c // g for key, c in terms.items()}
+    return _wrap(terms, den)
 
 
 def _render_monomial(i: int, j: int) -> str:

@@ -26,8 +26,9 @@ import enum
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .partitions import mobius
-from .series import SymSeries, exp_series, log_series
+from .hodge import HodgePoly
+from .partitions import mobius, multiplicities
+from .series import Key, SymSeries, exp_series, log_series
 
 
 class GluingMode(enum.Enum):
@@ -66,18 +67,29 @@ def plethystic_log(g: SymSeries) -> SymSeries:
 
 
 def gluing_operator(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
-    """One application of the gluing operator (finite sum: derivatives vanish
-    beyond the largest part present)."""
-    total = SymSeries.zero(f.trunc)
-    top = f.max_part()
-    for k in range(1, top + 1):
-        summand = f.diff_p(k).diff_p(k) * Fraction(k, 2)
-        if 2 * k <= top:
-            summand = summand + f.diff_p(2 * k)
-        if mode is GluingMode.LITERAL:
-            summand = summand.with_truncation(f.trunc, lambda_shift=2 * k)
-        total = total + summand
-    return total
+    """One application of the gluing operator, in one pass over the terms.
+
+    On p_rho with m parts equal to k, (k/2) d^2/dp_k^2 gives
+    k m (m-1)/2 p_{rho-k-k}, and for even k the summand d/dp_k of index
+    k/2 gives m p_{rho-k}.  LITERAL mode raises the lambda exponent of these
+    by 2k and by k; the truncation drops what it does not admit.
+    """
+    shift = 1 if mode is GluingMode.LITERAL else 0
+    out: dict[Key, HodgePoly] = {}
+    for (e, rho), c in f._terms.items():
+        for k, m in multiplicities(rho).items():
+            idx = rho.index(k)
+            if m > 1:
+                key = (e + shift * 2 * k, rho[:idx] + rho[idx + 2 :])
+                _accumulate(out, key, c * (k * m * (m - 1) // 2))
+            if k % 2 == 0:
+                _accumulate(out, (e + shift * k, rho[:idx] + rho[idx + 1 :]), c * m)
+    return SymSeries(f.trunc, out)
+
+
+def _accumulate(out: dict[Key, HodgePoly], key: Key, c: HodgePoly) -> None:
+    s = out.get(key)
+    out[key] = c if s is None else s + c
 
 
 def exp_gluing(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:

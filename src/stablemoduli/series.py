@@ -273,10 +273,6 @@ class SymSeries:
                 out.pop(key, None)
         return _wrap(self.trunc, out)
 
-    def max_part(self) -> int:
-        """Largest part appearing in any p-monomial (0 if none)."""
-        return max((rho[0] for (_, rho) in self._terms if rho), default=0)
-
     def rank(self, e: int, n: int) -> HodgePoly:
         """Forget the symmetric-group action: n! times the p_1^n coefficient."""
         if n < 0:

@@ -1,10 +1,11 @@
 """Independent test-only oracles.
 
-Apart from the power-series exp/log references at the end, nothing here
-imports the package under test.  Polynomials in q are plain dicts mapping
-exponent -> integer coefficient, so a disagreement with the package cannot
-share a root cause with it.  The exp/log references reuse the package's
-series arithmetic but not its exp/log recurrences.
+Apart from the series references at the end, nothing here imports the
+package under test.  Polynomials in q are plain dicts mapping exponent ->
+integer coefficient, and polynomials in u, v plain dicts mapping (i, j) ->
+Fraction, so a disagreement with the package cannot share a root cause with
+it.  The exp/log and gluing references reuse the package's series
+arithmetic but not its exp/log recurrences or its one-pass gluing operator.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from fractions import Fraction
 from itertools import count
 
 from stablemoduli.hodge import HodgePoly
+from stablemoduli.plethysm import GluingMode
 from stablemoduli.series import SymSeries
 
 QPoly = dict[int, int]
+UVPoly = dict[tuple[int, int], Fraction]
 
 
 def qp_add(a: QPoly, b: QPoly) -> QPoly:
@@ -44,6 +47,48 @@ def qp_mul(a: QPoly, b: QPoly) -> QPoly:
 
 def qp_const(c: int) -> QPoly:
     return {0: c} if c else {}
+
+
+# -- polynomials in u and v with Fraction coefficients ------------------------------
+
+
+def uv_add(a: UVPoly, b: UVPoly) -> UVPoly:
+    out = dict(a)
+    for key, c in b.items():
+        s = out.get(key, Fraction(0)) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def uv_neg(a: UVPoly) -> UVPoly:
+    return {key: -c for key, c in a.items()}
+
+
+def uv_sub(a: UVPoly, b: UVPoly) -> UVPoly:
+    return uv_add(a, uv_neg(b))
+
+
+def uv_mul(a: UVPoly, b: UVPoly) -> UVPoly:
+    out: UVPoly = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            out = uv_add(out, {(i1 + i2, j1 + j2): c1 * c2})
+    return out
+
+
+def uv_scale(a: UVPoly, c: int | Fraction) -> UVPoly:
+    return {key: c * x for key, x in a.items() if c * x}
+
+
+def uv_adams(a: UVPoly, k: int) -> UVPoly:
+    return {(k * i, k * j): c for (i, j), c in a.items()}
+
+
+def uv_dual(a: UVPoly, d: int) -> UVPoly:
+    return {(d - i, d - j): c for (i, j), c in a.items()}
 
 
 # -- moduli strata ----------------------------------------------------------------
@@ -222,3 +267,22 @@ def log_by_powers(g: SymSeries) -> SymSeries:
         sign = 1 if m % 2 else -1
         total = total + power * Fraction(sign, m)
         m += 1
+
+
+# -- the gluing operator by formal derivatives ---------------------------------------
+
+
+def gluing_by_derivatives(f: SymSeries, mode: GluingMode) -> SymSeries:
+    """Sum over k of (k/2) d^2/dp_k^2 f + d/dp_{2k} f, built from the
+    package's series derivative; in LITERAL mode the k-th summand moves up
+    by lambda^{2k} and is re-truncated."""
+    total = SymSeries.zero(f.trunc)
+    top = max((rho[0] for (_, rho), _ in f.items() if rho), default=0)
+    for k in range(1, top + 1):
+        summand = f.diff_p(k).diff_p(k) * Fraction(k, 2)
+        if 2 * k <= top:
+            summand = summand + f.diff_p(2 * k)
+        if mode is GluingMode.LITERAL:
+            summand = summand.with_truncation(f.trunc, lambda_shift=2 * k)
+        total = total + summand
+    return total

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import json
+import sys
 from importlib import resources
+from math import comb
+from time import perf_counter
 
 import jsonschema
 import pytest
@@ -220,6 +223,32 @@ def test_bad_expression_is_parse_error(capsys):
     rc, _, err = run(capsys, "expr", "s[1,2]")
     assert rc == 3
     assert "error: 1:" in err  # parse errors carry line:col
+
+
+@pytest.mark.parametrize("text", ["2^100000", "2^99999999"])
+def test_expression_too_long_to_print_is_refused_before_evaluation(capsys, text):
+    start = perf_counter()
+    rc, out, err = run(capsys, "expr", text)
+    assert perf_counter() - start < 0.5
+    assert rc == 4
+    assert out == ""
+    assert f"past the {sys.get_int_max_str_digits()}-digit limit" in err
+
+
+def test_long_but_printable_expressions_still_evaluate(capsys):
+    rc, out, _ = run(capsys, "expr", "2^1000")
+    assert rc == 0
+    assert out == f"λ^0 * ({2**1000}) * p[]\n"
+    rc, out, _ = run(capsys, "expr", "(1+q)^1000")
+    assert rc == 0
+    terms = ["1", "1000*q"] + [f"{comb(1000, k)}*q^{k}" for k in range(2, 1000)] + ["q^1000"]
+    assert out == f"λ^0 * ({' + '.join(terms)}) * p[]\n"
+
+
+def test_overlong_integer_literal_is_parse_error(capsys):
+    rc, _, err = run(capsys, "expr", "1" * (sys.get_int_max_str_digits() + 1))
+    assert rc == 3
+    assert "error: 1:1: integer literal" in err
 
 
 def test_bad_table_file_is_parse_error(tmp_path, capsys):

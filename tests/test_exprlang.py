@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import log10
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from stablemoduli.exprlang import (
     Sub,
     VarAtom,
     build_table,
+    digits_bound,
     eval_expression,
     evaluate,
     parse_expression,
@@ -169,6 +171,30 @@ def test_eval_is_a_ring_homomorphism(a, b):
     assert eval_expression(Mul(a, b), t) == va * vb
     assert eval_expression(Neg(a), t) == -va
     assert eval_expression(Pow(a, 2), t) == va * va
+
+
+@given(_exprs)
+@settings(max_examples=80)
+def test_digits_bound_covers_numerators_and_denominators(expr):
+    value = eval_expression(expr, Truncation.flat(0, weight_bound(expr)))
+    bound = digits_bound(expr)
+    for _, coeff in value.items():
+        for _, c in coeff.items():
+            assert log10(abs(c.numerator)) <= bound + 1e-9
+            assert log10(c.denominator) <= bound + 1e-9
+
+
+def test_digits_bound_examples():
+    assert digits_bound(parse_expression("2^1000")) == pytest.approx(1000 * log10(2))
+    assert digits_bound(parse_expression("(1+q)^1000")) == pytest.approx(1000 * log10(2))
+    assert digits_bound(parse_expression("-7*q")) == pytest.approx(log10(7))
+    assert digits_bound(parse_expression("h[3]")) == pytest.approx(log10(6))
+    assert digits_bound(parse_expression("p[9]^4 + 0^0")) == pytest.approx(log10(2))
+    assert digits_bound(parse_expression("s[2]^2")) == pytest.approx(2 * log10(2))
+    # x^0 is 1, but x is still evaluated on the way
+    assert digits_bound(parse_expression("(2^10)^0")) == pytest.approx(10 * log10(2))
+    huge = "9" * 400
+    assert digits_bound(parse_expression(f"(99^{huge})^0 + (99^{huge})^0")) == float("inf")
 
 
 # -- tables -----------------------------------------------------------------------

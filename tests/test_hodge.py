@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from stablemoduli.errors import ExprParseError, OffDiagonalError, PreconditionError
 from stablemoduli.hodge import HodgePoly
 
+import oracles
 from strategies import hodge_polys, small_fractions
 
 Q = HodgePoly.q()
@@ -45,6 +47,65 @@ def test_scalar_products_are_canonical():
 @given(hodge_polys(), st.one_of(st.integers(-3, 3), small_fractions))
 def test_scalar_product_matches_constant_product(p, c):
     assert p * c == p * HodgePoly.const(c) == c * p
+
+
+def assert_canonical(p):
+    assert all(type(c) is int and c for c in p._terms.values())
+    assert type(p._den) is int and p._den > 0
+    assert gcd(p._den, *p._terms.values()) == 1
+    if not p:
+        assert p._den == 1
+
+
+def as_dict(p):
+    return dict(p.items())
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_ring_matches_fraction_dict_oracle(diagonal):
+    polys = hodge_polys(diagonal=diagonal)
+    scalars = st.one_of(st.integers(-6, 6), small_fractions)
+
+    @given(polys, polys, scalars, st.integers(1, 4))
+    def check(a, b, c, k):
+        da, db = as_dict(a), as_dict(b)
+        results = [
+            (a + b, oracles.uv_add(da, db)),
+            (a - b, oracles.uv_sub(da, db)),
+            (-a, oracles.uv_neg(da)),
+            (a * b, oracles.uv_mul(da, db)),
+            (a * c, oracles.uv_scale(da, c)),
+            (c * a, oracles.uv_scale(da, c)),
+            (a + c, oracles.uv_add(da, {(0, 0): Fraction(c)} if c else {})),
+            (a.adams(k), oracles.uv_adams(da, k)),
+            (a.dual(3), oracles.uv_dual(da, 3)),
+        ]
+        for value, expected in results:
+            assert_canonical(value)
+            assert as_dict(value) == expected
+            assert all(type(x) is Fraction for x in expected.values())
+
+    check()
+
+
+def test_equal_values_by_different_routes_share_form_and_hash():
+    half_q = HodgePoly({(1, 1): Fraction(2, 4)})
+    assert half_q * 2 == Q and hash(half_q * 2) == hash(Q)
+    assert HodgePoly.const(Fraction(1, 2)) * 2 == 1
+    assert HodgePoly.const(Fraction(1, 2)) * 2 == HodgePoly.one()
+    assert hash(HodgePoly.const(Fraction(1, 2)) * 2) == hash(HodgePoly.one())
+    third = HodgePoly.const(Fraction(1, 3))
+    sixth_u = Fraction(1, 6) * U
+    total = (third + sixth_u) + (third + sixth_u)
+    assert total == HodgePoly({(0, 0): Fraction(2, 3), (1, 0): Fraction(1, 3)})
+    assert hash(total) == hash(HodgePoly({(0, 0): Fraction(2, 3), (1, 0): Fraction(1, 3)}))
+    cancelled = (half_q + U) - (half_q + U)
+    assert cancelled == HodgePoly.zero() and hash(cancelled) == hash(HodgePoly.zero())
+    assert (Fraction(1, 6) * U) * Fraction(6, 1) == U
+    assert len({half_q * 2, Q, U * V}) == 1
+    for p in (half_q * 2, total, cancelled, third * 0, HodgePoly({(0, 0): 0})):
+        assert_canonical(p)
+    assert cancelled._den == 1 and (third * 0)._den == 1
 
 
 def test_negative_exponents_rejected():

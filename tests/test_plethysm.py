@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablemoduli.errors import PreconditionError
 from stablemoduli.plethysm import (
@@ -13,7 +14,8 @@ from stablemoduli.plethysm import (
 )
 from stablemoduli.series import SymSeries, Truncation, complete_homogeneous, schur
 
-from strategies import STD_3, series, small_fractions
+from oracles import gluing_by_derivatives
+from strategies import FLAT_33, STD_3, series, small_fractions
 
 HALF = Fraction(1, 2)
 
@@ -99,6 +101,12 @@ def test_gluing_on_four_point_class():
 def test_gluing_operator_is_linear(f, g):
     for mode in GluingMode:
         assert gluing_operator(f + g, mode) == gluing_operator(f, mode) + gluing_operator(g, mode)
+
+
+@given(st.sampled_from([FLAT_33, STD_3]).flatmap(series), st.sampled_from(GluingMode))
+@settings(max_examples=80)
+def test_gluing_operator_matches_derivative_oracle(f, mode):
+    assert gluing_operator(f, mode) == gluing_by_derivatives(f, mode)
 
 
 def test_exp_gluing_terminates_and_matches_partial_sums():
