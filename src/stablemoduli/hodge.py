@@ -14,18 +14,21 @@ arithmetic works on ints and reduces each result once by that gcd; the
 public accessors (``items``, ``coefficient``, ``q_coefficients``) hand out
 ``Fraction`` coefficients.
 
+``Accumulator`` serves the sums of products that make up series
+coefficients: it adds products into per-key integer numerators without
+reducing them, and reduces each finished sum once.
+
 Values are immutable; all arithmetic returns fresh polynomials in canonical
 form, and ``items`` iterates in ascending ``(i, j)`` order.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import ExprParseError, OffDiagonalError, PreconditionError
+from .errors import OffDiagonalError, PreconditionError
 
 Scalar = Union[int, Fraction]
 
@@ -293,11 +296,6 @@ class HodgePoly:
             text += f" {sign} {body}"
         return text
 
-    @classmethod
-    def from_text(cls, text: str) -> "HodgePoly":
-        """Parse the canonical rendering back into a polynomial."""
-        return _parse_hodge(text)
-
     def render_q(self, explicit_mul: bool = False) -> str:
         """Pure-q rendering in descending degree, e.g. "q^2 + 5q + 1".
 
@@ -356,6 +354,73 @@ def _reduced(terms: dict[tuple[int, int], int], den: int) -> HodgePoly:
     return _wrap(terms, den)
 
 
+class Accumulator:
+    """Sums of products of polynomials, one running sum per key, reduced once.
+
+    Each key holds integer numerators over one positive denominator, left
+    unreduced while products are added: a product ``a*b`` lands over
+    ``a._den * b._den``, and the running sum is rescaled only when that
+    differs from its own denominator.  ``result`` then turns each sum into
+    one canonical ``HodgePoly`` with a single gcd.
+    """
+
+    __slots__ = ("_sums",)
+
+    def __init__(self):
+        # key -> [denominator, {(i, j): numerator}]; numerators may be zero.
+        self._sums: dict = {}
+
+    def _entry(self, key, den: int) -> tuple[dict[tuple[int, int], int], int]:
+        """The numerators of key and the factor that brings a value over
+        ``den`` to the (possibly raised) denominator of the sum."""
+        entry = self._sums.get(key)
+        if entry is None:
+            terms: dict[tuple[int, int], int] = {}
+            self._sums[key] = [den, terms]
+            return terms, 1
+        old, terms = entry
+        if old == den:
+            return terms, 1
+        g = gcd(old, den)
+        raise_old = den // g
+        if raise_old != 1:
+            for ij in terms:
+                terms[ij] *= raise_old
+            entry[0] = old * raise_old
+        return terms, old // g
+
+    def add_product(self, key, a: HodgePoly, b: HodgePoly) -> None:
+        """Add a*b into the sum at key."""
+        terms, m = self._entry(key, a._den * b._den)
+        get = terms.get
+        for (i1, j1), c1 in a._terms.items():
+            if m != 1:
+                c1 *= m
+            for (i2, j2), c2 in b._terms.items():
+                ij = (i1 + i2, j1 + j2)
+                terms[ij] = get(ij, 0) + c1 * c2
+
+    def add_scaled(self, key, a: HodgePoly, k: int) -> None:
+        """Add a*k, for an int k, into the sum at key."""
+        terms, m = self._entry(key, a._den)
+        k *= m
+        get = terms.get
+        for ij, c in a._terms.items():
+            terms[ij] = get(ij, 0) + c * k
+
+    def result(self, divisor: int = 1) -> dict:
+        """Each nonzero sum divided by the positive int divisor, as a
+        canonical HodgePoly; keys whose sum cancels to zero are left out."""
+        if divisor < 1:
+            raise ValueError(f"divisor must be a positive int, got {divisor}")
+        out = {}
+        for key, (den, terms) in self._sums.items():
+            nums = {ij: c for ij, c in terms.items() if c}
+            if nums:
+                out[key] = _reduced(nums, den * divisor)
+        return out
+
+
 def _render_monomial(i: int, j: int) -> str:
     if i == j:
         if i == 0:
@@ -367,70 +432,3 @@ def _render_monomial(i: int, j: int) -> str:
     if j:
         parts.append("v" if j == 1 else f"v^{j}")
     return "*".join(parts)
-
-
-_HODGE_TOKEN = re.compile(
-    r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<var>[uvq])|(?P<op>[\^*+-])|(?P<bad>\S))"
-)
-
-
-def _parse_hodge(text: str) -> HodgePoly:
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _HODGE_TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group("bad"):
-            raise ExprParseError(f"unexpected character {m.group('bad')!r}", col=m.start("bad") + 1)
-        for kind in ("rat", "var", "op"):
-            if m.group(kind):
-                tokens.append((kind, m.group(kind), m.start(kind) + 1))
-        pos = m.end()
-
-    result = HodgePoly.zero()
-    idx = 0
-
-    def parse_factor() -> HodgePoly:
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ExprParseError("expected a factor at end of input", col=len(text) + 1)
-        kind, value, col = tokens[idx]
-        if kind == "rat":
-            idx += 1
-            base = HodgePoly.const(Fraction(value))
-        elif kind == "var":
-            idx += 1
-            base = {"u": HodgePoly.u(), "v": HodgePoly.v(), "q": HodgePoly.q()}[value]
-        else:
-            raise ExprParseError(f"expected a factor, got {value!r}", col=col)
-        if idx < len(tokens) and tokens[idx][:2] == ("op", "^"):
-            idx += 1
-            if idx >= len(tokens) or tokens[idx][0] != "rat" or "/" in tokens[idx][1]:
-                raise ExprParseError("exponent must be a nonnegative integer", col=col)
-            base = base ** int(tokens[idx][1])
-            idx += 1
-        return base
-
-    def parse_term() -> HodgePoly:
-        nonlocal idx
-        value = parse_factor()
-        while idx < len(tokens) and tokens[idx][:2] == ("op", "*"):
-            idx += 1
-            value = value * parse_factor()
-        return value
-
-    sign = 1
-    if idx < len(tokens) and tokens[idx][0] == "op" and tokens[idx][1] in "+-":
-        sign = -1 if tokens[idx][1] == "-" else 1
-        idx += 1
-    if idx >= len(tokens):
-        raise ExprParseError("empty polynomial text", col=1)
-    result = result + sign * parse_term()
-    while idx < len(tokens):
-        kind, value, col = tokens[idx]
-        if kind != "op" or value not in "+-":
-            raise ExprParseError(f"expected '+' or '-', got {value!r}", col=col)
-        idx += 1
-        result = result + (-1 if value == "-" else 1) * parse_term()
-    return result

@@ -26,9 +26,9 @@ import enum
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .hodge import HodgePoly
+from .hodge import Accumulator
 from .partitions import mobius, multiplicities
-from .series import Key, SymSeries, exp_series, log_series
+from .series import SymSeries, exp_series, log_series
 
 
 class GluingMode(enum.Enum):
@@ -75,21 +75,16 @@ def gluing_operator(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSe
     by 2k and by k; the truncation drops what it does not admit.
     """
     shift = 1 if mode is GluingMode.LITERAL else 0
-    out: dict[Key, HodgePoly] = {}
+    acc = Accumulator()
     for (e, rho), c in f._terms.items():
         for k, m in multiplicities(rho).items():
             idx = rho.index(k)
             if m > 1:
                 key = (e + shift * 2 * k, rho[:idx] + rho[idx + 2 :])
-                _accumulate(out, key, c * (k * m * (m - 1) // 2))
+                acc.add_scaled(key, c, k * m * (m - 1) // 2)
             if k % 2 == 0:
-                _accumulate(out, (e + shift * k, rho[:idx] + rho[idx + 1 :]), c * m)
-    return SymSeries(f.trunc, out)
-
-
-def _accumulate(out: dict[Key, HodgePoly], key: Key, c: HodgePoly) -> None:
-    s = out.get(key)
-    out[key] = c if s is None else s + c
+                acc.add_scaled((e + shift * k, rho[:idx] + rho[idx + 1 :]), c, m)
+    return SymSeries(f.trunc, acc.result())
 
 
 def exp_gluing(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Union
 
 from .characters import character
 from .errors import PreconditionError
-from .hodge import HodgePoly
+from .hodge import Accumulator, HodgePoly
 from .partitions import (
     Partition,
     check_partition,
@@ -178,9 +178,9 @@ class SymSeries:
         if not isinstance(other, SymSeries):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[Key, HodgePoly] = {}
-        _add_product(out, self._terms, other._terms, self.trunc)
-        return _wrap(self.trunc, out)
+        acc = Accumulator()
+        _add_product(acc, self._terms, other._terms, self.trunc)
+        return _wrap(self.trunc, acc.result())
 
     __rmul__ = __mul__
 
@@ -351,12 +351,12 @@ def _group_by_lambda(
 
 
 def _add_product(
-    out: dict[Key, HodgePoly],
+    acc: Accumulator,
     a: dict[Key, HodgePoly],
     b: dict[Key, HodgePoly],
     trunc: Truncation,
 ) -> None:
-    """Add the truncated product of the term maps a and b into out."""
+    """Add the truncated product of the term maps a and b into acc."""
     by_lam_b = _group_by_lambda(b)
     for e1, terms_a in _group_by_lambda(a).items():
         for e2, terms_b in by_lam_b.items():
@@ -370,14 +370,7 @@ def _add_product(
                 for sigma, w2, c2 in terms_b:
                     if w1 + w2 > cap:
                         continue
-                    key = (e, _merge_parts(rho, sigma))
-                    prod = c1 * c2
-                    s = out.get(key)
-                    s = prod if s is None else s + prod
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+                    acc.add_product((e, _merge_parts(rho, sigma)), c1, c2)
 
 
 def _scaled(terms: dict[Key, HodgePoly], coeff: HodgePoly | Scalar) -> dict[Key, HodgePoly]:
@@ -420,11 +413,11 @@ def exp_series(f: SymSeries) -> SymSeries:
     parts = [{CONSTANT_KEY: HodgePoly.one()}]
     total = dict(parts[0])
     for d in range(1, _max_degree(trunc) + 1):
-        acc: dict[Key, HodgePoly] = {}
+        acc = Accumulator()
         for j, fj in df.items():
             if j <= d:
                 _add_product(acc, fj, parts[d - j], trunc)
-        part = _scaled(acc, Fraction(1, d))
+        part = acc.result(d)
         parts.append(part)
         total.update(part)
     return _wrap(trunc, total)
@@ -445,13 +438,16 @@ def log_series(g: SymSeries) -> SymSeries:
     neg_dl: dict[int, dict[Key, HodgePoly]] = {}  # j -> -j L_j
     total: dict[Key, HodgePoly] = {}
     for d in range(1, _max_degree(trunc) + 1):
-        acc = _scaled(gparts.get(d, {}), d)  # becomes d L_d
+        acc = Accumulator()  # sums to d L_d
+        for key, c in gparts.get(d, {}).items():
+            acc.add_scaled(key, c, d)
         for j, lj in neg_dl.items():
             if d - j in gparts:
                 _add_product(acc, lj, gparts[d - j], trunc)
-        if acc:
-            total.update(_scaled(acc, Fraction(1, d)))
-            neg_dl[d] = _scaled(acc, -1)
+        part = acc.result(d)
+        if part:
+            total.update(part)
+            neg_dl[d] = _scaled(part, -d)
     return _wrap(trunc, total)
 
 

@@ -1,18 +1,21 @@
 """Independent test-only oracles.
 
-Apart from the series references at the end, nothing here imports the
-package under test.  Polynomials in q are plain dicts mapping exponent ->
-integer coefficient, and polynomials in u, v plain dicts mapping (i, j) ->
-Fraction, so a disagreement with the package cannot share a root cause with
-it.  The exp/log and gluing references reuse the package's series
-arithmetic but not its exp/log recurrences or its one-pass gluing operator.
+Apart from the series references at the end and the package's parse-error
+type, nothing here imports the package under test.  Polynomials in q are
+plain dicts mapping exponent -> integer coefficient, and polynomials in u, v
+plain dicts mapping (i, j) -> Fraction, so a disagreement with the package
+cannot share a root cause with it.  The exp/log and gluing references
+reuse the package's series arithmetic but not its exp/log recurrences or
+its one-pass gluing operator.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import count
 
+from stablemoduli.errors import ExprParseError
 from stablemoduli.hodge import HodgePoly
 from stablemoduli.plethysm import GluingMode
 from stablemoduli.series import SymSeries
@@ -89,6 +92,68 @@ def uv_adams(a: UVPoly, k: int) -> UVPoly:
 
 def uv_dual(a: UVPoly, d: int) -> UVPoly:
     return {(d - i, d - j): c for (i, j), c in a.items()}
+
+
+_UV_TOKEN = re.compile(r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<var>[uvq])|(?P<op>[\^*+-])|(?P<bad>\S))")
+_UV_VARS = {"u": (1, 0), "v": (0, 1), "q": (1, 1)}
+
+
+def parse_uv(text: str) -> UVPoly:
+    """Parse a polynomial in u, v (q = u*v) as ``HodgePoly.render`` writes it:
+    signed terms, each a product of rationals and variables with optional
+    nonnegative integer exponents."""
+    tokens = []
+    for m in _UV_TOKEN.finditer(text):
+        if m.group("bad"):
+            raise ExprParseError(f"unexpected character {m.group('bad')!r}", col=m.start("bad") + 1)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
+    tokens.append(("end", "", len(text) + 1))
+    idx = 0
+
+    def factor() -> UVPoly:
+        nonlocal idx
+        kind, value, col = tokens[idx]
+        if kind == "rat":
+            base = {(0, 0): Fraction(value)}
+        elif kind == "var":
+            base = {_UV_VARS[value]: Fraction(1)}
+        else:
+            raise ExprParseError(f"expected a factor, got {value!r}", col=col)
+        idx += 1
+        if tokens[idx][1] == "^":
+            kind, value, _ = tokens[idx + 1]
+            if kind != "rat" or "/" in value:
+                raise ExprParseError("exponent must be a nonnegative integer", col=col)
+            idx += 2
+            power = {(0, 0): Fraction(1)}
+            for _ in range(int(value)):
+                power = uv_mul(power, base)
+            base = power
+        return base
+
+    def term() -> UVPoly:
+        nonlocal idx
+        value = factor()
+        while tokens[idx][1] == "*":
+            idx += 1
+            value = uv_mul(value, factor())
+        return value
+
+    if tokens[0][0] == "end":
+        raise ExprParseError("empty polynomial text", col=1)
+    total: UVPoly = {}
+    sign = 1
+    while True:
+        if tokens[idx][1] in ("+", "-"):
+            sign = -1 if tokens[idx][1] == "-" else 1
+            idx += 1
+        total = uv_add(total, uv_scale(term(), sign))
+        kind, value, col = tokens[idx]
+        if kind == "end":
+            return total
+        if value not in ("+", "-"):
+            raise ExprParseError(f"expected '+' or '-', got {value!r}", col=col)
 
 
 # -- moduli strata ----------------------------------------------------------------

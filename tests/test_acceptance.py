@@ -106,6 +106,26 @@ def test_a4_functional_equation(closed, capsys):
                 assert all(c >= 0 for _, c in coeff.q_coefficients()), (g, n, mu)
 
 
+def test_hard_lefschetz_unimodality(closed):
+    """On a smooth projective variety of dimension d, cupping with an ample
+    class maps H^{2k} into H^{2k+2} injectively for 2k < d and onto it
+    otherwise, and commutes with the S_n action: so the q-coefficients of
+    the rank and of every Schur coefficient rise up to the middle degree
+    and fall after it."""
+    for (g, n) in stable_slots(5):
+        report = build_slot_report(closed, g, n)
+        d = report.dim
+        for mu, coeff in [(None, report.rank)] + report.equivariant:
+            c = coeff.q_coefficient_list()
+            assert len(c) <= d + 1, (g, n, mu)
+            c += [0] * (d + 1 - len(c))
+            for k in range(d):
+                if 2 * k < d:
+                    assert c[k] <= c[k + 1], (g, n, mu, k)
+                else:
+                    assert c[k] >= c[k + 1], (g, n, mu, k)
+
+
 def test_a5_mode_discrimination(capsys):
     with verdict(capsys, "A5 (mode discrimination)"):
         q = HodgePoly.q()

@@ -11,6 +11,7 @@ import pytest
 
 from stablemoduli.cli import main
 from stablemoduli.dataset import dataset_text
+from stablemoduli.exprlang import MAX_EXPR_WEIGHT
 
 HEADLINE = "q^7 + 5q^6 + 16q^5 + 29q^4 + 29q^3 + 16q^2 + 5q + 1"
 
@@ -243,6 +244,29 @@ def test_long_but_printable_expressions_still_evaluate(capsys):
     assert rc == 0
     terms = ["1", "1000*q"] + [f"{comb(1000, k)}*q^{k}" for k in range(2, 1000)] + ["q^1000"]
     assert out == f"λ^0 * ({' + '.join(terms)}) * p[]\n"
+
+
+@pytest.mark.parametrize("text", ["s[5]^100", f"p[{MAX_EXPR_WEIGHT + 1}]"])
+def test_expression_past_the_weight_cap_is_refused_before_evaluation(capsys, text):
+    start = perf_counter()
+    rc, out, err = run(capsys, "expr", text)
+    assert perf_counter() - start < 0.5
+    assert rc == 4
+    assert out == ""
+    assert f"past the limit of {MAX_EXPR_WEIGHT}" in err
+
+
+def test_expressions_of_the_tests_and_the_shipped_table_are_within_the_weight_cap(capsys):
+    rows = [line.split("=", 1)[1] for line in dataset_text().splitlines() if line.startswith("M[")]
+    assert len(rows) == 14
+    accepted = rows + [
+        "h[2]", "q*s[2,1]", "2^1000", "(1+q)^1000", "2*3^2", "7 - 2 - 2", "(q+1)^2", "-2",
+        f"p[{MAX_EXPR_WEIGHT}]",
+    ]
+    for text in accepted:
+        rc, out, err = run(capsys, "expr", text)
+        assert rc == 0, (text, err)
+        assert out
 
 
 def test_overlong_integer_literal_is_parse_error(capsys):
