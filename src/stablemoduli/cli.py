@@ -5,13 +5,16 @@ verify (the built-in check suite), expr (evaluate an expression), inputs
 (which open-moduli entries a slot depends on).
 
 Exit codes: 0 ok, 2 usage, 3 parse error in an expression or table
-document, 4 violated operation precondition, 5 verification failure.
+document, 4 violated operation precondition, 5 verification failure.  A
+reader that closes stdout early (``stablemoduli table | head``) ends the
+run with exit 0 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +34,13 @@ from .pipeline import (
 )
 from .plethysm import GluingMode
 from .series import SymSeries, Truncation
+
+
+# The largest --truncation that compute, table and verify accept.  The work
+# about doubles per step: `table --truncation L --format json` takes 0.6 s
+# at L = 8, 1.1 s at 9, 2.1 s at 10, 4.5 s at 11 and 9.1 s at 12 (2-core
+# host, Python 3.11).
+MAX_TRUNCATION = 10
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,10 @@ def config_from_args(ns: argparse.Namespace) -> CliConfig:
     truncation = getattr(ns, "truncation", 5)
     if truncation < 0:
         raise UsageError(f"--truncation must be nonnegative, got {truncation}")
+    if truncation > MAX_TRUNCATION:
+        raise PreconditionError(
+            f"--truncation {truncation} is past the cap {MAX_TRUNCATION}"
+        )
     return CliConfig(
         command=ns.command,
         g=getattr(ns, "g", None),
@@ -306,22 +320,32 @@ def run_verify(cfg: CliConfig) -> int:
     return 0
 
 
+COMMANDS = {
+    "compute": run_compute,
+    "table": run_table,
+    "verify": run_verify,
+    "expr": run_expr,
+    "inputs": run_inputs,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
         cfg = config_from_args(ns)
-        if cfg.command == "compute":
-            return run_compute(cfg)
-        if cfg.command == "table":
-            return run_table(cfg)
-        if cfg.command == "verify":
-            return run_verify(cfg)
-        if cfg.command == "expr":
-            return run_expr(cfg)
-        if cfg.command == "inputs":
-            return run_inputs(cfg)
-        raise UsageError(f"unknown command {cfg.command!r}")
+        command = COMMANDS.get(cfg.command)
+        if command is None:
+            raise UsageError(f"unknown command {cfg.command!r}")
+        code = command(cfg)
+        # Write out what is buffered here, so a closed pipe raises below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone; send the rest of the output, and the flush
+        # at exit, to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

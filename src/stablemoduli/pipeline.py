@@ -8,6 +8,16 @@ series for the compactified spaces; a (g, n) answer is then read off the
 component with lambda exponent 2g-2+n and p-weight n.  The two indices are
 needed jointly: distinct (g, n) can share a lambda exponent (for instance
 (0,5), (1,3) and (2,1) all sit at lambda^3) but never share a weight there.
+
+A slot (g, n) at lambda^e has weight n = e + 2 - 2g, so within a lambda
+bound L every slot has weight at most L + 2, and the logarithm runs in
+:func:`slot_truncation`, which caps every weight at L + 2.  Dropping the
+monomials of weight above L + 2 is a ring homomorphism onto a quotient of
+the truncated ring: a dropped monomial stays dropped when multiplied by any
+retained one and under every Adams operation, so the plethystic logarithm
+commutes with the restriction.  The exponential and the gluing operator keep
+the full truncation, since each gluing lowers weight by 2 and so brings
+terms from above L + 2 down into the slots.
 """
 
 from __future__ import annotations
@@ -91,11 +101,30 @@ def open_moduli_series(table: ModuliTable, trunc: Truncation) -> SymSeries:
     return total
 
 
+def slot_truncation(trunc: Truncation) -> Truncation:
+    """The same lambda bound, with every weight cap lowered to at most
+    lambda_max + 2, the largest weight of a slot within that bound."""
+    top = trunc.lambda_max + 2
+    return Truncation(
+        trunc.lambda_max, tuple(min(cap, top) for cap in trunc.weight_caps)
+    )
+
+
 def closed_moduli_series(
     open_series: SymSeries, mode: GluingMode = GluingMode.GRADED
 ) -> SymSeries:
-    """The full pipeline: plethystic log of the glued plethystic exp."""
-    return plethystic_log(exp_gluing(plethystic_exp(open_series), mode))
+    """The full pipeline: plethystic log of the glued plethystic exp.
+
+    The result lives in ``slot_truncation(open_series.trunc)``: the glued
+    series is restricted to it before the logarithm.  That restriction is
+    a ring homomorphism of truncated rings which commutes with every Adams
+    operation, and the lowered caps still leave the discarded monomials an
+    ideal (the condition of ``log_series``), so the result equals the
+    logarithm in the full truncation restricted to the slot truncation.
+    Every slot (g, n) within the lambda bound lies inside it.
+    """
+    glued = exp_gluing(plethystic_exp(open_series), mode)
+    return plethystic_log(glued.with_truncation(slot_truncation(glued.trunc)))
 
 
 def slot_schur(closed: SymSeries, g: int, n: int) -> SchurList:

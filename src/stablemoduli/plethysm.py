@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .hodge import Accumulator
 from .partitions import mobius, multiplicities
-from .series import SymSeries, exp_series, log_series
+from .series import SymSeries, _wrap, exp_series, log_series
 
 
 class GluingMode(enum.Enum):
@@ -66,37 +66,44 @@ def plethystic_log(g: SymSeries) -> SymSeries:
     return total
 
 
-def gluing_operator(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
-    """One application of the gluing operator, in one pass over the terms.
+def gluing_operator(
+    f: SymSeries, mode: GluingMode = GluingMode.GRADED, divisor: int = 1
+) -> SymSeries:
+    """One application of the gluing operator, in one pass over the terms,
+    divided by the positive int divisor.
 
     On p_rho with m parts equal to k, (k/2) d^2/dp_k^2 gives
     k m (m-1)/2 p_{rho-k-k}, and for even k the summand d/dp_k of index
     k/2 gives m p_{rho-k}.  LITERAL mode raises the lambda exponent of these
-    by 2k and by k; the truncation drops what it does not admit.
+    by 2k and by k; the truncation drops what it does not admit.  Weight
+    only falls and the caps are monotone, so that is exactly the terms past
+    the lambda bound.
     """
     shift = 1 if mode is GluingMode.LITERAL else 0
+    top = f.trunc.lambda_max
     acc = Accumulator()
     for (e, rho), c in f._terms.items():
         for k, m in multiplicities(rho).items():
             idx = rho.index(k)
-            if m > 1:
+            if m > 1 and e + shift * 2 * k <= top:
                 key = (e + shift * 2 * k, rho[:idx] + rho[idx + 2 :])
                 acc.add_scaled(key, c, k * m * (m - 1) // 2)
-            if k % 2 == 0:
+            if k % 2 == 0 and e + shift * k <= top:
                 acc.add_scaled((e + shift * k, rho[:idx] + rho[idx + 1 :]), c, m)
-    return SymSeries(f.trunc, acc.result())
+    return _wrap(f.trunc, acc.result(divisor))
 
 
 def exp_gluing(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
     """Exponential of the gluing operator: sum over m of its m-th iterate
     divided by m!.  Terminates since each application drops p-weight by at
-    least 2."""
-    total = f
+    least 2.  Each iterate is the previous one glued and divided by m, and
+    all of them are summed in one accumulator, reduced once at the end."""
+    total = Accumulator()
     term = f
     m = 1
-    while True:
-        term = gluing_operator(term, mode) * Fraction(1, m)
-        if not term:
-            return total
-        total = total + term
+    while term:
+        for key, c in term._terms.items():
+            total.add_scaled(key, c, 1)
+        term = gluing_operator(term, mode, divisor=m)
         m += 1
+    return _wrap(f.trunc, total.result())

@@ -291,16 +291,14 @@ class SymSeries:
             for rho in partitions_of(n)
             if (c := self._terms.get((e, rho))) is not None
         ]
-        out = []
+        acc = Accumulator()
         for mu in partitions_of(n):
-            total = HodgePoly.zero()
             for rho, c in terms:
                 chi = character(mu, rho)
                 if chi:
-                    total = total + c * chi
-            if total:
-                out.append((mu, total))
-        return out
+                    acc.add_scaled(mu, c, chi)
+        sums = acc.result()
+        return [(mu, sums[mu]) for mu in partitions_of(n) if mu in sums]
 
     # -- text and JSON forms ---------------------------------------------------------
 
@@ -404,7 +402,8 @@ def exp_series(f: SymSeries) -> SymSeries:
     equals the truncated power series sum f^m / m! whenever the discarded
     monomials form an ideal of the monoid the retained ones generate, so
     that truncated arithmetic is exact in a quotient ring; that holds for
-    ``Truncation.standard`` and ``Truncation.flat``.
+    ``Truncation.standard`` and ``Truncation.flat``, and for either with
+    every cap lowered to one bound (``pipeline.slot_truncation``).
     """
     if f.constant_term():
         raise PreconditionError("exp needs a series with zero constant term")

@@ -1,15 +1,21 @@
-"""End-to-end tests of the command-line interface, run in process."""
+"""End-to-end tests of the command-line interface, run in process (the
+closed-pipe tests alone run the command as a subprocess)."""
 
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
 from math import comb
+from pathlib import Path
 from time import perf_counter
 
 import jsonschema
 import pytest
 
-from stablemoduli.cli import main
+import stablemoduli
+from stablemoduli.cli import MAX_TRUNCATION, build_parser, config_from_args, main
+from stablemoduli.errors import PreconditionError
 from stablemoduli.dataset import dataset_text
 from stablemoduli.exprlang import MAX_EXPR_WEIGHT
 
@@ -212,6 +218,73 @@ def test_negative_truncation_is_usage_error(capsys, argv):
     assert rc == 2
     assert out == ""
     assert "--truncation must be nonnegative, got -1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "--g", "1", "--n", "1"], ["table"], ["verify"]],
+)
+def test_truncation_past_the_cap_is_refused_before_any_work(tmp_path, capsys, argv):
+    # A table file that fails to parse shows that the cap is checked first.
+    doc = tmp_path / "bad.dat"
+    doc.write_text("M[0,3] = s[2]\n", encoding="utf-8")
+    for extra in ([], ["--input", str(doc)]):
+        start = perf_counter()
+        rc, out, err = run(capsys, *argv, "--truncation", "30", *extra)
+        assert perf_counter() - start < 0.5
+        assert rc == 4
+        assert out == ""
+        assert f"--truncation 30 is past the cap {MAX_TRUNCATION}" in err
+
+
+def test_config_accepts_the_truncation_cap_and_refuses_one_more():
+    parser = build_parser()
+    cfg = config_from_args(parser.parse_args(["table", "--truncation", str(MAX_TRUNCATION)]))
+    assert cfg.truncation == MAX_TRUNCATION >= 9
+    with pytest.raises(PreconditionError):
+        config_from_args(parser.parse_args(["table", "--truncation", str(MAX_TRUNCATION + 1)]))
+
+
+def cli_argv(*args):
+    return [sys.executable, "-m", "stablemoduli.cli", *args]
+
+
+def cli_env(unbuffered):
+    src = str(Path(stablemoduli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_ends_quietly_with_exit_0(unbuffered):
+    # The output (about 99 kB) is larger than a pipe holds, so the command is
+    # still writing when the reader closes the pipe after one line.
+    with subprocess.Popen(
+        cli_argv("expr", "--format", "json", "h[20]"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=cli_env(unbuffered),
+    ) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_stdout_closed_before_a_short_output_ends_quietly_with_exit_0(unbuffered):
+    # Block-buffered, a short output is written only when stdout is flushed.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            cli_argv("expr", "s[2]"), stdout=write_end, stderr=subprocess.PIPE,
+            env=cli_env(unbuffered), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def test_missing_input_file_is_usage_error(capsys):

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 
+from stablemoduli.dataset import embedded_dataset
 from stablemoduli.errors import OffDiagonalError, PreconditionError
 from stablemoduli.hodge import HodgePoly
+from stablemoduli.partitions import partitions_of, weight
 from stablemoduli.pipeline import (
     ModuliTable,
     build_slot_report,
@@ -18,9 +21,10 @@ from stablemoduli.pipeline import (
     required_inputs,
     satisfies_duality,
     slot_schur,
+    slot_truncation,
     stable_slots,
 )
-from stablemoduli.plethysm import GluingMode
+from stablemoduli.plethysm import GluingMode, exp_gluing, plethystic_exp, plethystic_log
 from stablemoduli.series import SymSeries, Truncation, schur
 
 from strategies import hodge_polys
@@ -164,8 +168,93 @@ def test_top_slot_is_linear_in_its_entry(c):
     perturbed_table = mini_table(((0, 3), {(3,): 1}), ((0, 4), {(2, 2): c}))
     perturbed = closed_moduli_series(open_moduli_series(perturbed_table, trunc))
     diff = perturbed.component(2, 4) - base.component(2, 4)
-    expected = entry(4, {(2, 2): c}).with_truncation(trunc, lambda_shift=2)
+    expected = entry(4, {(2, 2): c}).with_truncation(perturbed.trunc, lambda_shift=2)
     assert diff == expected
+
+
+# -- the logarithm in the slot truncation ------------------------------------------------
+
+
+def reference_route(open_series, mode):
+    """The pipeline with the logarithm in the full truncation."""
+    return plethystic_log(exp_gluing(plethystic_exp(open_series), mode))
+
+
+@lru_cache(maxsize=None)
+def shipped_routes(lam, mode, withheld=None):
+    """(closed_moduli_series, reference route) on the shipped table."""
+    table = embedded_dataset()
+    if withheld is not None:
+        table = table.withhold(*withheld)
+    phi = open_moduli_series(table, Truncation.standard(lam))
+    return closed_moduli_series(phi, mode), reference_route(phi, mode)
+
+
+SHIPPED_CASES = [(lam, mode) for lam in range(1, 7) for mode in GluingMode]
+
+
+def test_slot_truncation_caps():
+    assert slot_truncation(Truncation.standard(7)).weight_caps == (0, 3, 6, 9, 9, 9, 9, 9)
+    assert slot_truncation(Truncation.standard(2)).weight_caps == (0, 3, 4)
+    assert slot_truncation(Truncation.standard(0)).weight_caps == (0,)
+    assert slot_truncation(Truncation.flat(3, 8)) == Truncation.flat(3, 5)
+    assert slot_truncation(Truncation.flat(3, 2)) == Truncation.flat(3, 2)
+    odd = Truncation(2, (1, 5, 5))
+    assert slot_truncation(odd) == Truncation(2, (1, 4, 4))
+    # every slot within the lambda bound is admitted
+    for lam in range(8):
+        trunc = slot_truncation(Truncation.standard(lam))
+        assert trunc.lambda_max == lam
+        for g, n in stable_slots(lam):
+            assert trunc.admits(lambda_exponent(g, n), n)
+
+
+@pytest.mark.parametrize("lam,mode", SHIPPED_CASES)
+def test_closed_series_is_the_reference_restricted_to_the_slot_truncation(lam, mode):
+    closed, reference = shipped_routes(lam, mode)
+    trunc = slot_truncation(Truncation.standard(lam))
+    assert closed.trunc == trunc
+    assert closed == reference.with_truncation(trunc)
+
+
+@pytest.mark.parametrize("withheld", embedded_dataset().keys(), ids=lambda key: "M[%d,%d]" % key)
+def test_closed_series_with_a_row_withheld_is_the_reference_restricted(withheld):
+    for mode in GluingMode:
+        closed, reference = shipped_routes(5, mode, withheld)
+        assert closed == reference.with_truncation(closed.trunc)
+
+
+@pytest.mark.parametrize("lam,mode", SHIPPED_CASES)
+def test_reference_route_has_no_term_past_the_slot_truncation(lam, mode):
+    # Only connected stable graphs survive the logarithm, and a connected
+    # graph of genus g sits at weight n = lambda + 2 - 2g <= lambda + 2.
+    _, reference = shipped_routes(lam, mode)
+    assert reference
+    assert all(weight(rho) <= lam + 2 for (_, rho) in reference._terms)
+
+
+@st.composite
+def random_tables(draw):
+    """A random table within lambda exponent 3: some of its stable rows, each
+    a combination of Schur functions with diagonal or off-diagonal
+    coefficients."""
+    diagonal = draw(st.booleans())
+    rows = {}
+    for g, n in draw(st.sets(st.sampled_from(stable_slots(3)), min_size=1)):
+        shapes = draw(st.lists(st.sampled_from(partitions_of(n)), min_size=1, max_size=3, unique=True))
+        rows[(g, n)] = {mu: draw(hodge_polys(max_exp=2, diagonal=diagonal)) for mu in shapes}
+    return ModuliTable({key: entry(key[1], val) for key, val in rows.items()})
+
+
+@given(random_tables(), st.integers(1, 3), st.sampled_from(GluingMode))
+@settings(max_examples=40, deadline=None)
+def test_closed_series_is_the_reference_restricted_on_random_tables(table, lam, mode):
+    phi = open_moduli_series(table, Truncation.standard(lam))
+    closed = closed_moduli_series(phi, mode)
+    reference = reference_route(phi, mode)
+    assert closed.trunc == slot_truncation(phi.trunc)
+    assert closed == reference.with_truncation(closed.trunc)
+    assert all(weight(rho) <= lam + 2 for (_, rho) in reference._terms)
 
 
 # -- duality and reports -------------------------------------------------------------------
