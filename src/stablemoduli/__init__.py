@@ -12,7 +12,6 @@ from .hodge import HodgePoly
 from .partitions import (
     Partition,
     check_partition,
-    conjugate,
     format_partition,
     mobius,
     parse_partition,
@@ -81,7 +80,6 @@ __all__ = [
     "check_partition",
     "closed_moduli_series",
     "complete_homogeneous",
-    "conjugate",
     "dataset_text",
     "embedded_dataset",
     "eval_expression",

@@ -36,11 +36,12 @@ from .plethysm import GluingMode
 from .series import SymSeries, Truncation
 
 
-# The largest --truncation that compute, table and verify accept.  The work
-# about doubles per step: `table --truncation L --format json` takes 0.6 s
-# at L = 8, 1.1 s at 9, 2.1 s at 10, 4.5 s at 11 and 9.1 s at 12 (2-core
-# host, Python 3.11).
-MAX_TRUNCATION = 10
+# The largest --truncation that compute, table and verify accept.  On the
+# shipped table `table --truncation L --format json` takes, end to end,
+# 0.25 s at L = 8, 0.35 s at 9, 0.6 s at 10, 1.1 s at 11 and 1.9 s at 12
+# (medians of five runs, 2-core host, Python 3.11); past 12 the work keeps
+# growing by about 1.8 times per step.
+MAX_TRUNCATION = 12
 
 
 @dataclass(frozen=True)

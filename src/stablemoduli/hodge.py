@@ -266,10 +266,6 @@ class HodgePoly:
     def is_integral(self) -> bool:
         return self._den == 1
 
-    def max_exponent(self) -> int:
-        """Largest single-variable exponent appearing (0 for the zero poly)."""
-        return max((max(i, j) for (i, j) in self._terms), default=0)
-
     # -- text forms ----------------------------------------------------------
 
     def render(self) -> str:

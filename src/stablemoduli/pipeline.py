@@ -2,22 +2,30 @@
 
 The generating series of the inputs places the equivariant Serre polynomial
 of the open moduli space of (g, n)-curves (a degree-n symmetric function) at
-lambda^(2g-2+n).  Applying the plethystic exponential, the exponential of
-the gluing operator, and the plethystic logarithm produces the matching
-series for the compactified spaces; a (g, n) answer is then read off the
-component with lambda exponent 2g-2+n and p-weight n.  The two indices are
-needed jointly: distinct (g, n) can share a lambda exponent (for instance
-(0,5), (1,3) and (2,1) all sit at lambda^3) but never share a weight there.
+lambda^(2g-2+n).  The matching series for the compactified spaces is, by
+definition, the plethystic logarithm of the exponential of the gluing
+operator applied to the plethystic exponential: Log exp(Delta) Exp.  A
+(g, n) answer is then read off the component with lambda exponent 2g-2+n and
+p-weight n.  The two indices are needed jointly: distinct (g, n) can share a
+lambda exponent (for instance (0,5), (1,3) and (2,1) all sit at lambda^3)
+but never share a weight there.
+
+The pipeline never builds the disconnected series Exp(f).  With
+F = sum over k of psi_k(f)/k, the ordinary logarithm W = log(exp(Delta)
+exp(F)) is solved directly by the gluing recursion of
+:func:`~stablemoduli.plethysm.gluing_flow`, which stays on connected
+series, and the closed series is sum over k of mu(k)/k psi_k(W).  The tests
+keep the composition Log exp(Delta) Exp as the reference it equals.
 
 A slot (g, n) at lambda^e has weight n = e + 2 - 2g, so within a lambda
-bound L every slot has weight at most L + 2, and the logarithm runs in
-:func:`slot_truncation`, which caps every weight at L + 2.  Dropping the
+bound L every slot has weight at most L + 2, and the final Adams sum runs
+in :func:`slot_truncation`, which caps every weight at L + 2.  Dropping the
 monomials of weight above L + 2 is a ring homomorphism onto a quotient of
 the truncated ring: a dropped monomial stays dropped when multiplied by any
 retained one and under every Adams operation, so the plethystic logarithm
-commutes with the restriction.  The exponential and the gluing operator keep
-the full truncation, since each gluing lowers weight by 2 and so brings
-terms from above L + 2 down into the slots.
+commutes with the restriction.  The recursion keeps the full truncation,
+since each gluing lowers weight by 2 and so brings terms from above L + 2
+down into the slots.
 """
 
 from __future__ import annotations
@@ -28,7 +36,10 @@ from fractions import Fraction
 from .errors import OffDiagonalError, PreconditionError
 from .hodge import HodgePoly
 from .partitions import Partition, format_partition, weight
-from .plethysm import GluingMode, exp_gluing, plethystic_exp, plethystic_log
+from .plethysm import GluingMode, glued_log, mobius_adams_sum
+# The composition the recursion equals; perfbench/tracer.py looks these
+# stage names up here.
+from .plethysm import exp_gluing, plethystic_exp, plethystic_log  # noqa: F401
 from .series import SymSeries, Truncation
 
 SchurList = list[tuple[Partition, HodgePoly]]
@@ -113,18 +124,21 @@ def slot_truncation(trunc: Truncation) -> Truncation:
 def closed_moduli_series(
     open_series: SymSeries, mode: GluingMode = GluingMode.GRADED
 ) -> SymSeries:
-    """The full pipeline: plethystic log of the glued plethystic exp.
+    """The full pipeline: Log exp(Delta) Exp of the open series, computed as
+    sum over k of mu(k)/k psi_k(W) with W = log(exp(Delta) Exp f) from the
+    gluing recursion (:func:`~stablemoduli.plethysm.glued_log`), which needs
+    the open series in a truncation like ``Truncation.standard``.
 
-    The result lives in ``slot_truncation(open_series.trunc)``: the glued
-    series is restricted to it before the logarithm.  That restriction is
-    a ring homomorphism of truncated rings which commutes with every Adams
+    The result lives in ``slot_truncation(open_series.trunc)``: W is
+    restricted to it before the Adams operations.  That restriction is a
+    ring homomorphism of truncated rings which commutes with every Adams
     operation, and the lowered caps still leave the discarded monomials an
     ideal (the condition of ``log_series``), so the result equals the
-    logarithm in the full truncation restricted to the slot truncation.
-    Every slot (g, n) within the lambda bound lies inside it.
+    plethystic log in the full truncation restricted to the slot
+    truncation.  Every slot (g, n) within the lambda bound lies inside it.
     """
-    glued = exp_gluing(plethystic_exp(open_series), mode)
-    return plethystic_log(glued.with_truncation(slot_truncation(glued.trunc)))
+    connected = glued_log(open_series, mode)
+    return mobius_adams_sum(connected.with_truncation(slot_truncation(connected.trunc)))
 
 
 def slot_schur(closed: SymSeries, g: int, n: int) -> SchurList:

@@ -216,15 +216,6 @@ class SymSeries:
             },
         )
 
-    def lambda_component(self, e: int) -> "SymSeries":
-        return _wrap(
-            self.trunc,
-            {(le, rho): c for (le, rho), c in self._terms.items() if le == e},
-        )
-
-    def weights_at(self, e: int) -> set[int]:
-        return {weight(rho) for (le, rho) in self._terms if le == e}
-
     def with_truncation(self, trunc: Truncation, lambda_shift: int = 0) -> "SymSeries":
         """Re-truncate (and optionally shift every lambda exponent)."""
         out: dict[Key, HodgePoly] = {}
@@ -355,9 +346,18 @@ def _add_product(
     trunc: Truncation,
 ) -> None:
     """Add the truncated product of the term maps a and b into acc."""
-    by_lam_b = _group_by_lambda(b)
-    for e1, terms_a in _group_by_lambda(a).items():
-        for e2, terms_b in by_lam_b.items():
+    _add_grouped_product(acc, _group_by_lambda(a), _group_by_lambda(b), trunc)
+
+
+def _add_grouped_product(
+    acc: Accumulator,
+    a: dict[int, list[tuple[Partition, int, HodgePoly]]],
+    b: dict[int, list[tuple[Partition, int, HodgePoly]]],
+    trunc: Truncation,
+) -> None:
+    """``_add_product`` for term maps already split by ``_group_by_lambda``."""
+    for e1, terms_a in a.items():
+        for e2, terms_b in b.items():
             e = e1 + e2
             if e > trunc.lambda_max:
                 continue

@@ -6,7 +6,8 @@ plain dicts mapping exponent -> integer coefficient, and polynomials in u, v
 plain dicts mapping (i, j) -> Fraction, so a disagreement with the package
 cannot share a root cause with it.  The exp/log and gluing references
 reuse the package's series arithmetic but not its exp/log recurrences or
-its one-pass gluing operator.
+its one-pass gluing operator.  The graded-piece helpers read series and
+polynomials only through their public ``items``.
 """
 
 from __future__ import annotations
@@ -332,6 +333,24 @@ def log_by_powers(g: SymSeries) -> SymSeries:
         sign = 1 if m % 2 else -1
         total = total + power * Fraction(sign, m)
         m += 1
+
+
+# -- graded pieces read through the public protocol ------------------------------------
+
+
+def weights_at(s: SymSeries, e: int) -> set[int]:
+    """The p-weights of the terms of s at lambda^e."""
+    return {sum(rho) for (le, rho), _ in s.items() if le == e}
+
+
+def lambda_component(s: SymSeries, e: int) -> SymSeries:
+    """The terms of s at lambda^e, in the same truncation."""
+    return SymSeries(s.trunc, {key: c for key, c in s.items() if key[0] == e})
+
+
+def max_exponent(p: HodgePoly) -> int:
+    """Largest single-variable exponent of p (0 for the zero polynomial)."""
+    return max((max(i, j) for (i, j), _ in p.items()), default=0)
 
 
 # -- the gluing operator by formal derivatives ---------------------------------------

@@ -24,9 +24,17 @@ from stablemoduli.pipeline import (
     slot_truncation,
     stable_slots,
 )
-from stablemoduli.plethysm import GluingMode, exp_gluing, plethystic_exp, plethystic_log
+from stablemoduli.plethysm import (
+    GluingMode,
+    adams_sum,
+    exp_gluing,
+    gluing_flow,
+    plethystic_exp,
+    plethystic_log,
+)
 from stablemoduli.series import SymSeries, Truncation, schur
 
+from oracles import weights_at
 from strategies import hodge_polys
 from hypothesis import strategies as st
 
@@ -121,11 +129,11 @@ def test_open_series_placement():
     trunc = Truncation.standard(2)
     phi = open_moduli_series(GENUS1_TABLE, trunc)
     assert phi.coefficient(1, (1,)) == Q  # the genus-1 entry at lambda^1
-    assert phi.weights_at(1) == {1, 3}
+    assert weights_at(phi, 1) == {1, 3}
     # entries beyond the lambda bound are skipped silently
     wide = mini_table(((0, 3), {(3,): 1}), ((0, 7), {(7,): 1}))
     phi2 = open_moduli_series(wide, Truncation.standard(2))
-    assert phi2.weights_at(1) == {3}
+    assert weights_at(phi2, 1) == {3}
 
 
 def test_closed_point_slot_is_fixed():
@@ -255,6 +263,26 @@ def test_closed_series_is_the_reference_restricted_on_random_tables(table, lam, 
     assert closed.trunc == slot_truncation(phi.trunc)
     assert closed == reference.with_truncation(closed.trunc)
     assert all(weight(rho) <= lam + 2 for (_, rho) in reference._terms)
+
+
+@pytest.mark.parametrize("mode", list(GluingMode))
+def test_closed_series_at_truncation_7_is_the_reference_restricted(mode):
+    closed, reference = shipped_routes(7, mode)
+    assert closed == reference.with_truncation(closed.trunc)
+
+
+@pytest.mark.parametrize("mode", list(GluingMode))
+def test_gluing_flow_parts_lie_in_the_standard_truncation(mode):
+    # Run with every weight cap at 21, the recursion could keep terms of
+    # weight above 3e; it has none, so the standard caps drop nothing.
+    std = Truncation.standard(7)
+    wide = Truncation.flat(7, 21)
+    w0 = adams_sum(open_moduli_series(embedded_dataset(), std))
+    parts = gluing_flow(w0.with_truncation(wide), mode)
+    assert len(parts) > 1 and parts[1]
+    for part in parts:
+        assert part.with_truncation(std).with_truncation(wide) == part
+    assert [part.with_truncation(std) for part in parts] == gluing_flow(w0, mode)
 
 
 # -- duality and reports -------------------------------------------------------------------

@@ -7,15 +7,24 @@ from hypothesis import strategies as st
 from stablemoduli.errors import PreconditionError
 from stablemoduli.plethysm import (
     GluingMode,
+    adams_sum,
     exp_gluing,
+    glued_log,
+    gluing_flow,
     gluing_operator,
     plethystic_exp,
     plethystic_log,
 )
-from stablemoduli.series import SymSeries, Truncation, complete_homogeneous, schur
+from stablemoduli.series import (
+    SymSeries,
+    Truncation,
+    complete_homogeneous,
+    log_series,
+    schur,
+)
 
-from oracles import gluing_by_derivatives
-from strategies import FLAT_33, STD_3, series, small_fractions
+from oracles import gluing_by_derivatives, lambda_component
+from strategies import FLAT_33, STD_3, hodge_polys, series, small_fractions
 
 HALF = Fraction(1, 2)
 
@@ -46,7 +55,7 @@ def test_exp_of_lambda_p1_lists_homogeneous_functions():
             if k == 0
             else lift(complete_homogeneous(k, trunc), trunc, k)
         )
-        assert e.lambda_component(k) == expected.lambda_component(k)
+        assert lambda_component(e, k) == lambda_component(expected, k)
 
 
 @given(series(STD_3, min_lambda=1, coeffs=small_fractions))
@@ -140,3 +149,45 @@ def test_exp_gluing_agrees_with_series_definition(f):
         total = total + power * Fraction(1, factorial(m))
         m += 1
     assert exp_gluing(f, GluingMode.GRADED) == total
+
+
+# -- the gluing recursion ------------------------------------------------------------
+
+
+@given(series(STD_3, min_lambda=1, coeffs=hodge_polys(max_exp=2)))
+@settings(max_examples=60, deadline=None)
+def test_gluing_recursion_is_the_log_of_the_glued_exp(f):
+    for mode in GluingMode:
+        assert glued_log(f, mode) == log_series(exp_gluing(plethystic_exp(f), mode))
+
+
+def test_gluing_flow_on_the_three_point_class():
+    # W_0 = s_3 at lambda^1 and W_1 = Delta W_0 = lambda p_1 (see the
+    # operator test above); every product of derivatives lands at lambda^2,
+    # past the bound, and Delta p_1 = 0, so nothing follows.
+    trunc = Truncation.standard(1)
+    f = lift(schur((3,), Truncation.flat(0, 3)), trunc, 1)
+    parts = gluing_flow(f)
+    assert parts[0] == f
+    assert parts[1] == SymSeries(trunc, {(1, (1,)): 1})
+    assert not any(parts[2:])
+
+
+def test_gluing_flow_refuses_terms_past_the_3e_rule():
+    # a term of weight 4 at lambda^1
+    with pytest.raises(PreconditionError):
+        gluing_flow(SymSeries(Truncation.flat(2, 6), {(1, (2, 2)): 1}))
+    # a weight cap below 3e
+    with pytest.raises(PreconditionError):
+        gluing_flow(SymSeries(Truncation.flat(2, 4), {(1, (1,)): 1}))
+    with pytest.raises(PreconditionError):
+        glued_log(SymSeries.constant(STD_3, 1))
+
+
+@given(series(STD_3, min_lambda=1, coeffs=small_fractions))
+@settings(max_examples=30, deadline=None)
+def test_gluing_flow_parts_sum_to_the_glued_log(f):
+    total = SymSeries.zero(STD_3)
+    for part in gluing_flow(adams_sum(f)):
+        total = total + part
+    assert total == glued_log(f)

@@ -22,7 +22,9 @@ from oracles import (
     exp_by_powers,
     homogeneous_p_expansion,
     hook_length_count,
+    lambda_component,
     log_by_powers,
+    weights_at,
 )
 from strategies import FLAT_08, FLAT_33, STD_3, hodge_polys, series, small_fractions
 
@@ -142,8 +144,8 @@ def test_scalar_product_matches_constant_product(s, c):
 def test_component_and_weights():
     s = SymSeries(FLAT_33, {(1, (2,)): 1, (1, (1,)): 2, (2, (2, 1)): 1})
     assert s.component(1, 2) == SymSeries(FLAT_33, {(1, (2,)): 1})
-    assert s.weights_at(1) == {1, 2}
-    assert s.lambda_component(2) == SymSeries(FLAT_33, {(2, (2, 1)): 1})
+    assert weights_at(s, 1) == {1, 2}
+    assert lambda_component(s, 2) == SymSeries(FLAT_33, {(2, (2, 1)): 1})
     with pytest.raises(PreconditionError):
         s.component(9, 1)
 
