@@ -28,7 +28,6 @@ from .series import (
     log_series,
     power_sum,
     schur,
-    schur_via_characters,
 )
 from .plethysm import (
     GluingMode,
@@ -105,7 +104,6 @@ __all__ = [
     "required_inputs",
     "satisfies_duality",
     "schur",
-    "schur_via_characters",
     "slot_schur",
     "stable_slots",
     "weight",

@@ -149,6 +149,10 @@ def load_table(cfg: CliConfig) -> ModuliTable:
             text = Path(cfg.input_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot read dataset file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise TableFormatError(
+                f"{cfg.input_path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from exc
     table = parse_table(text)
     if cfg.withhold is not None:
         table = table.withhold(*cfg.withhold)

@@ -33,10 +33,10 @@ from .series import (
     schur,
 )
 
-# The largest weight ``evaluate`` takes on.  Work grows with the number of
-# partitions of the weight: on a 2-core host with Python 3.11, `expr s[30]`
-# takes about a second, s[35] about 2.5 s, s[40] about 8 s and s[5]^16
-# (weight 80) about 20 s.
+# The largest weight ``evaluate`` and a table row take on.  Work grows with
+# the number of partitions of the weight: on a 2-core host with Python 3.11,
+# evaluating s[30] takes about 0.3 s, s[35] about 0.6 s, s[40] about 2 s and
+# s[5]^16 (weight 80) about 20 s.
 MAX_EXPR_WEIGHT = 30
 
 # -- abstract syntax -------------------------------------------------------------
@@ -352,25 +352,33 @@ def eval_expression(expr: Expr, trunc: Truncation) -> SymSeries:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def _check_size(expr: Expr, where: str = "") -> int:
+    """Refuse an expression whose weight may pass ``MAX_EXPR_WEIGHT``, or
+    whose coefficients might be too long to print, before any evaluation;
+    return its weight bound.  ``where`` prefixes the refusal message."""
+    top = weight_bound(expr)
+    if top > MAX_EXPR_WEIGHT:
+        raise PreconditionError(
+            f"{where}weight may reach {top}, past the limit of "
+            f"{MAX_EXPR_WEIGHT} for an expression"
+        )
+    limit = sys.get_int_max_str_digits()
+    bound = digits_bound(expr)
+    if limit and bound >= limit:
+        raise PreconditionError(
+            f"{where}coefficients may run to {bound + 1:.6g} digits, past the "
+            f"{limit}-digit limit for printing an integer"
+        )
+    return top
+
+
 def evaluate(text: str) -> SymSeries:
     """Parse and evaluate standalone expression text, sizing the truncation
     from the expression itself.  Expressions whose weight may pass
     ``MAX_EXPR_WEIGHT``, or whose coefficients might be too long to print,
     are refused before any evaluation."""
     expr = parse_expression(text)
-    top = weight_bound(expr)
-    if top > MAX_EXPR_WEIGHT:
-        raise PreconditionError(
-            f"weight may reach {top}, past the limit of {MAX_EXPR_WEIGHT} for an expression"
-        )
-    limit = sys.get_int_max_str_digits()
-    bound = digits_bound(expr)
-    if limit and bound >= limit:
-        raise PreconditionError(
-            f"coefficients may run to {bound + 1:.6g} digits, past the "
-            f"{limit}-digit limit for printing an integer"
-        )
-    return eval_expression(expr, Truncation.flat(0, top))
+    return eval_expression(expr, Truncation.flat(0, _check_size(expr)))
 
 
 # -- table documents ----------------------------------------------------------------
@@ -416,7 +424,8 @@ def parse_source(text: str) -> SourceTable:
 
 
 def build_table(source: SourceTable) -> ModuliTable:
-    """Evaluate every row and check stability and homogeneous weight."""
+    """Evaluate every row, refusing one that ``evaluate`` would refuse, and
+    check stability and homogeneous weight."""
     entries: dict[tuple[int, int], SymSeries] = {}
     for row in source.rows:
         if not is_stable(row.g, row.n):
@@ -425,7 +434,7 @@ def build_table(source: SourceTable) -> ModuliTable:
                 f"(need n >= 1 and 2g-2+n > 0)"
             )
         expr = parse_expression(row.expr_text, line=row.line, col=row.col)
-        bound = max(weight_bound(expr), row.n)
+        bound = max(_check_size(expr, f"line {row.line}: "), row.n)
         value = eval_expression(expr, Truncation.flat(0, bound))
         for (_, rho) in value._terms:
             if weight(rho) != row.n:

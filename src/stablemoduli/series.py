@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Iterator, Mapping, Union
 
@@ -453,83 +452,6 @@ def log_series(g: SymSeries) -> SymSeries:
 # -- basis elements and conversions ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _h_p_coeffs(n: int) -> dict[Partition, Fraction]:
-    """p-expansion of the complete homogeneous function h_n, read off from
-    the generating identity sum h_m t^m = exp(sum p_k t^k / k) with the
-    lambda variable standing in for t."""
-    if n == 0:
-        return {(): Fraction(1)}
-    trunc = Truncation.flat(n, n)
-    arg = SymSeries(
-        trunc, {(k, (k,)): HodgePoly.const(Fraction(1, k)) for k in range(1, n + 1)}
-    )
-    expanded = exp_series(arg)
-    return {
-        rho: coeff.coefficient(0, 0)
-        for (e, rho), coeff in expanded._terms.items()
-        if e == n
-    }
-
-
-def _pmul(
-    a: dict[Partition, Fraction], b: dict[Partition, Fraction]
-) -> dict[Partition, Fraction]:
-    out: dict[Partition, Fraction] = {}
-    for rho, ca in a.items():
-        for sigma, cb in b.items():
-            key = _merge_parts(rho, sigma)
-            s = out.get(key, Fraction(0)) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _schur_p_coeffs(mu: Partition) -> dict[Partition, Fraction]:
-    """p-expansion of the Schur function s_mu via the Jacobi-Trudi
-    determinant det(h_{mu_i - i + j}) expanded over the h's."""
-    rows = len(mu)
-    if rows == 0:
-        return {(): Fraction(1)}
-    entries = [
-        [_h_entry(mu[i] - i + j) for j in range(rows)] for i in range(rows)
-    ]
-    memo: dict[tuple[int, tuple[int, ...]], dict[Partition, Fraction]] = {}
-
-    def minor(i: int, cols: tuple[int, ...]) -> dict[Partition, Fraction]:
-        if i == rows:
-            return {(): Fraction(1)}
-        cached = memo.get((i, cols))
-        if cached is not None:
-            return cached
-        total: dict[Partition, Fraction] = {}
-        for idx, j in enumerate(cols):
-            entry = entries[i][j]
-            if entry is None:
-                continue
-            sub = minor(i + 1, cols[:idx] + cols[idx + 1 :])
-            sign = -1 if idx % 2 else 1
-            for rho, c in _pmul(entry, sub).items():
-                s = total.get(rho, Fraction(0)) + sign * c
-                if s:
-                    total[rho] = s
-                else:
-                    del total[rho]
-        memo[(i, cols)] = total
-        return total
-
-    return minor(0, tuple(range(rows)))
-
-
-def _h_entry(m: int) -> dict[Partition, Fraction] | None:
-    if m < 0:
-        return None
-    return _h_p_coeffs(m)
-
-
 def power_sum(n: int, trunc: Truncation) -> SymSeries:
     """The power sum p_n as a series (at lambda^0)."""
     if n < 1:
@@ -538,29 +460,19 @@ def power_sum(n: int, trunc: Truncation) -> SymSeries:
 
 
 def complete_homogeneous(n: int, trunc: Truncation) -> SymSeries:
-    """The complete homogeneous function h_n in the p-basis (at lambda^0)."""
+    """The complete homogeneous function h_n = s_(n) in the p-basis (at lambda^0)."""
     if n < 1:
         raise PreconditionError(f"h index must be positive, got {n}")
-    return SymSeries(trunc, {(0, rho): c for rho, c in _h_p_coeffs(n).items()})
+    return schur((n,), trunc)
 
 
 def schur(mu, trunc: Truncation) -> SymSeries:
-    """The Schur function s_mu in the p-basis (at lambda^0), by Jacobi-Trudi."""
+    """The Schur function s_mu in the p-basis (at lambda^0): the sum over
+    cycle types rho of chi^mu(rho) p_rho / z_rho."""
     mu = check_partition(mu)
-    return SymSeries(trunc, {(0, rho): c for rho, c in _schur_p_coeffs(mu).items()})
-
-
-def schur_via_characters(mu, trunc: Truncation) -> SymSeries:
-    """Independent route to s_mu: sum over rho of chi^mu(rho) p_rho / z_rho."""
-    mu = check_partition(mu)
-    n = weight(mu)
-    if n > 12:
-        raise PreconditionError(
-            f"character-sum route is guarded to |mu| <= 12, got {n}"
-        )
     terms = {}
-    for rho in partitions_of(n):
+    for rho in partitions_of(weight(mu)):
         chi = character(mu, rho)
         if chi:
-            terms[(0, rho)] = HodgePoly.const(Fraction(chi, z_factor(rho)))
+            terms[(0, rho)] = Fraction(chi, z_factor(rho))
     return SymSeries(trunc, terms)

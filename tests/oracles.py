@@ -1,20 +1,21 @@
 """Independent test-only oracles.
 
-Apart from the series references at the end and the package's parse-error
-type, nothing here imports the package under test.  Polynomials in q are
-plain dicts mapping exponent -> integer coefficient, and polynomials in u, v
+Apart from the series references and the package's parse-error type,
+nothing here imports the package under test.  Polynomials in q are plain
+dicts mapping exponent -> integer coefficient, and polynomials in u, v
 plain dicts mapping (i, j) -> Fraction, so a disagreement with the package
-cannot share a root cause with it.  The exp/log and gluing references
-reuse the package's series arithmetic but not its exp/log recurrences or
-its one-pass gluing operator.  The graded-piece helpers read series and
-polynomials only through their public ``items``.
+cannot share a root cause with it.  The Jacobi-Trudi Schur reference
+expands its determinant here and only wraps the result in a series.  The
+exp/log and gluing references reuse the package's series arithmetic but not
+its exp/log recurrences or its one-pass gluing operator.  The graded-piece
+helpers read series and polynomials only through their public ``items``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import count
+from itertools import count, permutations
 
 from stablemoduli.errors import ExprParseError
 from stablemoduli.hodge import HodgePoly
@@ -285,6 +286,35 @@ def homogeneous_p_expansion(n: int) -> dict[tuple[int, ...], Fraction]:
             for i in range(1, m + 1):
                 z *= i
         out[rho] = Fraction(1, z)
+    return out
+
+
+def schur_jacobi_trudi(mu: tuple[int, ...], trunc) -> SymSeries:
+    """s_mu as the Jacobi-Trudi determinant det(h_{mu_i - i + j}), expanded
+    over permutations with each h from ``homogeneous_p_expansion``."""
+    rows = len(mu)
+    total: dict[tuple[int, ...], Fraction] = {}
+    for perm in permutations(range(rows)):
+        indices = [mu[i] - i + perm[i] for i in range(rows)]
+        if any(m < 0 for m in indices):
+            continue
+        inversions = sum(perm[i] > perm[j] for i in range(rows) for j in range(i + 1, rows))
+        product = {(): Fraction((-1) ** inversions)}
+        for m in indices:
+            product = _p_product(product, homogeneous_p_expansion(m))
+        for rho, c in product.items():
+            total[rho] = total.get(rho, Fraction(0)) + c
+    return SymSeries(trunc, {(0, rho): c for rho, c in total.items() if c})
+
+
+def _p_product(
+    a: dict[tuple[int, ...], Fraction], b: dict[tuple[int, ...], Fraction]
+) -> dict[tuple[int, ...], Fraction]:
+    out: dict[tuple[int, ...], Fraction] = {}
+    for rho, ca in a.items():
+        for sigma, cb in b.items():
+            key = tuple(sorted(rho + sigma, reverse=True))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
     return out
 
 

@@ -29,10 +29,14 @@ from stablemoduli.series import (
     complete_homogeneous,
     power_sum,
     schur,
-    schur_via_characters,
 )
 
-from oracles import closed_1_1_rank, closed_genus0_rank, hook_length_count
+from oracles import (
+    closed_1_1_rank,
+    closed_genus0_rank,
+    hook_length_count,
+    schur_jacobi_trudi,
+)
 
 SEED = 20260815
 
@@ -178,10 +182,10 @@ def test_a6_property_suites(capsys):
 
         flat7 = Truncation.flat(0, 7)
 
-        # determinantal and recursive character constructions agree
+        # the character sum agrees with the Jacobi-Trudi determinant
         for n in range(1, 8):
             for mu in partitions_of(n):
-                assert schur(mu, flat7) == schur_via_characters(mu, flat7), mu
+                assert schur(mu, flat7) == schur_jacobi_trudi(mu, flat7), mu
 
         # Newton's identity: n h_n = sum_k p_k h_{n-k}, with h_0 = 1
         for n in range(1, 8):

@@ -342,6 +342,35 @@ def test_expressions_of_the_tests_and_the_shipped_table_are_within_the_weight_ca
         assert out
 
 
+@pytest.mark.parametrize("mu", [(1,) * 20, (2,) * 15])
+def test_tall_schur_shapes_evaluate_within_seconds(capsys, mu):
+    start = perf_counter()
+    rc, out, err = run(capsys, "expr", f"s[{','.join(map(str, mu))}]")
+    assert perf_counter() - start < 5
+    assert rc == 0 and err == ""
+    assert out.startswith("λ^0 * (")
+
+
+def test_table_row_past_the_weight_cap_is_refused_before_evaluation(tmp_path, capsys):
+    doc = tmp_path / "big.dat"
+    doc.write_text("M[0,3] = s[3]\nM[0,40] = s[40]\n", encoding="utf-8")
+    start = perf_counter()
+    rc, out, err = run(capsys, "inputs", "--g", "0", "--n", "40", "--input", str(doc))
+    assert perf_counter() - start < 0.5
+    assert rc == 4
+    assert out == ""
+    assert f"error: line 2: weight may reach 40, past the limit of {MAX_EXPR_WEIGHT}" in err
+
+
+def test_table_row_too_long_to_print_is_refused_before_evaluation(tmp_path, capsys):
+    doc = tmp_path / "long.dat"
+    doc.write_text("M[0,3] = 2^99999999*s[3]\n", encoding="utf-8")
+    rc, out, err = run(capsys, "table", "--input", str(doc))
+    assert rc == 4
+    assert out == ""
+    assert "error: line 1: coefficients may run to" in err
+
+
 def test_overlong_integer_literal_is_parse_error(capsys):
     rc, _, err = run(capsys, "expr", "1" * (sys.get_int_max_str_digits() + 1))
     assert rc == 3
@@ -354,6 +383,19 @@ def test_bad_table_file_is_parse_error(tmp_path, capsys):
     rc, _, err = run(capsys, "table", "--input", str(doc))
     assert rc == 3
     assert "must be homogeneous of weight 3" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["table"], ["verify"], ["compute", "--g", "0", "--n", "3"], ["inputs", "--g", "0", "--n", "3"]],
+)
+def test_table_file_not_in_utf8_is_parse_error(tmp_path, capsys, command):
+    doc = tmp_path / "bad.txt"
+    doc.write_bytes(b"M[0,3] = \xff\xfe\n")
+    rc, out, err = run(capsys, *command, "--input", str(doc))
+    assert rc == 3
+    assert out == ""
+    assert f"error: {doc}: not valid UTF-8" in err
 
 
 def test_slot_beyond_truncation_is_precondition_error(capsys):

@@ -15,7 +15,6 @@ from stablemoduli.series import (
     log_series,
     power_sum,
     schur,
-    schur_via_characters,
 )
 
 from oracles import (
@@ -24,6 +23,7 @@ from oracles import (
     hook_length_count,
     lambda_component,
     log_by_powers,
+    schur_jacobi_trudi,
     weights_at,
 )
 from strategies import FLAT_08, FLAT_33, STD_3, hodge_polys, series, small_fractions
@@ -293,12 +293,19 @@ def test_schur_examples():
 def test_schur_routes_agree():
     for n in range(0, 8):
         for mu in partitions_of(n):
-            assert schur(mu, T8) == schur_via_characters(mu, T8)
+            assert schur(mu, T8) == schur_jacobi_trudi(mu, T8)
 
 
-def test_schur_character_route_guard():
-    with pytest.raises(PreconditionError):
-        schur_via_characters((13,), Truncation.flat(0, 13))
+@pytest.mark.parametrize("mu, conj", [((1,) * 20, (20,)), ((2,) * 15, (15, 15))])
+def test_tall_shapes_against_their_conjugates(mu, conj):
+    # omega(s_mu) = s_mu' and omega(p_rho) = (-1)^(|rho| - l(rho)) p_rho
+    n = sum(mu)
+    trunc = Truncation.flat(0, n)
+    s_mu, s_conj = schur(mu, trunc), schur(conj, trunc)
+    assert s_mu.rank(0, n) == hook_length_count(mu)
+    assert s_conj.rank(0, n) == hook_length_count(conj)
+    signed = {(0, rho): (-1) ** (n - len(rho)) * c for (_, rho), c in s_mu.items()}
+    assert s_conj == SymSeries(trunc, signed)
 
 
 def test_schur_round_trip():
