@@ -35,9 +35,15 @@ from .series import (
 
 # The largest weight ``evaluate`` and a table row take on.  Work grows with
 # the number of partitions of the weight: on a 2-core host with Python 3.11,
-# evaluating s[30] takes about 0.3 s, s[35] about 0.6 s, s[40] about 2 s and
-# s[5]^16 (weight 80) about 20 s.
+# evaluating s[30] takes about 0.3 s, s[35] about 0.6 s, s[40] about 1.5 s
+# and s[5]^16 (weight 80) about 21 s.
 MAX_EXPR_WEIGHT = 30
+
+# The largest power of u or v a table row may hold.  The Serre polynomial of
+# M_{g,n} has degree at most 3g-3+n in each, under 20 for every slot within
+# the largest truncation; a slot report lists every power of q up to its top
+# one, so a row holding q^999999999 would ask for 10^9 of them.
+MAX_ROW_DEGREE = 100
 
 # -- abstract syntax -------------------------------------------------------------
 
@@ -126,8 +132,8 @@ def _tokenize(text: str, line: int, col: int) -> list[_Token]:
         elif ch in " \t\r":
             idx += 1
             col += 1
-        elif ch.isdigit():
-            m = re.match(r"\d+", text[idx:])
+        elif ch.isascii() and ch.isdigit():
+            m = re.match(r"[0-9]+", text[idx:])
             limit = sys.get_int_max_str_digits()
             if limit and m.end() > limit:
                 raise ExprParseError(
@@ -138,7 +144,7 @@ def _tokenize(text: str, line: int, col: int) -> list[_Token]:
             tokens.append(_Token("int", m.group(), line, col))
             idx += m.end()
             col += m.end()
-        elif ch.isalpha():
+        elif ch.isascii() and ch.isalpha():
             m = re.match(r"[A-Za-z]+", text[idx:])
             name = m.group()
             if len(name) != 1 or name not in _ATOM_NAMES:
@@ -264,20 +270,35 @@ def parse_expression(text: str, line: int = 1, col: int = 1) -> Expr:
 
 def weight_bound(expr: Expr) -> int:
     """Syntactic upper bound on the p-weight of any term of the value."""
-    if isinstance(expr, (IntLit, VarAtom)):
-        return 0
-    if isinstance(expr, SchurAtom):
-        return weight(expr.mu)
-    if isinstance(expr, (HomAtom, PowerAtom)):
-        return expr.n
+    return _grade_bound(expr, _atom_weight)
+
+
+def degree_bound(expr: Expr) -> int:
+    """Syntactic upper bound on the power of u, and of v, in any term of
+    the value."""
+    return _grade_bound(expr, lambda atom: int(isinstance(atom, VarAtom)))
+
+
+def _atom_weight(atom: Expr) -> int:
+    if isinstance(atom, SchurAtom):
+        return weight(atom.mu)
+    if isinstance(atom, (HomAtom, PowerAtom)):
+        return atom.n
+    return 0
+
+
+def _grade_bound(expr: Expr, atom_grade) -> int:
+    # A grade that adds under products, given on the atoms.
+    if isinstance(expr, (IntLit, VarAtom, SchurAtom, HomAtom, PowerAtom)):
+        return atom_grade(expr)
     if isinstance(expr, Neg):
-        return weight_bound(expr.operand)
+        return _grade_bound(expr.operand, atom_grade)
     if isinstance(expr, (Add, Sub)):
-        return max(weight_bound(expr.left), weight_bound(expr.right))
+        return max(_grade_bound(expr.left, atom_grade), _grade_bound(expr.right, atom_grade))
     if isinstance(expr, Mul):
-        return weight_bound(expr.left) + weight_bound(expr.right)
+        return _grade_bound(expr.left, atom_grade) + _grade_bound(expr.right, atom_grade)
     if isinstance(expr, Pow):
-        return expr.exponent * weight_bound(expr.base)
+        return expr.exponent * _grade_bound(expr.base, atom_grade)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -424,8 +445,9 @@ def parse_source(text: str) -> SourceTable:
 
 
 def build_table(source: SourceTable) -> ModuliTable:
-    """Evaluate every row, refusing one that ``evaluate`` would refuse, and
-    check stability and homogeneous weight."""
+    """Evaluate every row, refusing one that ``evaluate`` would refuse or
+    whose power of u or v may pass ``MAX_ROW_DEGREE``, and check stability
+    and homogeneous weight."""
     entries: dict[tuple[int, int], SymSeries] = {}
     for row in source.rows:
         if not is_stable(row.g, row.n):
@@ -435,6 +457,12 @@ def build_table(source: SourceTable) -> ModuliTable:
             )
         expr = parse_expression(row.expr_text, line=row.line, col=row.col)
         bound = max(_check_size(expr, f"line {row.line}: "), row.n)
+        degree = degree_bound(expr)
+        if degree > MAX_ROW_DEGREE:
+            raise PreconditionError(
+                f"line {row.line}: a power of u or v may reach {degree}, past "
+                f"the limit of {MAX_ROW_DEGREE} for a table row"
+            )
         value = eval_expression(expr, Truncation.flat(0, bound))
         for (_, rho) in value._terms:
             if weight(rho) != row.n:

@@ -385,9 +385,10 @@ class Accumulator:
             entry[0] = old * raise_old
         return terms, old // g
 
-    def add_product(self, key, a: HodgePoly, b: HodgePoly) -> None:
-        """Add a*b into the sum at key."""
+    def add_product(self, key, a: HodgePoly, b: HodgePoly, scale: int = 1) -> None:
+        """Add scale*a*b, for an int scale, into the sum at key."""
         terms, m = self._entry(key, a._den * b._den)
+        m *= scale
         get = terms.get
         for (i1, j1), c1 in a._terms.items():
             if m != 1:

@@ -189,70 +189,52 @@ def gluing_flow(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[Sym
         )
     shift = 2 if mode is GluingMode.LITERAL else 0
     parts = [w0._terms]
-    # a -> k -> (d_k W_a, k d_k W_a and 2k d_k W_a lifted by shift * k),
-    # each grouped by lambda exponent for the products
-    derivs: list[dict[int, tuple]] = []
+    # a -> k -> d_k W_a grouped by lambda exponent for the products
+    derivs: list[dict[int, dict]] = []
     for j in range(3 * top // 2):
-        derivs.append(_derivatives(parts[j], top, shift))
+        derivs.append(_derivatives(parts[j]))
         acc = Accumulator()
         _add_gluing(acc, parts[j], mode, top, 2)
         for a in range(j // 2 + 1):
             b = j - a
-            for k, (plain, single, double) in derivs[a].items():
+            for k, grouped in derivs[a].items():
                 if a == b:
-                    _add_square(acc, plain, single, double, shift * k, top)
+                    _add_square(acc, grouped, k, shift * k, top)
                 elif k in derivs[b]:
-                    _add_grouped_product(acc, double, derivs[b][k][0], trunc)
+                    _add_grouped_product(acc, grouped, derivs[b][k], trunc, 2 * k, shift * k)
         parts.append(acc.result(2 * (j + 1)))
     return [_wrap(trunc, terms) for terms in parts]
 
 
-def _derivatives(terms: dict, top: int, shift: int) -> dict[int, tuple]:
-    """For each k with a nonzero d/dp_k of the term map: that derivative and
-    its multiples by k and by 2k with lambda raised by shift * k (terms past
-    top left out), each grouped by lambda exponent."""
-    out: dict[int, tuple] = {}
+def _derivatives(terms: dict) -> dict[int, dict]:
+    """For each k with a nonzero d/dp_k of the term map: that derivative,
+    grouped by lambda exponent."""
+    out: dict[int, dict] = {}
     for (e, rho), c in terms.items():
         for k, m in multiplicities(rho).items():
             idx = rho.index(k)
             smaller = rho[:idx] + rho[idx + 1 :]
-            w = weight(smaller)
-            groups = out.get(k)
-            if groups is None:
-                groups = out[k] = ({}, {}, {})
-            plain, single, double = groups
-            plain.setdefault(e, []).append((smaller, w, c * m if m > 1 else c))
-            if e + shift * k <= top:
-                lifted = e + shift * k
-                single.setdefault(lifted, []).append((smaller, w, c * (m * k) if m * k > 1 else c))
-                double.setdefault(lifted, []).append((smaller, w, c * (2 * m * k)))
+            grouped = out.setdefault(k, {})
+            grouped.setdefault(e, []).append((smaller, weight(smaller), c * m if m > 1 else c))
     return out
 
 
-def _add_square(
-    acc: Accumulator, plain: dict, single: dict, double: dict, lift: int, top: int
-) -> None:
-    """Add k (d_k W)^2 into acc from the groups of :func:`_derivatives`,
-    each unordered pair of terms once: k c^2 for a term with itself and
-    2k c c' for two distinct terms.  The weight needs no check: it stays
-    within the 3e rule, as :func:`gluing_flow` argues."""
-    for e1, terms1 in plain.items():
-        singles = single.get(e1 + lift)
-        if singles is None:
-            continue
-        doubles = double[e1 + lift]
-        for e2, terms2 in plain.items():
+def _add_square(acc: Accumulator, grouped: dict, k: int, lift: int, top: int) -> None:
+    """Add k (d_k W)^2, with lambda raised by lift, into acc from the groups
+    of :func:`_derivatives`, each unordered pair of terms once: k c^2 for a
+    term with itself and 2k c c' for two distinct terms.  The weight needs
+    no check: it stays within the 3e rule, as :func:`gluing_flow` argues."""
+    for e1, terms1 in grouped.items():
+        for e2, terms2 in grouped.items():
             e = e1 + lift + e2
             if e2 < e1 or e > top:
                 continue
             if e2 > e1:
-                for rho, _, c1 in doubles:
+                for rho, _, c1 in terms1:
                     for sigma, _, c2 in terms2:
-                        acc.add_product((e, _merge_parts(rho, sigma)), c1, c2)
+                        acc.add_product((e, _merge_parts(rho, sigma)), c1, c2, 2 * k)
                 continue
-            for i, ((rho, _, c), (_, _, ck), (_, _, c2k)) in enumerate(
-                zip(terms1, singles, doubles)
-            ):
-                acc.add_product((e, _merge_parts(rho, rho)), ck, c)
+            for i, (rho, _, c1) in enumerate(terms1):
+                acc.add_product((e, _merge_parts(rho, rho)), c1, c1, k)
                 for sigma, _, c2 in terms1[i + 1 :]:
-                    acc.add_product((e, _merge_parts(rho, sigma)), c2k, c2)
+                    acc.add_product((e, _merge_parts(rho, sigma)), c1, c2, 2 * k)

@@ -353,11 +353,15 @@ def _add_grouped_product(
     a: dict[int, list[tuple[Partition, int, HodgePoly]]],
     b: dict[int, list[tuple[Partition, int, HodgePoly]]],
     trunc: Truncation,
+    scale: int = 1,
+    lift: int = 0,
 ) -> None:
-    """``_add_product`` for term maps already split by ``_group_by_lambda``."""
+    """``_add_product`` for term maps already split by ``_group_by_lambda``,
+    each product times the int scale and with its lambda exponent raised by
+    lift."""
     for e1, terms_a in a.items():
         for e2, terms_b in b.items():
-            e = e1 + e2
+            e = e1 + e2 + lift
             if e > trunc.lambda_max:
                 continue
             cap = trunc.cap(e)
@@ -367,7 +371,7 @@ def _add_grouped_product(
                 for sigma, w2, c2 in terms_b:
                     if w1 + w2 > cap:
                         continue
-                    acc.add_product((e, _merge_parts(rho, sigma)), c1, c2)
+                    acc.add_product((e, _merge_parts(rho, sigma)), c1, c2, scale)
 
 
 def _scaled(terms: dict[Key, HodgePoly], coeff: HodgePoly | Scalar) -> dict[Key, HodgePoly]:

@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface, run in process (the
 closed-pipe tests alone run the command as a subprocess)."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from math import comb
 from pathlib import Path
@@ -12,12 +15,14 @@ from time import perf_counter
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stablemoduli
 from stablemoduli.cli import MAX_TRUNCATION, build_parser, config_from_args, main
 from stablemoduli.errors import PreconditionError
 from stablemoduli.dataset import dataset_text
-from stablemoduli.exprlang import MAX_EXPR_WEIGHT
+from stablemoduli.exprlang import MAX_EXPR_WEIGHT, MAX_ROW_DEGREE
 
 HEADLINE = "q^7 + 5q^6 + 16q^5 + 29q^4 + 29q^3 + 16q^2 + 5q + 1"
 
@@ -139,6 +144,38 @@ def test_verify_small_truncation_subset(capsys):
     # withheld-entry check; the suite shrinks accordingly
     assert "M[3,1]" not in out
     assert out.strip().splitlines()[-1] == "all 6 checks passed"
+
+
+@pytest.mark.parametrize(
+    "truncation, left_out",
+    [
+        ("6", "M[0,8], M[1,6], M[2,4], M[3,2]"),
+        ("7", "M[0,8], M[1,6], M[2,4], M[3,2], M[0,9], M[1,7], M[2,5], M[3,3], M[4,1]"),
+    ],
+)
+def test_verify_leaves_out_slots_whose_rows_are_missing(capsys, truncation, left_out):
+    # The shipped table stops at lambda^5: slots past it lack rows they need.
+    rc, out, _ = run(capsys, "verify", "--truncation", truncation)
+    assert rc == 0
+    notes = [line for line in out.splitlines() if line.startswith("note:")]
+    assert notes == [
+        f"note: {left_out} lack table rows they need and are left out of "
+        "the functional-equation check"
+    ]
+    assert out.strip().splitlines()[-1] == "all 9 checks passed"
+
+
+def test_verify_still_fails_a_broken_row_of_a_complete_slot(tmp_path, capsys):
+    doc = tmp_path / "broken.dat"
+    doc.write_text(
+        dataset_text().replace("M[0,4] = q*s[4] - s[2,2]", "M[0,4] = q^2*s[4] - s[2,2]"),
+        encoding="utf-8",
+    )
+    rc, out, _ = run(capsys, "verify", "--input", str(doc))
+    assert rc == 5
+    assert "note:" not in out
+    failing = [line for line in out.splitlines() if "on all slots" in line]
+    assert len(failing) == 1 and "M[0,4]" in failing[0] and failing[0].endswith("-> FAIL")
 
 
 # -- expr and inputs ---------------------------------------------------------------
@@ -371,6 +408,20 @@ def test_table_row_too_long_to_print_is_refused_before_evaluation(tmp_path, caps
     assert "error: line 1: coefficients may run to" in err
 
 
+def test_table_row_past_the_degree_cap_is_refused_before_evaluation(tmp_path, capsys):
+    doc = tmp_path / "deep.dat"
+    doc.write_text("M[0,3] = s[3]\nM[1,1] = q^999999999*s[1]\n", encoding="utf-8")
+    start = perf_counter()
+    rc, out, err = run(capsys, "table", "--input", str(doc))
+    assert perf_counter() - start < 0.5
+    assert rc == 4
+    assert out == ""
+    assert (
+        f"error: line 2: a power of u or v may reach 999999999, past the limit of "
+        f"{MAX_ROW_DEGREE} for a table row"
+    ) in err
+
+
 def test_overlong_integer_literal_is_parse_error(capsys):
     rc, _, err = run(capsys, "expr", "1" * (sys.get_int_max_str_digits() + 1))
     assert rc == 3
@@ -413,3 +464,96 @@ def test_withholding_absent_entry_is_precondition_error(tmp_path, capsys):
     )
     assert rc == 4
     assert "no table entry (1, 1) to withhold" in err
+
+
+# -- fuzzing -------------------------------------------------------------------------
+
+# Short expressions of at most six atoms: mostly well formed, with huge
+# exponents and literals, malformed partitions and stray characters mixed in.
+_ints = st.sampled_from(["0", "1", "2", "7", "31", "999999999", "1" + "0" * 30, "-1"])
+_parts = st.lists(st.sampled_from(["1", "2", "3", "5", "40", "0", "-1", "", "x"]), max_size=5)
+_coeff_atoms = st.one_of(st.sampled_from(["q", "u", "v"]), _ints)
+_atoms = st.one_of(
+    _coeff_atoms,
+    st.tuples(st.sampled_from("shp"), _parts).map(lambda t: f"{t[0]}[{','.join(t[1])}]"),
+    st.sampled_from(["λ", "²", "x", "s", "s[]", "s[3,", "(", ")", "%", "1/2"]),
+)
+_powers = st.sampled_from(["", "", "", "^2", "^7", "^31", "^999999999", "^" + "9" * 30, "^-1"])
+
+
+def _exprs_of(atoms):
+    factor = st.tuples(
+        st.sampled_from(["{}", "{}", "{}", "-{}", "({})", "({})^2", "-({})", "({}"]),
+        atoms,
+        _powers,
+    ).map(lambda t: t[0].format(t[1] + t[2]))
+    ops = st.sampled_from(["+", "+", "-", "*", "*", " ", "**", "^"])
+    return st.tuples(factor, st.lists(st.tuples(ops, factor), max_size=5)).map(
+        lambda t: t[0] + "".join(op + f for op, f in t[1])
+    )
+
+
+_exprs_text = _exprs_of(_atoms)
+_options = {
+    "--truncation": ["-1", "0", "1", "2", "3", "5", "40", "x"],
+    "--withhold": ["0,3", "1,1", "3,1", "a,b"],
+    "--delta-mode": ["graded", "literal", "literal", "other"],
+    "--format": ["text", "json", "json", "latex", "xml"],
+}
+_accepts = {
+    "expr": ["--format"],
+    "table": list(_options),
+    "compute": list(_options),
+    "verify": ["--truncation", "--truncation", "--delta-mode"],
+    "inputs": [],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """argv for one command, and the table document it reads (or None)."""
+    command = draw(st.sampled_from(list(_accepts)))
+    options = []
+    names = []
+    if _accepts[command]:
+        names = draw(st.lists(st.sampled_from(_accepts[command]), max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        names.append("--bogus")
+    for name in names:
+        options += [name, draw(st.sampled_from(_options.get(name, ["1"])))]
+    if command == "expr":
+        return ["expr", draw(_exprs_text), *options], None
+    # A row of weight 1 in the Schur basis with a fuzzed coefficient, or a
+    # fuzzed row of any shape.
+    if draw(st.booleans()):
+        coeff = draw(_exprs_of(_coeff_atoms))
+        row = f"M[1,1] = ({coeff})*{draw(st.sampled_from(['s[1]', 'h[1]', 'p[1]']))}"
+    else:
+        row = f"M[{draw(st.sampled_from(['0,3', '0,4', '2,1']))}] = {draw(_exprs_text)}"
+    doc = f"M[0,3] = s[3]\n{row}\n"
+    slot = []
+    if command in ("compute", "inputs"):
+        g = draw(st.sampled_from(["0", "1", "2", "3", "-1"]))
+        slot = ["--g", g, "--n", draw(st.sampled_from(["1", "3", "4", "0", "x"]))]
+    return [command, *slot, *options], doc
+
+
+@given(_argvs())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_command_lines_end_in_a_documented_exit_code(argv_doc):
+    argv, doc = argv_doc
+    with tempfile.TemporaryDirectory() as tmp:
+        if doc is not None:
+            path = Path(tmp) / "fuzz.dat"
+            path.write_text(doc, encoding="utf-8")
+            argv = argv + ["--input", str(path)]
+        start = perf_counter()
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse refuses a usage error this way
+                rc = exc.code
+        elapsed = perf_counter() - start
+    assert rc in {0, 2, 3, 4, 5}, argv
+    if rc == 4:
+        assert elapsed < 5, argv

@@ -16,6 +16,7 @@ from stablemoduli.exprlang import (
     Sub,
     VarAtom,
     build_table,
+    degree_bound,
     digits_bound,
     eval_expression,
     evaluate,
@@ -85,6 +86,13 @@ def test_error_positions():
     assert "unknown symbol 'w'" in str(err.value)
 
 
+@pytest.mark.parametrize("text, ch", [("q+q+λ", "λ"), ("s[²]", "²"), ("q^٣", "٣"), ("µ*q", "µ")])
+def test_letters_and_digits_outside_ascii_are_parse_errors(text, ch):
+    with pytest.raises(ExprParseError) as err:
+        parse_expression(text)
+    assert f"unexpected character {ch!r}" in str(err.value)
+
+
 def test_exponent_rules():
     with pytest.raises(ExprParseError):
         parse_expression("q^-1")
@@ -142,6 +150,13 @@ def test_weight_bound():
     assert weight_bound(parse_expression("s[2]*h[3]")) == 5
     assert weight_bound(parse_expression("p[2]^3")) == 6
     assert weight_bound(parse_expression("q^5")) == 0
+
+
+def test_degree_bound():
+    assert degree_bound(parse_expression("q*s[4] - s[2,2]")) == 1
+    assert degree_bound(parse_expression("(q^2 + u)*v^3 - 7")) == 5
+    assert degree_bound(parse_expression("(u*v)^4*s[3]^2")) == 8
+    assert degree_bound(parse_expression("p[9]^4 + 0^0")) == 0
 
 
 _exprs = st.recursive(

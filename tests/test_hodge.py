@@ -112,7 +112,12 @@ def test_equal_values_by_different_routes_share_form_and_hash():
     st.dictionaries(st.integers(0, 2), hodge_polys(), max_size=3),
     st.integers(-4, 4),
     st.lists(
-        st.tuples(st.integers(0, 2), hodge_polys(), st.one_of(hodge_polys(), st.integers(-6, 6))),
+        st.tuples(
+            st.integers(0, 2),
+            hodge_polys(),
+            st.one_of(hodge_polys(), st.integers(-6, 6)),
+            st.integers(-5, 5),
+        ),
         max_size=8,
     ),
     hodge_polys(),
@@ -121,28 +126,29 @@ def test_equal_values_by_different_routes_share_form_and_hash():
 )
 def test_accumulator_matches_oracle_and_ring(start, k, products, a, b, divisor):
     """A start value scaled by k, products of polynomials and int scalars
-    with any denominators, a sum that cancels, then division by divisor."""
+    with any denominators, products times an int scale (zero and negative
+    included), a sum that cancels, then division by divisor."""
     acc = Accumulator()
     expected: dict = {}
     by_ring: dict = {}
 
-    def add(key, a, b, oracle_value):
+    def add(key, a, b, oracle_value, scale=1):
         before = (as_dict(a), b if isinstance(b, int) else as_dict(b))
         if isinstance(b, int):
             acc.add_scaled(key, a, b)
         else:
-            acc.add_product(key, a, b)
+            acc.add_product(key, a, b, scale)
         assert (as_dict(a), b if isinstance(b, int) else as_dict(b)) == before
         expected[key] = oracles.uv_add(expected.get(key, {}), oracle_value)
-        by_ring[key] = by_ring.get(key, HodgePoly.zero()) + a * b
+        by_ring[key] = by_ring.get(key, HodgePoly.zero()) + a * b * scale
 
     for key, c in start.items():
         add(key, c, k, oracles.uv_scale(as_dict(c), k))
-    for key, x, y in products:
+    for key, x, y, scale in products:
         if isinstance(y, int):
             add(key, x, y, oracles.uv_scale(as_dict(x), y))
         else:
-            add(key, x, y, oracles.uv_mul(as_dict(x), as_dict(y)))
+            add(key, x, y, oracles.uv_scale(oracles.uv_mul(as_dict(x), as_dict(y)), scale), scale)
     add("cancels", a, b, oracles.uv_mul(as_dict(a), as_dict(b)))
     add("cancels", -a, b, oracles.uv_neg(oracles.uv_mul(as_dict(a), as_dict(b))))
 
