@@ -14,7 +14,6 @@ from .partitions import (
     check_partition,
     format_partition,
     mobius,
-    parse_partition,
     partitions_of,
     weight,
     z_factor,
@@ -94,7 +93,6 @@ __all__ = [
     "moduli_dim",
     "open_moduli_series",
     "parse_expression",
-    "parse_partition",
     "parse_table",
     "partitions_of",
     "plethystic_exp",

@@ -273,8 +273,6 @@ class HodgePoly:
 
         Examples: "0", "1 + q", "3*q^2", "1/2*u^2*v".
         """
-        if not self._terms:
-            return "0"
         pieces = []
         for (i, j), c in self.items():
             mono = _render_monomial(i, j)
@@ -286,11 +284,7 @@ class HodgePoly:
             else:
                 body = f"{mag}*{mono}"
             pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        return join_signed(pieces)
 
     def render_q(self, explicit_mul: bool = False) -> str:
         """Pure-q rendering in descending degree, e.g. "q^2 + 5q + 1".
@@ -299,11 +293,8 @@ class HodgePoly:
         valid in the table expression language.  Raises OffDiagonalError on
         polynomials with off-diagonal terms.
         """
-        pairs = self.q_coefficients()
-        if not pairs:
-            return "0"
         pieces = []
-        for k, c in reversed(pairs):
+        for k, c in reversed(self.q_coefficients()):
             mag = abs(c)
             if k == 0:
                 body = str(mag)
@@ -316,11 +307,18 @@ class HodgePoly:
                 else:
                     body = f"{mag}*{qpow}" if explicit_mul else f"({mag}){qpow}"
             pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        return join_signed(pieces)
+
+
+def join_signed(pieces: list[tuple[str, str]], sep: str = " ") -> str:
+    """Join (sign, body) pairs, each sign "+" or "-", into one signed sum:
+    the first body with only a minus sign, each later one as sep, sign, sep
+    and body.  No pieces make "0"."""
+    if not pieces:
+        return "0"
+    sign, body = pieces[0]
+    head = body if sign == "+" else f"-{body}"
+    return head + "".join(f"{sep}{sign}{sep}{body}" for sign, body in pieces[1:])
 
 
 def _coerce(value: object) -> HodgePoly:

@@ -101,17 +101,3 @@ def mobius(k: int) -> int:
 def format_partition(rho: Partition) -> str:
     """Text form, e.g. "[2,2]"; "[]" for the empty partition."""
     return "[" + ",".join(str(part) for part in rho) + "]"
-
-
-def parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"partition text must look like [a,b,...]: {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    try:
-        parts = tuple(int(piece) for piece in inner.split(","))
-    except ValueError:
-        raise ValueError(f"partition parts must be integers: {text!r}") from None
-    return check_partition(parts)

@@ -18,14 +18,9 @@ series, and the closed series is sum over k of mu(k)/k psi_k(W).  The tests
 keep the composition Log exp(Delta) Exp as the reference it equals.
 
 A slot (g, n) at lambda^e has weight n = e + 2 - 2g, so within a lambda
-bound L every slot has weight at most L + 2, and the final Adams sum runs
-in :func:`slot_truncation`, which caps every weight at L + 2.  Dropping the
-monomials of weight above L + 2 is a ring homomorphism onto a quotient of
-the truncated ring: a dropped monomial stays dropped when multiplied by any
-retained one and under every Adams operation, so the plethystic logarithm
-commutes with the restriction.  The recursion keeps the full truncation,
-since each gluing lowers weight by 2 and so brings terms from above L + 2
-down into the slots.
+bound L every slot has weight at most L + 2.  The closed series, a sum over
+connected stable curves, has no term past that weight: the terms of W past
+it cancel in the final Adams sum.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OffDiagonalError, PreconditionError
-from .hodge import HodgePoly
+from .hodge import HodgePoly, join_signed
 from .partitions import Partition, format_partition, weight
 from .plethysm import GluingMode, glued_log, mobius_adams_sum
 # The composition the recursion equals; perfbench/tracer.py looks these
@@ -112,33 +107,15 @@ def open_moduli_series(table: ModuliTable, trunc: Truncation) -> SymSeries:
     return total
 
 
-def slot_truncation(trunc: Truncation) -> Truncation:
-    """The same lambda bound, with every weight cap lowered to at most
-    lambda_max + 2, the largest weight of a slot within that bound."""
-    top = trunc.lambda_max + 2
-    return Truncation(
-        trunc.lambda_max, tuple(min(cap, top) for cap in trunc.weight_caps)
-    )
-
-
 def closed_moduli_series(
     open_series: SymSeries, mode: GluingMode = GluingMode.GRADED
 ) -> SymSeries:
     """The full pipeline: Log exp(Delta) Exp of the open series, computed as
     sum over k of mu(k)/k psi_k(W) with W = log(exp(Delta) Exp f) from the
     gluing recursion (:func:`~stablemoduli.plethysm.glued_log`), which needs
-    the open series in a truncation like ``Truncation.standard``.
-
-    The result lives in ``slot_truncation(open_series.trunc)``: W is
-    restricted to it before the Adams operations.  That restriction is a
-    ring homomorphism of truncated rings which commutes with every Adams
-    operation, and the lowered caps still leave the discarded monomials an
-    ideal (the condition of ``log_series``), so the result equals the
-    plethystic log in the full truncation restricted to the slot
-    truncation.  Every slot (g, n) within the lambda bound lies inside it.
-    """
-    connected = glued_log(open_series, mode)
-    return mobius_adams_sum(connected.with_truncation(slot_truncation(connected.trunc)))
+    the open series in a truncation like ``Truncation.standard``.  The result
+    is in the truncation of the open series."""
+    return mobius_adams_sum(glued_log(open_series, mode))
 
 
 def slot_schur(closed: SymSeries, g: int, n: int) -> SchurList:
@@ -297,8 +274,6 @@ def render_schur_latex(schur_list: SchurList) -> str:
     for mu, coeff in schur_list:
         for k, c in coeff.q_coefficients():
             groups.setdefault(k, []).append((c, mu))
-    if not groups:
-        return "0"
     pieces: list[tuple[str, str]] = []
     for k in sorted(groups, reverse=True):
         entries = groups[k]
@@ -311,18 +286,11 @@ def render_schur_latex(schur_list: SchurList) -> str:
             mag = "" if c == 1 else str(c)
             piece = f"{mag}{qpow}s_{{{partition_latex(mu)}}}"
         else:
-            inner = ""
+            terms = []
             for c, mu in entries:
                 mag = "" if abs(c) == 1 else str(abs(c))
-                body = f"{mag}s_{{{partition_latex(mu)}}}"
-                if not inner:
-                    inner = body if c > 0 else f"-{body}"
-                else:
-                    inner += ("+" if c > 0 else "-") + body
+                terms.append(("+" if c > 0 else "-", f"{mag}s_{{{partition_latex(mu)}}}"))
+            inner = join_signed(terms, sep="")
             piece = f"{qpow}({inner})" if (qpow or sign == "-") else inner
         pieces.append((sign, piece))
-    sign, piece = pieces[0]
-    text = piece if sign == "+" else f"-{piece}"
-    for sign, piece in pieces[1:]:
-        text += sign + piece
-    return text
+    return join_signed(pieces, sep="")

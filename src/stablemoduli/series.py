@@ -405,8 +405,7 @@ def exp_series(f: SymSeries) -> SymSeries:
     equals the truncated power series sum f^m / m! whenever the discarded
     monomials form an ideal of the monoid the retained ones generate, so
     that truncated arithmetic is exact in a quotient ring; that holds for
-    ``Truncation.standard`` and ``Truncation.flat``, and for either with
-    every cap lowered to one bound (``pipeline.slot_truncation``).
+    ``Truncation.standard`` and ``Truncation.flat``.
     """
     if f.constant_term():
         raise PreconditionError("exp needs a series with zero constant term")

@@ -22,7 +22,7 @@ import stablemoduli
 from stablemoduli.cli import MAX_TRUNCATION, build_parser, config_from_args, main
 from stablemoduli.errors import PreconditionError
 from stablemoduli.dataset import dataset_text
-from stablemoduli.exprlang import MAX_EXPR_WEIGHT, MAX_ROW_DEGREE
+from stablemoduli.exprlang import MAX_EXPR_WEIGHT, MAX_MONOMIALS
 
 HEADLINE = "q^7 + 5q^6 + 16q^5 + 29q^4 + 29q^3 + 16q^2 + 5q + 1"
 
@@ -408,7 +408,7 @@ def test_table_row_too_long_to_print_is_refused_before_evaluation(tmp_path, caps
     assert "error: line 1: coefficients may run to" in err
 
 
-def test_table_row_past_the_degree_cap_is_refused_before_evaluation(tmp_path, capsys):
+def test_table_row_past_the_monomial_cap_is_refused_before_evaluation(tmp_path, capsys):
     doc = tmp_path / "deep.dat"
     doc.write_text("M[0,3] = s[3]\nM[1,1] = q^999999999*s[1]\n", encoding="utf-8")
     start = perf_counter()
@@ -417,9 +417,39 @@ def test_table_row_past_the_degree_cap_is_refused_before_evaluation(tmp_path, ca
     assert rc == 4
     assert out == ""
     assert (
-        f"error: line 2: a power of u or v may reach 999999999, past the limit of "
-        f"{MAX_ROW_DEGREE} for a table row"
+        f"error: line 2: a coefficient may hold 1000000000 monomials in u and v, "
+        f"past the limit of {MAX_MONOMIALS}"
     ) in err
+
+
+@pytest.mark.parametrize("text", ["(q+u+v+1)^100", "((q+u+v+1)^100)^0"])
+def test_expression_past_the_monomial_cap_is_refused_before_evaluation(capsys, text):
+    start = perf_counter()
+    rc, out, err = run(capsys, "expr", text)
+    assert perf_counter() - start < 0.5
+    assert rc == 4
+    assert out == ""
+    assert f"a coefficient may hold 20301 monomials in u and v, past the limit of {MAX_MONOMIALS}" in err
+
+
+def test_table_row_of_many_monomials_is_refused_with_its_line(tmp_path, capsys):
+    doc = tmp_path / "wide.dat"
+    doc.write_text("M[0,3] = s[3]\nM[1,1] = (q+u+v+1)^100*s[1]\n", encoding="utf-8")
+    start = perf_counter()
+    rc, out, err = run(capsys, "table", "--input", str(doc))
+    assert perf_counter() - start < 0.5
+    assert rc == 4
+    assert out == ""
+    assert "error: line 2: a coefficient may hold 20301 monomials" in err
+
+
+def test_bound_too_long_to_print_is_shown_by_its_magnitude(capsys):
+    # the weight bound 2 * (10^limit - 1) is one digit past the limit for printing
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, "expr", f"s[2]^{'9' * limit}")
+    assert rc == 4
+    assert out == ""
+    assert f"error: weight may reach about 10^{limit}, past the limit of {MAX_EXPR_WEIGHT}" in err
 
 
 def test_overlong_integer_literal_is_parse_error(capsys):

@@ -9,15 +9,15 @@ from stablemoduli.errors import ExprParseError, PreconditionError, TableFormatEr
 from stablemoduli.exprlang import (
     Add,
     IntLit,
+    MAX_MONOMIALS,
     Mul,
     Neg,
     Pow,
     SchurAtom,
     Sub,
     VarAtom,
+    bounds,
     build_table,
-    degree_bound,
-    digits_bound,
     eval_expression,
     evaluate,
     parse_expression,
@@ -146,17 +146,27 @@ def test_eval_examples():
 
 
 def test_weight_bound():
-    assert weight_bound(parse_expression("q*s[4] - s[2,2]")) == 4
-    assert weight_bound(parse_expression("s[2]*h[3]")) == 5
-    assert weight_bound(parse_expression("p[2]^3")) == 6
-    assert weight_bound(parse_expression("q^5")) == 0
+    for text, top in [("q*s[4] - s[2,2]", 4), ("s[2]*h[3]", 5), ("p[2]^3", 6), ("q^5", 0)]:
+        assert bounds(parse_expression(text)).weight == top
+        assert weight_bound(parse_expression(text)) == top
 
 
-def test_degree_bound():
-    assert degree_bound(parse_expression("q*s[4] - s[2,2]")) == 1
-    assert degree_bound(parse_expression("(q^2 + u)*v^3 - 7")) == 5
-    assert degree_bound(parse_expression("(u*v)^4*s[3]^2")) == 8
-    assert degree_bound(parse_expression("p[9]^4 + 0^0")) == 0
+def test_monomial_bound():
+    def grades(text):
+        b = bounds(parse_expression(text))
+        return b.du, b.dv, b.skew, b.monomials
+
+    assert grades("q*s[4] - s[2,2]") == (1, 1, 0, 2)
+    assert grades("(q^2 + u)*v^3 - 7") == (2, 5, 4, 27)
+    assert grades("(u*v)^4*s[3]^2") == (4, 4, 8, 85)
+    assert grades("p[9]^4 + 0^0") == (0, 0, 0, 1)
+    assert grades("(1+q)^1000") == (1000, 1000, 0, 1001)
+    assert grades("q^999999999") == (999999999, 999999999, 0, 10**9)
+    assert grades("(q+u+v+1)^100") == (100, 100, 100, 20301)
+    # x^0 is 1, but x is still evaluated on the way
+    assert grades("((q+u+v+1)^100)^0") == (100, 100, 100, 20301)
+    assert bounds(parse_expression("(1+q)^1000")).monomials <= MAX_MONOMIALS
+    assert bounds(parse_expression("(q+u+v+1)^100")).monomials > MAX_MONOMIALS
 
 
 _exprs = st.recursive(
@@ -191,25 +201,32 @@ def test_eval_is_a_ring_homomorphism(a, b):
 @given(_exprs)
 @settings(max_examples=80)
 def test_digits_bound_covers_numerators_and_denominators(expr):
-    value = eval_expression(expr, Truncation.flat(0, weight_bound(expr)))
-    bound = digits_bound(expr)
-    for _, coeff in value.items():
-        for _, c in coeff.items():
-            assert log10(abs(c.numerator)) <= bound + 1e-9
-            assert log10(c.denominator) <= bound + 1e-9
+    bound = bounds(expr)
+    # two weights past the bound, so a term past it would show
+    value = eval_expression(expr, Truncation.flat(0, bound.weight + 2))
+    for (_, rho), coeff in value.items():
+        assert sum(rho) <= bound.weight
+        assert len(coeff) <= bound.monomials
+        for (i, j), c in coeff.items():
+            assert i <= bound.du and j <= bound.dv and abs(i - j) <= bound.skew
+            assert log10(abs(c.numerator)) <= bound.digits + 1e-9
+            assert log10(c.denominator) <= bound.digits + 1e-9
 
 
 def test_digits_bound_examples():
-    assert digits_bound(parse_expression("2^1000")) == pytest.approx(1000 * log10(2))
-    assert digits_bound(parse_expression("(1+q)^1000")) == pytest.approx(1000 * log10(2))
-    assert digits_bound(parse_expression("-7*q")) == pytest.approx(log10(7))
-    assert digits_bound(parse_expression("h[3]")) == pytest.approx(log10(6))
-    assert digits_bound(parse_expression("p[9]^4 + 0^0")) == pytest.approx(log10(2))
-    assert digits_bound(parse_expression("s[2]^2")) == pytest.approx(2 * log10(2))
+    def digits(text):
+        return bounds(parse_expression(text)).digits
+
+    assert digits("2^1000") == pytest.approx(1000 * log10(2))
+    assert digits("(1+q)^1000") == pytest.approx(1000 * log10(2))
+    assert digits("-7*q") == pytest.approx(log10(7))
+    assert digits("h[3]") == pytest.approx(log10(6))
+    assert digits("p[9]^4 + 0^0") == pytest.approx(log10(2))
+    assert digits("s[2]^2") == pytest.approx(2 * log10(2))
     # x^0 is 1, but x is still evaluated on the way
-    assert digits_bound(parse_expression("(2^10)^0")) == pytest.approx(10 * log10(2))
+    assert digits("(2^10)^0") == pytest.approx(10 * log10(2))
     huge = "9" * 400
-    assert digits_bound(parse_expression(f"(99^{huge})^0 + (99^{huge})^0")) == float("inf")
+    assert digits(f"(99^{huge})^0 + (99^{huge})^0") == float("inf")
 
 
 # -- tables -----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stablemoduli.errors import ExprParseError, OffDiagonalError, PreconditionError
-from stablemoduli.hodge import Accumulator, HodgePoly
+from stablemoduli.hodge import Accumulator, HodgePoly, join_signed
 
 import oracles
 from strategies import hodge_polys, small_fractions
@@ -242,6 +242,13 @@ def test_render_canonical_forms():
     assert (HodgePoly.const(Fraction(1, 2)) * U**2 * V).render() == "1/2*u^2*v"
     assert (U - V).render() == "-v + u"
     assert (Q - 2).render() == "-2 + q"
+
+
+def test_join_signed():
+    assert join_signed([]) == "0"
+    assert join_signed([("-", "q")]) == "-q"
+    assert join_signed([("+", "q"), ("-", "1"), ("+", "u")]) == "q - 1 + u"
+    assert join_signed([("-", "2q"), ("+", "1")], sep="") == "-2q+1"
 
 
 def test_render_q_forms():

@@ -10,7 +10,6 @@ from stablemoduli.partitions import (
     format_partition,
     mobius,
     multiplicities,
-    parse_partition,
     partitions_of,
     weight,
     z_factor,
@@ -74,13 +73,6 @@ def test_mobius():
         mobius(0)
 
 
-def test_format_and_parse():
+def test_format_partition():
     assert format_partition((2, 2)) == "[2,2]"
     assert format_partition(()) == "[]"
-    assert parse_partition("[2,2]") == (2, 2)
-    assert parse_partition("[]") == ()
-    assert parse_partition(" [3, 1] ") == (3, 1)
-    with pytest.raises(PreconditionError):
-        parse_partition("[1,2]")
-    with pytest.raises(ValueError):
-        parse_partition("2,2")

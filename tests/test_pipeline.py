@@ -21,7 +21,6 @@ from stablemoduli.pipeline import (
     required_inputs,
     satisfies_duality,
     slot_schur,
-    slot_truncation,
     stable_slots,
 )
 from stablemoduli.plethysm import (
@@ -180,11 +179,11 @@ def test_top_slot_is_linear_in_its_entry(c):
     assert diff == expected
 
 
-# -- the logarithm in the slot truncation ------------------------------------------------
+# -- the gluing recursion against the composition -------------------------------------------
 
 
 def reference_route(open_series, mode):
-    """The pipeline with the logarithm in the full truncation."""
+    """The composition Log exp(Delta) Exp that the pipeline equals."""
     return plethystic_log(exp_gluing(plethystic_exp(open_series), mode))
 
 
@@ -201,39 +200,22 @@ def shipped_routes(lam, mode, withheld=None):
 SHIPPED_CASES = [(lam, mode) for lam in range(1, 7) for mode in GluingMode]
 
 
-def test_slot_truncation_caps():
-    assert slot_truncation(Truncation.standard(7)).weight_caps == (0, 3, 6, 9, 9, 9, 9, 9)
-    assert slot_truncation(Truncation.standard(2)).weight_caps == (0, 3, 4)
-    assert slot_truncation(Truncation.standard(0)).weight_caps == (0,)
-    assert slot_truncation(Truncation.flat(3, 8)) == Truncation.flat(3, 5)
-    assert slot_truncation(Truncation.flat(3, 2)) == Truncation.flat(3, 2)
-    odd = Truncation(2, (1, 5, 5))
-    assert slot_truncation(odd) == Truncation(2, (1, 4, 4))
-    # every slot within the lambda bound is admitted
-    for lam in range(8):
-        trunc = slot_truncation(Truncation.standard(lam))
-        assert trunc.lambda_max == lam
-        for g, n in stable_slots(lam):
-            assert trunc.admits(lambda_exponent(g, n), n)
-
-
 @pytest.mark.parametrize("lam,mode", SHIPPED_CASES)
-def test_closed_series_is_the_reference_restricted_to_the_slot_truncation(lam, mode):
+def test_closed_series_is_the_reference(lam, mode):
     closed, reference = shipped_routes(lam, mode)
-    trunc = slot_truncation(Truncation.standard(lam))
-    assert closed.trunc == trunc
-    assert closed == reference.with_truncation(trunc)
+    assert closed.trunc == Truncation.standard(lam)
+    assert closed == reference
 
 
 @pytest.mark.parametrize("withheld", embedded_dataset().keys(), ids=lambda key: "M[%d,%d]" % key)
-def test_closed_series_with_a_row_withheld_is_the_reference_restricted(withheld):
+def test_closed_series_with_a_row_withheld_is_the_reference(withheld):
     for mode in GluingMode:
         closed, reference = shipped_routes(5, mode, withheld)
-        assert closed == reference.with_truncation(closed.trunc)
+        assert closed == reference
 
 
 @pytest.mark.parametrize("lam,mode", SHIPPED_CASES)
-def test_reference_route_has_no_term_past_the_slot_truncation(lam, mode):
+def test_reference_route_has_no_term_past_the_slot_weight(lam, mode):
     # Only connected stable graphs survive the logarithm, and a connected
     # graph of genus g sits at weight n = lambda + 2 - 2g <= lambda + 2.
     _, reference = shipped_routes(lam, mode)
@@ -256,19 +238,19 @@ def random_tables(draw):
 
 @given(random_tables(), st.integers(1, 3), st.sampled_from(GluingMode))
 @settings(max_examples=40, deadline=None)
-def test_closed_series_is_the_reference_restricted_on_random_tables(table, lam, mode):
+def test_closed_series_is_the_reference_on_random_tables(table, lam, mode):
     phi = open_moduli_series(table, Truncation.standard(lam))
     closed = closed_moduli_series(phi, mode)
     reference = reference_route(phi, mode)
-    assert closed.trunc == slot_truncation(phi.trunc)
-    assert closed == reference.with_truncation(closed.trunc)
+    assert closed.trunc == phi.trunc
+    assert closed == reference
     assert all(weight(rho) <= lam + 2 for (_, rho) in reference._terms)
 
 
 @pytest.mark.parametrize("mode", list(GluingMode))
-def test_closed_series_at_truncation_7_is_the_reference_restricted(mode):
+def test_closed_series_at_truncation_7_is_the_reference(mode):
     closed, reference = shipped_routes(7, mode)
-    assert closed == reference.with_truncation(closed.trunc)
+    assert closed == reference
 
 
 @pytest.mark.parametrize("mode", list(GluingMode))
