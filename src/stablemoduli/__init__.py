@@ -55,7 +55,6 @@ from .exprlang import (
     parse_expression,
     parse_table,
     render_table,
-    weight_bound,
 )
 from .dataset import dataset_text, embedded_dataset
 
@@ -105,6 +104,5 @@ __all__ = [
     "slot_schur",
     "stable_slots",
     "weight",
-    "weight_bound",
     "z_factor",
 ]

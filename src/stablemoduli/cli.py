@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .dataset import dataset_text
@@ -28,7 +27,9 @@ from .pipeline import (
     SlotReport,
     build_slot_report,
     closed_moduli_series,
+    lambda_exponent,
     open_moduli_series,
+    render_coefficient,
     required_inputs,
     stable_slots,
 )
@@ -42,19 +43,6 @@ from .series import SymSeries, Truncation
 # (medians of five runs, 2-core host, Python 3.11); past 12 the work keeps
 # growing by about 1.8 times per step.
 MAX_TRUNCATION = 12
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    g: int | None = None
-    n: int | None = None
-    input_path: str | None = None
-    truncation: int = 5
-    delta_mode: GluingMode = GluingMode.GRADED
-    fmt: str = "text"
-    withhold: tuple[int, int] | None = None
-    expression: str | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_compute = sub.add_parser("compute", help="one (g, n) slot report")
+    p_compute.set_defaults(run=run_compute)
     common(p_compute, slot=True)
     p_compute.add_argument("--format", dest="fmt", choices=["text", "json", "latex"], default="text")
     p_compute.add_argument(
@@ -90,18 +79,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_table = sub.add_parser("table", help="reports for all slots within truncation")
+    p_table.set_defaults(run=run_table)
     common(p_table, slot=False)
     p_table.add_argument("--format", dest="fmt", choices=["text", "json", "latex"], default="text")
     p_table.add_argument("--withhold", metavar="G,N", help="zero out one table entry")
 
     p_verify = sub.add_parser("verify", help="run the built-in check suite")
+    p_verify.set_defaults(run=run_verify)
     common(p_verify, slot=False)
 
     p_expr = sub.add_parser("expr", help="evaluate an expression to a power-sum series")
+    p_expr.set_defaults(run=run_expr)
     p_expr.add_argument("expression", help="e.g. 'q*s[4] - s[2,2]'")
     p_expr.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
 
     p_inputs = sub.add_parser("inputs", help="open-moduli entries a slot depends on")
+    p_inputs.set_defaults(run=run_inputs)
     p_inputs.add_argument("--g", type=int, required=True)
     p_inputs.add_argument("--n", type=int, required=True)
     p_inputs.add_argument("--input", dest="input_path", help="dataset file override")
@@ -113,55 +106,44 @@ class UsageError(Exception):
     """Usage problem detected after argparse (maps to exit code 2)."""
 
 
-def config_from_args(ns: argparse.Namespace) -> CliConfig:
-    withhold = None
+def check_options(ns: argparse.Namespace) -> None:
+    """Refuse a malformed --withhold or an out-of-range --truncation before
+    any work is done, and turn --withhold into a (g, n) pair."""
     raw = getattr(ns, "withhold", None)
     if raw is not None:
         pieces = raw.split(",")
         if len(pieces) != 2 or not all(p.strip().isdigit() for p in pieces):
             raise UsageError(f"--withhold expects 'g,n', got {raw!r}")
-        withhold = (int(pieces[0]), int(pieces[1]))
-    truncation = getattr(ns, "truncation", 5)
+        ns.withhold = (int(pieces[0]), int(pieces[1]))
+    truncation = getattr(ns, "truncation", 0)
     if truncation < 0:
         raise UsageError(f"--truncation must be nonnegative, got {truncation}")
     if truncation > MAX_TRUNCATION:
         raise PreconditionError(
             f"--truncation {truncation} is past the cap {MAX_TRUNCATION}"
         )
-    return CliConfig(
-        command=ns.command,
-        g=getattr(ns, "g", None),
-        n=getattr(ns, "n", None),
-        input_path=getattr(ns, "input_path", None),
-        truncation=truncation,
-        delta_mode=GluingMode(getattr(ns, "delta_mode", "graded")),
-        fmt=getattr(ns, "fmt", "text"),
-        withhold=withhold,
-        expression=getattr(ns, "expression", None),
-    )
 
 
-def load_table(cfg: CliConfig) -> ModuliTable:
-    if cfg.input_path is None:
+def load_table(ns: argparse.Namespace) -> ModuliTable:
+    if ns.input_path is None:
         text = dataset_text()
     else:
         try:
-            text = Path(cfg.input_path).read_text(encoding="utf-8")
+            text = Path(ns.input_path).read_text(encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot read dataset file: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise TableFormatError(
-                f"{cfg.input_path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+                f"{ns.input_path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
             ) from exc
     table = parse_table(text)
-    if cfg.withhold is not None:
-        table = table.withhold(*cfg.withhold)
-    return table
+    withhold = getattr(ns, "withhold", None)
+    return table if withhold is None else table.withhold(*withhold)
 
 
-def _closed_series(cfg: CliConfig, table: ModuliTable) -> SymSeries:
-    trunc = Truncation.standard(cfg.truncation)
-    return closed_moduli_series(open_moduli_series(table, trunc), cfg.delta_mode)
+def _closed_series(ns: argparse.Namespace, table: ModuliTable) -> SymSeries:
+    trunc = Truncation.standard(ns.truncation)
+    return closed_moduli_series(open_moduli_series(table, trunc), GluingMode(ns.delta_mode))
 
 
 def _warn_missing(table: ModuliTable, needed: list[tuple[int, int]]) -> None:
@@ -181,47 +163,47 @@ def _emit_report(report: SlotReport, fmt: str) -> str:
     return report.render_text()
 
 
-def run_compute(cfg: CliConfig) -> int:
-    if cfg.truncation < 2 * cfg.g - 2 + cfg.n:
+def run_compute(ns: argparse.Namespace) -> int:
+    lam = lambda_exponent(ns.g, ns.n)
+    if ns.truncation < lam:
         raise PreconditionError(
-            f"slot ({cfg.g}, {cfg.n}) sits at lambda^{2 * cfg.g - 2 + cfg.n}, "
-            f"beyond truncation {cfg.truncation}"
+            f"slot ({ns.g}, {ns.n}) sits at lambda^{lam}, beyond truncation {ns.truncation}"
         )
-    table = load_table(cfg)
-    _warn_missing(table, required_inputs(cfg.g, cfg.n))
-    closed = _closed_series(cfg, table)
-    report = build_slot_report(closed, cfg.g, cfg.n)
-    print(_emit_report(report, cfg.fmt))
+    table = load_table(ns)
+    _warn_missing(table, required_inputs(ns.g, ns.n))
+    closed = _closed_series(ns, table)
+    report = build_slot_report(closed, ns.g, ns.n)
+    print(_emit_report(report, ns.fmt))
     return 0
 
 
-def run_table(cfg: CliConfig) -> int:
-    table = load_table(cfg)
-    slots = stable_slots(cfg.truncation)
+def run_table(ns: argparse.Namespace) -> int:
+    table = load_table(ns)
+    slots = stable_slots(ns.truncation)
     _warn_missing(table, slots)
-    closed = _closed_series(cfg, table)
+    closed = _closed_series(ns, table)
     reports = [build_slot_report(closed, g, n) for (g, n) in slots]
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         print(json.dumps([r.to_json_obj() for r in reports], indent=2))
-    elif cfg.fmt == "latex":
+    elif ns.fmt == "latex":
         print("\n".join(r.render_latex() for r in reports))
     else:
         print("\n\n".join(r.render_text() for r in reports))
     return 0
 
 
-def run_expr(cfg: CliConfig) -> int:
-    value = evaluate(cfg.expression)
-    if cfg.fmt == "json":
+def run_expr(ns: argparse.Namespace) -> int:
+    value = evaluate(ns.expression)
+    if ns.fmt == "json":
         print(json.dumps(value.to_json_obj(), indent=2))
     else:
         print(value.render())
     return 0
 
 
-def run_inputs(cfg: CliConfig) -> int:
-    needed = required_inputs(cfg.g, cfg.n)
-    table = load_table(cfg)
+def run_inputs(ns: argparse.Namespace) -> int:
+    needed = required_inputs(ns.g, ns.n)
+    table = load_table(ns)
     for (h, m) in needed:
         suffix = "" if (h, m) in table.entries else "  (missing from dataset)"
         print(f"M[{h},{m}]{suffix}")
@@ -242,21 +224,20 @@ EXPECTED_CORRECTION = "3q^6 + 15q^5 + 29q^4 + 29q^3 + 16q^2 + 4q"
 
 
 def _rank_text(closed: SymSeries, g: int, n: int) -> str:
-    rank = closed.rank(2 * g - 2 + n, n)
-    return rank.render_q() if rank.is_diagonal() else rank.render()
+    return render_coefficient(closed.rank(lambda_exponent(g, n), n))
 
 
-def run_verify(cfg: CliConfig) -> int:
-    table = load_table(cfg)
-    closed = _closed_series(cfg, table)
-    if cfg.delta_mode is GluingMode.LITERAL:
+def run_verify(ns: argparse.Namespace) -> int:
+    table = load_table(ns)
+    closed = _closed_series(ns, table)
+    if ns.delta_mode == "literal":
         print(
             "note: literal gluing mode exists to demonstrate misplaced boundary "
             "strata; failures below are the expected demonstration"
         )
     # A slot whose table rows are not all there cannot be expected to pass
     # the functional equation; it is left out of that check.
-    slots = stable_slots(cfg.truncation)
+    slots = stable_slots(ns.truncation)
     reports = {
         (g, n): build_slot_report(closed, g, n)
         for (g, n) in slots
@@ -271,12 +252,14 @@ def run_verify(cfg: CliConfig) -> int:
 
     checks: list[tuple[str, str, str]] = []
 
-    for (g, n), expected in sorted(EXPECTED_RANKS.items(), key=lambda kv: (2 * kv[0][0] - 2 + kv[0][1], kv[0])):
-        if 2 * g - 2 + n <= cfg.truncation:
+    for (g, n), expected in sorted(
+        EXPECTED_RANKS.items(), key=lambda kv: (lambda_exponent(*kv[0]), kv[0])
+    ):
+        if lambda_exponent(g, n) <= ns.truncation:
             checks.append((f"rank M[{g},{n}]", expected, _rank_text(closed, g, n)))
 
-    if cfg.truncation >= 5 and (3, 1) in table.entries:
-        withheld = _closed_series(cfg, table.withhold(3, 1))
+    if ns.truncation >= 5 and (3, 1) in table.entries:
+        withheld = _closed_series(ns, table.withhold(3, 1))
         checks.append(
             (
                 "boundary correction M[3,1] with its entry withheld",
@@ -285,12 +268,11 @@ def run_verify(cfg: CliConfig) -> int:
             )
         )
 
-    if cfg.truncation >= 2:
+    if ns.truncation >= 2:
         report04 = reports[(0, 4)] if (0, 4) in reports else build_slot_report(closed, 0, 4)
         schur04 = report04.equivariant
         actual = "; ".join(
-            f"s{format_partition(mu)} * ({c.render_q() if c.is_diagonal() else c.render()})"
-            for mu, c in schur04
+            f"s{format_partition(mu)} * ({render_coefficient(c)})" for mu, c in schur04
         )
         checks.append(("schur M[0,4]", "s[4] * (q + 1)", actual or "0"))
 
@@ -337,24 +319,12 @@ def run_verify(cfg: CliConfig) -> int:
     return 0
 
 
-COMMANDS = {
-    "compute": run_compute,
-    "table": run_table,
-    "verify": run_verify,
-    "expr": run_expr,
-    "inputs": run_inputs,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = config_from_args(ns)
-        command = COMMANDS.get(cfg.command)
-        if command is None:
-            raise UsageError(f"unknown command {cfg.command!r}")
-        code = command(cfg)
+        check_options(ns)
+        code = ns.run(ns)
         # Write out what is buffered here, so a closed pipe raises below.
         sys.stdout.flush()
         return code

@@ -278,7 +278,8 @@ class Bounds(NamedTuple):
     weight: int  # p-weight of any term
     du: int  # power of u in any coefficient
     dv: int  # power of v in any coefficient
-    skew: int  # |i - j| of any monomial u^i*v^j of a coefficient
+    lo: int  # lo <= i - j <= hi for every monomial u^i*v^j of a coefficient
+    hi: int
     norm: float  # log10 of the l1 norm, the sum of |coefficient| over all terms
     den: float  # log10 of a common multiple of the denominators
 
@@ -292,42 +293,43 @@ class Bounds(NamedTuple):
     @property
     def monomials(self) -> int:
         """The number of monomials u^i*v^j with i <= du, j <= dv and
-        |i - j| <= skew: a bound on the monomials of any coefficient."""
-        return (min(self.du, self.dv) + 1) * (2 * self.skew + 1)
+        lo <= i - j <= hi: a bound on the monomials of any coefficient."""
+        return (min(self.du, self.dv) + 1) * (self.hi - self.lo + 1)
 
 
 def bounds(expr: Expr) -> Bounds:
-    # Grades add under products and take the max under sums.  The l1 norm
-    # is subadditive under +, submultiplicative under * and ^, and at most
-    # 1 for s, h and p atoms; s and h coefficients have denominators
+    # Grades add under products and take the max under sums; the interval
+    # of i - j adds under products and takes the hull under sums.  The l1
+    # norm is subadditive under +, submultiplicative under * and ^, and at
+    # most 1 for s, h and p atoms; s and h coefficients have denominators
     # dividing n!, so a numerator is at most the l1 norm times the
-    # denominator.  Every bound but the weight of x^0 grows from each
-    # operand to its parent, so the bounds of the whole also cover each
-    # intermediate value (x^0 is 1, but x is still evaluated, within the
-    # weight of the whole).
+    # denominator.  x^0 is 1, but x is still evaluated: it keeps the bounds
+    # of x, with the interval widened to hold 0.  So every bound, the
+    # interval by its width, grows from each operand to its parent, and the
+    # bounds of the whole also cover each intermediate value.
     if isinstance(expr, IntLit):
-        return Bounds(0, 0, 0, 0, log10(abs(expr.value)) if expr.value else 0.0, 0.0)
+        return Bounds(0, 0, 0, 0, 0, log10(abs(expr.value)) if expr.value else 0.0, 0.0)
     if isinstance(expr, VarAtom):
         # u^i*v^j: u = u^1*v^0, v = u^0*v^1 and q = u^1*v^1
         i, j = int(expr.name != "v"), int(expr.name != "u")
-        return Bounds(0, i, j, abs(i - j), 0.0, 0.0)
+        return Bounds(0, i, j, i - j, i - j, 0.0, 0.0)
     if isinstance(expr, PowerAtom):
-        return Bounds(expr.n, 0, 0, 0, 0.0, 0.0)
+        return Bounds(expr.n, 0, 0, 0, 0, 0.0, 0.0)
     if isinstance(expr, (SchurAtom, HomAtom)):
         n = weight(expr.mu) if isinstance(expr, SchurAtom) else expr.n
-        return Bounds(n, 0, 0, 0, 0.0, lgamma(n + 1) / log(10))
+        return Bounds(n, 0, 0, 0, 0, 0.0, lgamma(n + 1) / log(10))
     if isinstance(expr, Neg):
         return bounds(expr.operand)
     if isinstance(expr, Pow):
         base = bounds(expr.base)
         k = expr.exponent
         if k == 0:
-            return base._replace(weight=0)
+            return base._replace(lo=min(base.lo, 0), hi=max(base.hi, 0))
         # A float cap keeps a huge exponent from overflowing the
         # conversion; the sizes then read inf.
         kf = min(k, sys.float_info.max)
         return Bounds(
-            *(k * grade for grade in base[:4]), kf * base.norm, kf * base.den
+            *(k * grade for grade in base[:5]), kf * base.norm, kf * base.den
         )
     if isinstance(expr, (Add, Sub, Mul)):
         a, b = bounds(expr.left), bounds(expr.right)
@@ -335,13 +337,10 @@ def bounds(expr: Expr) -> Bounds:
             return Bounds(*(x + y for x, y in zip(a, b)))
         hi, lo = max(a.norm, b.norm), min(a.norm, b.norm)
         norm = hi + log10(1 + 10 ** (lo - hi)) if lo < hi else hi + log10(2)
-        return Bounds(*map(max, a[:4], b[:4]), norm, a.den + b.den)
+        return Bounds(
+            *map(max, a[:3], b[:3]), min(a.lo, b.lo), max(a.hi, b.hi), norm, a.den + b.den
+        )
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-def weight_bound(expr: Expr) -> int:
-    """Syntactic upper bound on the p-weight of any term of the value."""
-    return bounds(expr).weight
 
 
 def eval_expression(expr: Expr, trunc: Truncation) -> SymSeries:
@@ -411,70 +410,43 @@ def evaluate(text: str) -> SymSeries:
 # -- table documents ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableRow:
-    g: int
-    n: int
-    expr_text: str
-    line: int
-    col: int  # column where the expression starts
-
-
-@dataclass(frozen=True)
-class SourceTable:
-    rows: tuple[TableRow, ...]
-
-
 _ROW = re.compile(r"^M\[(\d+),(\d+)\]\s*=\s*(\S.*?)\s*$")
 
 
-def parse_source(text: str) -> SourceTable:
-    """Split a table document into rows; duplicate keys are rejected here."""
-    rows = []
-    seen: set[tuple[int, int]] = set()
+def parse_table(text: str) -> ModuliTable:
+    """Read a table document row by row in file order: check the row's
+    shape, that its key is new and stable, refuse it where ``evaluate``
+    would, evaluate it and check it is homogeneous of weight n.  The first
+    bad line is the one reported."""
+    entries: dict[tuple[int, int], SymSeries] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        if not body.strip():
+        body = raw.split("#", 1)[0].strip()
+        if not body:
             continue
-        m = _ROW.match(body.strip())
+        m = _ROW.match(body)
         if m is None:
             raise TableFormatError(
-                f"line {line_no}: expected 'M[g,n] = expression', got {body.strip()!r}"
+                f"line {line_no}: expected 'M[g,n] = expression', got {body!r}"
             )
         g, n = int(m.group(1)), int(m.group(2))
-        if (g, n) in seen:
+        if (g, n) in entries:
             raise TableFormatError(f"line {line_no}: duplicate entry M[{g},{n}]")
-        seen.add((g, n))
-        col = raw.index(m.group(3), raw.index("=")) + 1
-        rows.append(TableRow(g, n, m.group(3), line_no, col))
-    return SourceTable(tuple(rows))
-
-
-def build_table(source: SourceTable) -> ModuliTable:
-    """Evaluate every row, refusing one that ``evaluate`` would refuse, and
-    check stability and homogeneous weight."""
-    entries: dict[tuple[int, int], SymSeries] = {}
-    for row in source.rows:
-        if not is_stable(row.g, row.n):
+        if not is_stable(g, n):
             raise TableFormatError(
-                f"line {row.line}: M[{row.g},{row.n}] is unstable "
-                f"(need n >= 1 and 2g-2+n > 0)"
+                f"line {line_no}: M[{g},{n}] is unstable (need n >= 1 and 2g-2+n > 0)"
             )
-        expr = parse_expression(row.expr_text, line=row.line, col=row.col)
-        bound = max(_check_size(expr, f"line {row.line}: "), row.n)
+        col = raw.index(m.group(3), raw.index("=")) + 1
+        expr = parse_expression(m.group(3), line=line_no, col=col)
+        bound = max(_check_size(expr, f"line {line_no}: "), n)
         value = eval_expression(expr, Truncation.flat(0, bound))
         for (_, rho) in value._terms:
-            if weight(rho) != row.n:
+            if weight(rho) != n:
                 raise TableFormatError(
-                    f"line {row.line}: M[{row.g},{row.n}] must be homogeneous of "
-                    f"weight {row.n}; found a term of weight {weight(rho)}"
+                    f"line {line_no}: M[{g},{n}] must be homogeneous of "
+                    f"weight {n}; found a term of weight {weight(rho)}"
                 )
-        entries[(row.g, row.n)] = value.with_truncation(Truncation.flat(0, row.n))
+        entries[(g, n)] = value.with_truncation(Truncation.flat(0, n))
     return ModuliTable(entries)
-
-
-def parse_table(text: str) -> ModuliTable:
-    return build_table(parse_source(text))
 
 
 TABLE_HEADER = (

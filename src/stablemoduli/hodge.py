@@ -71,10 +71,6 @@ class HodgePoly:
         return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, i: int, j: int, c: Scalar = 1) -> "HodgePoly":
-        return cls({(i, j): c})
-
-    @classmethod
     def u(cls) -> "HodgePoly":
         return cls({(1, 0): 1})
 

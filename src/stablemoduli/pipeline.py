@@ -206,12 +206,10 @@ class SlotReport:
         lines = [f"slot M[{self.g},{self.n}]: lambda = {self.lam}, dim = {self.dim}"]
         if self.equivariant:
             for mu, coeff in self.equivariant:
-                body = coeff.render_q() if coeff.is_diagonal() else coeff.render()
-                lines.append(f"schur: s{format_partition(mu)} * ({body})")
+                lines.append(f"schur: s{format_partition(mu)} * ({render_coefficient(coeff)})")
         else:
             lines.append("schur: 0")
-        rank_body = self.rank.render_q() if self.rank.is_diagonal() else self.rank.render()
-        lines.append(f"rank: {rank_body}")
+        lines.append(f"rank: {render_coefficient(self.rank)}")
         if self.hodge_diagonal is not None:
             values = ", ".join(str(c) for c in self.hodge_diagonal) or "0"
             lines.append(f"hodge: h^{{k,k}} = {values}")
@@ -245,6 +243,11 @@ def build_slot_report(closed: SymSeries, g: int, n: int) -> SlotReport:
         off_diagonal=witness,
         duality_ok=satisfies_duality(equivariant, moduli_dim(g, n)),
     )
+
+
+def render_coefficient(coeff: HodgePoly) -> str:
+    """The pure-q form of a diagonal polynomial, else its (i, j) form."""
+    return coeff.render_q() if coeff.is_diagonal() else coeff.render()
 
 
 def _json_coeffs(values: list[Fraction]) -> list[int | str]:

@@ -19,8 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablemoduli
-from stablemoduli.cli import MAX_TRUNCATION, build_parser, config_from_args, main
-from stablemoduli.errors import PreconditionError
+from stablemoduli.cli import MAX_TRUNCATION, main
 from stablemoduli.dataset import dataset_text
 from stablemoduli.exprlang import MAX_EXPR_WEIGHT, MAX_MONOMIALS
 
@@ -274,12 +273,18 @@ def test_truncation_past_the_cap_is_refused_before_any_work(tmp_path, capsys, ar
         assert f"--truncation 30 is past the cap {MAX_TRUNCATION}" in err
 
 
-def test_config_accepts_the_truncation_cap_and_refuses_one_more():
-    parser = build_parser()
-    cfg = config_from_args(parser.parse_args(["table", "--truncation", str(MAX_TRUNCATION)]))
-    assert cfg.truncation == MAX_TRUNCATION >= 9
-    with pytest.raises(PreconditionError):
-        config_from_args(parser.parse_args(["table", "--truncation", str(MAX_TRUNCATION + 1)]))
+def test_compute_accepts_the_truncation_cap_and_refuses_one_more(tmp_path, capsys):
+    doc = tmp_path / "tiny.dat"
+    doc.write_text("M[0,3] = s[3]\n", encoding="utf-8")
+    argv = ["compute", "--g", "0", "--n", "3", "--input", str(doc), "--truncation"]
+    assert MAX_TRUNCATION >= 9
+    rc, out, _ = run(capsys, *argv, str(MAX_TRUNCATION))
+    assert rc == 0
+    assert "rank: 1\n" in out
+    rc, out, err = run(capsys, *argv, str(MAX_TRUNCATION + 1))
+    assert rc == 4
+    assert out == ""
+    assert f"--truncation {MAX_TRUNCATION + 1} is past the cap {MAX_TRUNCATION}" in err
 
 
 def cli_argv(*args):
@@ -356,7 +361,7 @@ def test_long_but_printable_expressions_still_evaluate(capsys):
     assert out == f"λ^0 * ({' + '.join(terms)}) * p[]\n"
 
 
-@pytest.mark.parametrize("text", ["s[5]^100", f"p[{MAX_EXPR_WEIGHT + 1}]"])
+@pytest.mark.parametrize("text", ["s[5]^100", f"p[{MAX_EXPR_WEIGHT + 1}]", "s[27,27]^0"])
 def test_expression_past_the_weight_cap_is_refused_before_evaluation(capsys, text):
     start = perf_counter()
     rc, out, err = run(capsys, "expr", text)
@@ -397,6 +402,25 @@ def test_table_row_past_the_weight_cap_is_refused_before_evaluation(tmp_path, ca
     assert rc == 4
     assert out == ""
     assert f"error: line 2: weight may reach 40, past the limit of {MAX_EXPR_WEIGHT}" in err
+
+
+def test_table_row_with_a_zeroth_power_is_held_to_the_weight_of_its_base(tmp_path, capsys):
+    # x^0 is 1, but x is still evaluated; s[27,27] has weight 54
+    doc = tmp_path / "zeroth.dat"
+    doc.write_text("M[0,3] = s[3]\nM[1,1] = s[27,27]^0*s[1]\n", encoding="utf-8")
+    start = perf_counter()
+    rc, out, err = run(capsys, "table", "--input", str(doc))
+    assert perf_counter() - start < 0.5
+    assert rc == 4
+    assert out == ""
+    assert f"error: line 2: weight may reach 55, past the limit of {MAX_EXPR_WEIGHT}" in err
+
+
+def test_power_of_u_times_v_is_a_power_of_q(capsys):
+    rc, out, err = run(capsys, "expr", "(u*v)^300")
+    assert rc == 0 and err == ""
+    assert out == "λ^0 * (q^300) * p[]\n"
+    assert run(capsys, "expr", "q^300") == (0, out, "")
 
 
 def test_table_row_too_long_to_print_is_refused_before_evaluation(tmp_path, capsys):
@@ -508,7 +532,9 @@ _atoms = st.one_of(
     st.tuples(st.sampled_from("shp"), _parts).map(lambda t: f"{t[0]}[{','.join(t[1])}]"),
     st.sampled_from(["λ", "²", "x", "s", "s[]", "s[3,", "(", ")", "%", "1/2"]),
 )
-_powers = st.sampled_from(["", "", "", "^2", "^7", "^31", "^999999999", "^" + "9" * 30, "^-1"])
+_powers = st.sampled_from(
+    ["", "", "", "^0", "^2", "^7", "^31", "^999999999", "^" + "9" * 30, "^-1"]
+)
 
 
 def _exprs_of(atoms):

@@ -17,15 +17,12 @@ from stablemoduli.exprlang import (
     Sub,
     VarAtom,
     bounds,
-    build_table,
     eval_expression,
     evaluate,
     parse_expression,
-    parse_source,
     parse_table,
     render_entry,
     render_table,
-    weight_bound,
 )
 from stablemoduli.hodge import HodgePoly
 from stablemoduli.series import SymSeries, Truncation, complete_homogeneous, schur
@@ -146,25 +143,31 @@ def test_eval_examples():
 
 
 def test_weight_bound():
-    for text, top in [("q*s[4] - s[2,2]", 4), ("s[2]*h[3]", 5), ("p[2]^3", 6), ("q^5", 0)]:
+    for text, top in [
+        ("q*s[4] - s[2,2]", 4), ("s[2]*h[3]", 5), ("p[2]^3", 6), ("q^5", 0),
+        # x^0 is 1, but x is still evaluated on the way
+        ("s[3]^0", 3), ("q*s[2]^0 + h[1]", 2),
+    ]:
         assert bounds(parse_expression(text)).weight == top
-        assert weight_bound(parse_expression(text)) == top
 
 
 def test_monomial_bound():
     def grades(text):
         b = bounds(parse_expression(text))
-        return b.du, b.dv, b.skew, b.monomials
+        return b.du, b.dv, b.lo, b.hi, b.monomials
 
-    assert grades("q*s[4] - s[2,2]") == (1, 1, 0, 2)
-    assert grades("(q^2 + u)*v^3 - 7") == (2, 5, 4, 27)
-    assert grades("(u*v)^4*s[3]^2") == (4, 4, 8, 85)
-    assert grades("p[9]^4 + 0^0") == (0, 0, 0, 1)
-    assert grades("(1+q)^1000") == (1000, 1000, 0, 1001)
-    assert grades("q^999999999") == (999999999, 999999999, 0, 10**9)
-    assert grades("(q+u+v+1)^100") == (100, 100, 100, 20301)
+    assert grades("q*s[4] - s[2,2]") == (1, 1, 0, 0, 2)
+    assert grades("(q^2 + u)*v^3 - 7") == (2, 5, -3, 0, 12)
+    assert grades("(u*v)^4*s[3]^2") == (4, 4, 0, 0, 5)
+    assert grades("(u*v)^300") == grades("q^300") == (300, 300, 0, 0, 301)
+    assert grades("p[9]^4 + 0^0") == (0, 0, 0, 0, 1)
+    assert grades("(1+q)^1000") == (1000, 1000, 0, 0, 1001)
+    assert grades("q^999999999") == (999999999, 999999999, 0, 0, 10**9)
+    assert grades("(q+u+v+1)^100") == (100, 100, -100, 100, 20301)
+    assert grades("(u+v)^32") == (32, 32, -32, 32, 2145)
     # x^0 is 1, but x is still evaluated on the way
-    assert grades("((q+u+v+1)^100)^0") == (100, 100, 100, 20301)
+    assert grades("((q+u+v+1)^100)^0") == (100, 100, -100, 100, 20301)
+    assert grades("(u^3)^0") == (3, 0, 0, 3, 4)
     assert bounds(parse_expression("(1+q)^1000")).monomials <= MAX_MONOMIALS
     assert bounds(parse_expression("(q+u+v+1)^100")).monomials > MAX_MONOMIALS
 
@@ -208,7 +211,7 @@ def test_digits_bound_covers_numerators_and_denominators(expr):
         assert sum(rho) <= bound.weight
         assert len(coeff) <= bound.monomials
         for (i, j), c in coeff.items():
-            assert i <= bound.du and j <= bound.dv and abs(i - j) <= bound.skew
+            assert i <= bound.du and j <= bound.dv and bound.lo <= i - j <= bound.hi
             assert log10(abs(c.numerator)) <= bound.digits + 1e-9
             assert log10(c.denominator) <= bound.digits + 1e-9
 
@@ -240,11 +243,9 @@ M[1,3] = q^3*s[3] - s[1,1,1]  # trailing comment
 """
 
 
-def test_parse_source_and_build():
-    source = parse_source(GOOD_DOC)
-    assert [(r.g, r.n) for r in source.rows] == [(0, 3), (1, 3)]
-    table = build_table(source)
-    assert set(table.keys()) == {(0, 3), (1, 3)}
+def test_parse_table():
+    table = parse_table(GOOD_DOC)
+    assert table.keys() == [(0, 3), (1, 3)]
     t = Truncation.flat(0, 3)
     assert table.entries[(1, 3)] == schur((3,), t).scale(HodgePoly.q(3)) - schur(
         (1, 1, 1), t
@@ -283,6 +284,20 @@ def test_weight_mismatch():
         parse_table("M[0,3] = s[3] + s[2]")
     with pytest.raises(TableFormatError):
         parse_table("M[0,3] = s[3] + 1")
+
+
+def test_first_bad_line_is_reported():
+    # rows are read in file order, so an expression error on line 2 comes
+    # before the malformed row on line 3 and the unstable key on line 4
+    with pytest.raises(ExprParseError) as err:
+        parse_table("M[0,3] = s[3]\nM[0,4] = s[4] +\nM[0,5] s[5]\nM[0,2] = s[2]")
+    assert err.value.line == 2
+    with pytest.raises(TableFormatError) as err:
+        parse_table("M[0,3] = s[3]\nM[0,2] = s[2]\nM[0,4] = s[3]\nM[0,3] = s[3]")
+    assert str(err.value).startswith("line 2: M[0,2] is unstable")
+    with pytest.raises(PreconditionError) as err:
+        parse_table("M[0,3] = s[3]\nM[0,4] = s[4]^0*p[31]\nM[0,3] = s[3]")
+    assert str(err.value).startswith("line 2: weight may reach 35")
 
 
 def test_expression_error_carries_file_position():
