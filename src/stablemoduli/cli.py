@@ -39,9 +39,10 @@ from .series import SymSeries, Truncation
 
 # The largest --truncation that compute, table and verify accept.  On the
 # shipped table `table --truncation L --format json` takes, end to end,
-# 0.25 s at L = 8, 0.41 s at 9, 0.74 s at 10, 1.4 s at 11 and 2.5 s at 12
-# (medians of five runs, 2-core host, Python 3.11); past 12 the work keeps
-# growing by about 1.8 times per step.
+# 0.14 s at L = 8, 0.24 s at 9, 0.35 s at 10, 0.45 s at 11 and 0.85 s at 12
+# (medians of five runs, 2-core host shared with other work, Python 3.11;
+# BENCH_11.json); past 12 the work keeps growing by about 1.5 to 2 times
+# per step.
 MAX_TRUNCATION = 12
 
 
@@ -155,12 +156,16 @@ def _warn_missing(table: ModuliTable, needed: list[tuple[int, int]]) -> None:
             )
 
 
-def _emit_report(report: SlotReport, fmt: str) -> str:
+def _emit_reports(reports: list[SlotReport], fmt: str, one: bool = False) -> str:
+    """The format rule of compute and table: JSON (one object for one slot,
+    an array for a table), LaTeX one line per slot, or text blocks apart by
+    a blank line."""
     if fmt == "json":
-        return json.dumps(report.to_json_obj(), indent=2)
+        objs = [r.to_json_obj() for r in reports]
+        return json.dumps(objs[0] if one else objs, indent=2)
     if fmt == "latex":
-        return report.render_latex()
-    return report.render_text()
+        return "\n".join(r.render_latex() for r in reports)
+    return "\n\n".join(r.render_text() for r in reports)
 
 
 def run_compute(ns: argparse.Namespace) -> int:
@@ -172,8 +177,7 @@ def run_compute(ns: argparse.Namespace) -> int:
     table = load_table(ns)
     _warn_missing(table, required_inputs(ns.g, ns.n))
     closed = _closed_series(ns, table)
-    report = build_slot_report(closed, ns.g, ns.n)
-    print(_emit_report(report, ns.fmt))
+    print(_emit_reports([build_slot_report(closed, ns.g, ns.n)], ns.fmt, one=True))
     return 0
 
 
@@ -182,13 +186,7 @@ def run_table(ns: argparse.Namespace) -> int:
     slots = stable_slots(ns.truncation)
     _warn_missing(table, slots)
     closed = _closed_series(ns, table)
-    reports = [build_slot_report(closed, g, n) for (g, n) in slots]
-    if ns.fmt == "json":
-        print(json.dumps([r.to_json_obj() for r in reports], indent=2))
-    elif ns.fmt == "latex":
-        print("\n".join(r.render_latex() for r in reports))
-    else:
-        print("\n\n".join(r.render_text() for r in reports))
+    print(_emit_reports([build_slot_report(closed, g, n) for (g, n) in slots], ns.fmt))
     return 0
 
 

@@ -22,7 +22,7 @@ from math import lgamma, log, log10
 from typing import NamedTuple, Union
 
 from .errors import ExprParseError, PreconditionError, TableFormatError
-from .hodge import HodgePoly, join_signed
+from .hodge import MAX_CELLS, HodgePoly, join_signed, magnitude
 from .partitions import Partition, format_partition, weight
 from .pipeline import ModuliTable, is_stable
 from .series import (
@@ -41,12 +41,17 @@ MAX_EXPR_WEIGHT = 30
 
 # The most monomials u^i*v^j a coefficient may hold, by the bound
 # ``Bounds.monomials``, in ``evaluate`` and in a table row.  On the same
-# host, ``expr`` takes end to end about 0.95 s for (1+q)^1023 (bound 1024),
-# 0.7 s for (1+q+q^2)^511 (1023) and 0.2 s for (q+u+v+1)^21 (946), while
-# (q+u+v+1)^100 (20301) took 13.5 s.  A Serre polynomial of M_{g,n} within
+# host, ``expr`` took end to end about 0.95 s for (1+q)^1023 (bound 1024),
+# 0.7 s for (1+q+q^2)^511 (1023) and 0.2 s for (q+u+v+1)^21 (484), while
+# (q+u+v+1)^100 (10201) took 13.5 s.  A Serre polynomial of M_{g,n} within
 # the largest truncation has degree under 20 in u and in v, so its bound
-# stays under 800.
+# stays under 400.
 MAX_MONOMIALS = 1024
+
+# A coefficient may spread over at most ``hodge.MAX_CELLS`` cells, by the
+# bound ``Bounds.grid``: the products of ``hodge.Packing`` hold it as one int
+# with a digit per cell, so this caps their size where the monomial bound
+# cannot, as for (u+v)^32, 33 monomials in 2145 cells.
 
 # -- abstract syntax -------------------------------------------------------------
 
@@ -280,6 +285,8 @@ class Bounds(NamedTuple):
     dv: int  # power of v in any coefficient
     lo: int  # lo <= i - j <= hi for every monomial u^i*v^j of a coefficient
     hi: int
+    tlo: int  # tlo <= i + j <= thi for every such monomial
+    thi: int
     norm: float  # log10 of the l1 norm, the sum of |coefficient| over all terms
     den: float  # log10 of a common multiple of the denominators
 
@@ -292,44 +299,73 @@ class Bounds(NamedTuple):
 
     @property
     def monomials(self) -> int:
-        """The number of monomials u^i*v^j with i <= du, j <= dv and
-        lo <= i - j <= hi: a bound on the monomials of any coefficient."""
+        """The number of monomials u^i*v^j with i <= du, j <= dv,
+        lo <= i - j <= hi and tlo <= i + j <= thi: a bound on the monomials
+        of any coefficient.  Counted along d = i - j or t = i + j, whichever
+        takes fewer values; for each, the other has the parity of the first
+        and t >= |d|, i = (t + d)/2 <= du and j = (t - d)/2 <= dv.  Past
+        2^16 values of each, :attr:`grid`, a coarser bound, stands in."""
+        du, dv = self.du, self.dv
+        dlo, dhi = max(self.lo, -dv), min(self.hi, du)
+        tlo, thi = max(self.tlo, 0), min(self.thi, du + dv)
+        if min(dhi - dlo, thi - tlo) > 1 << 16:
+            return self.grid
+        if dhi - dlo <= thi - tlo:
+            spans = ((d, max(tlo, abs(d)), min(thi, 2 * du - d, 2 * dv + d)) for d in range(dlo, dhi + 1))
+        else:
+            spans = ((t, max(dlo, -t, t - 2 * dv), min(dhi, t, 2 * du - t)) for t in range(tlo, thi + 1))
+        return sum(_same_parity(*span) for span in spans)
+
+    @property
+    def grid(self) -> int:
+        """(min(du, dv) + 1) * (hi - lo + 1), the cells of the smaller of
+        the two packings of ``hodge.Packing`` (by i - j and the power of u,
+        or of v) that hold a coefficient: a bound on the size of its packed
+        form, and on its monomials."""
         return (min(self.du, self.dv) + 1) * (self.hi - self.lo + 1)
 
 
+def _same_parity(n: int, a: int, b: int) -> int:
+    """The number of ints in [a, b] with the parity of n."""
+    a += (a - n) % 2
+    return (b - a) // 2 + 1 if a <= b else 0
+
+
 def bounds(expr: Expr) -> Bounds:
-    # Grades add under products and take the max under sums; the interval
-    # of i - j adds under products and takes the hull under sums.  The l1
+    # Grades add under products and take the max under sums; the intervals
+    # of i - j and i + j add under products and take the hull under sums.  The l1
     # norm is subadditive under +, submultiplicative under * and ^, and at
     # most 1 for s, h and p atoms; s and h coefficients have denominators
     # dividing n!, so a numerator is at most the l1 norm times the
     # denominator.  x^0 is 1, but x is still evaluated: it keeps the bounds
-    # of x, with the interval widened to hold 0.  So every bound, the
-    # interval by its width, grows from each operand to its parent, and the
-    # bounds of the whole also cover each intermediate value.
+    # of x, with the intervals widened to hold 0.  So every bound, the
+    # intervals by their widths, grows from each operand to its parent, and
+    # the bounds of the whole also cover each intermediate value.
     if isinstance(expr, IntLit):
-        return Bounds(0, 0, 0, 0, 0, log10(abs(expr.value)) if expr.value else 0.0, 0.0)
+        return Bounds(0, 0, 0, 0, 0, 0, 0, log10(abs(expr.value)) if expr.value else 0.0, 0.0)
     if isinstance(expr, VarAtom):
         # u^i*v^j: u = u^1*v^0, v = u^0*v^1 and q = u^1*v^1
         i, j = int(expr.name != "v"), int(expr.name != "u")
-        return Bounds(0, i, j, i - j, i - j, 0.0, 0.0)
+        return Bounds(0, i, j, i - j, i - j, i + j, i + j, 0.0, 0.0)
     if isinstance(expr, PowerAtom):
-        return Bounds(expr.n, 0, 0, 0, 0, 0.0, 0.0)
+        return Bounds(expr.n, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
     if isinstance(expr, (SchurAtom, HomAtom)):
         n = weight(expr.mu) if isinstance(expr, SchurAtom) else expr.n
-        return Bounds(n, 0, 0, 0, 0, 0.0, lgamma(n + 1) / log(10))
+        return Bounds(n, 0, 0, 0, 0, 0, 0, 0.0, lgamma(n + 1) / log(10))
     if isinstance(expr, Neg):
         return bounds(expr.operand)
     if isinstance(expr, Pow):
         base = bounds(expr.base)
         k = expr.exponent
         if k == 0:
-            return base._replace(lo=min(base.lo, 0), hi=max(base.hi, 0))
+            return base._replace(
+                lo=min(base.lo, 0), hi=max(base.hi, 0), tlo=min(base.tlo, 0), thi=max(base.thi, 0)
+            )
         # A float cap keeps a huge exponent from overflowing the
         # conversion; the sizes then read inf.
         kf = min(k, sys.float_info.max)
         return Bounds(
-            *(k * grade for grade in base[:5]), kf * base.norm, kf * base.den
+            *(k * grade for grade in base[:7]), kf * base.norm, kf * base.den
         )
     if isinstance(expr, (Add, Sub, Mul)):
         a, b = bounds(expr.left), bounds(expr.right)
@@ -338,7 +374,9 @@ def bounds(expr: Expr) -> Bounds:
         hi, lo = max(a.norm, b.norm), min(a.norm, b.norm)
         norm = hi + log10(1 + 10 ** (lo - hi)) if lo < hi else hi + log10(2)
         return Bounds(
-            *map(max, a[:3], b[:3]), min(a.lo, b.lo), max(a.hi, b.hi), norm, a.den + b.den
+            *map(max, a[:3], b[:3]),
+            min(a.lo, b.lo), max(a.hi, b.hi), min(a.tlo, b.tlo), max(a.thi, b.thi),
+            norm, a.den + b.den,
         )
     raise TypeError(f"not an expression node: {expr!r}")
 
@@ -372,12 +410,13 @@ def eval_expression(expr: Expr, trunc: Truncation) -> SymSeries:
 def _check_size(expr: Expr, where: str = "") -> int:
     """Refuse an expression whose weight may pass ``MAX_EXPR_WEIGHT``, whose
     coefficients might be too long to print, or one of whose coefficients
-    may hold more than ``MAX_MONOMIALS`` monomials, before any evaluation;
-    return its weight bound.  ``where`` prefixes the refusal message."""
+    may hold more than ``MAX_MONOMIALS`` monomials or spread over more than
+    ``hodge.MAX_CELLS`` cells, before any evaluation; return its weight bound.
+    ``where`` prefixes the refusal message."""
     bound = bounds(expr)
     if bound.weight > MAX_EXPR_WEIGHT:
         raise PreconditionError(
-            f"{where}weight may reach {_magnitude(bound.weight)}, past the "
+            f"{where}weight may reach {magnitude(bound.weight)}, past the "
             f"limit of {MAX_EXPR_WEIGHT} for an expression"
         )
     limit = sys.get_int_max_str_digits()
@@ -388,15 +427,15 @@ def _check_size(expr: Expr, where: str = "") -> int:
         )
     if bound.monomials > MAX_MONOMIALS:
         raise PreconditionError(
-            f"{where}a coefficient may hold {_magnitude(bound.monomials)} "
+            f"{where}a coefficient may hold {magnitude(bound.monomials)} "
             f"monomials in u and v, past the limit of {MAX_MONOMIALS}"
         )
+    if bound.grid > MAX_CELLS:
+        raise PreconditionError(
+            f"{where}a coefficient may spread over {magnitude(bound.grid)} cells "
+            f"of i - j by the power of u or v, past the limit of {MAX_CELLS}"
+        )
     return bound.weight
-
-
-def _magnitude(n: int) -> str:
-    # An int past the interpreter's digit limit cannot be printed in full.
-    return str(n) if n.bit_length() <= 64 else f"about 10^{int(n.bit_length() * log10(2))}"
 
 
 def evaluate(text: str) -> SymSeries:

@@ -15,8 +15,16 @@ public accessors (``items``, ``coefficient``, ``q_coefficients``) hand out
 ``Fraction`` coefficients.
 
 ``Accumulator`` serves the sums of products that make up series
-coefficients: it adds products into per-key integer numerators without
-reducing them, and reduces each finished sum once.
+coefficients, on a packed form of the numerators (Kronecker substitution):
+a :class:`Packing` lays the monomials u^i v^j of a box out as the digits of
+one int in base 2^bits, one band of digits per value of i - j, so that the
+product of two polynomials is one int multiply and a sum of products one
+multiply-add per pair.  Every width is derived, not guessed: the box of a
+product is the sum of the boxes of its factors, a digit of a sum of
+products is at most the sum of the products of the factors' l1 norms
+(||ab||_1 <= ||a||_1 ||b||_1), and callers size the packing from those
+bounds before they add anything.  Each finished sum is unpacked and
+reduced once.
 
 Values are immutable; all arithmetic returns fresh polynomials in canonical
 form, and ``items`` iterates in ascending ``(i, j)`` order.
@@ -25,7 +33,8 @@ form, and ``items`` iterates in ascending ``(i, j)`` order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log10
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import OffDiagonalError, PreconditionError
@@ -159,17 +168,13 @@ class HodgePoly:
 
     def __mul__(self, other: "HodgePoly | Scalar") -> "HodgePoly":
         if isinstance(other, HodgePoly):
-            out: dict[tuple[int, int], int] = {}
-            for (i1, j1), c1 in self._terms.items():
-                for (i2, j2), c2 in other._terms.items():
-                    key = (i1 + i2, j1 + j2)
-                    s = out.get(key)
-                    s = c1 * c2 if s is None else s + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-            return _reduced(out, self._den * other._den)
+            if not (self._terms and other._terms):
+                return _wrap({}, 1)
+            (box_a, na), (box_b, nb) = extent(self), extent(other)
+            # the packings hold both factors as well as their product
+            pa, pb, product = product_packings(box_a, box_b, max(na * nb, na, nb))
+            x = pa.pack(self) * pb.pack(other)
+            return product.poly(x, self._den * other._den)
         if isinstance(other, Fraction):
             if other.denominator != 1:
                 n = other.numerator
@@ -306,6 +311,12 @@ class HodgePoly:
         return join_signed(pieces)
 
 
+def magnitude(n: int) -> str:
+    """n in decimal, or its order of magnitude past 64 bits: an int past
+    the interpreter's digit limit cannot be printed in full."""
+    return str(n) if n.bit_length() <= 64 else f"about 10^{int(n.bit_length() * log10(2))}"
+
+
 def join_signed(pieces: list[tuple[str, str]], sep: str = " ") -> str:
     """Join (sign, body) pairs, each sign "+" or "-", into one signed sum:
     the first body with only a minus sign, each later one as sep, sign, sep
@@ -344,72 +355,238 @@ def _reduced(terms: dict[tuple[int, int], int], den: int) -> HodgePoly:
     return _wrap(terms, den)
 
 
-class Accumulator:
-    """Sums of products of polynomials, one running sum per key, reduced once.
+# The most digits a packing may have.  A packed int holds a digit for each
+# cell of its layout, so a coefficient that would spread over more cells is
+# refused rather than packed: ``exprlang`` refuses expressions by a bound on
+# the cells before it evaluates anything, and a layout past the limit raises
+# PreconditionError.  The pipeline on the shipped table packs 17 cells at
+# the largest truncation.
+MAX_CELLS = 4096
 
-    Each key holds integer numerators over one positive denominator, left
-    unreduced while products are added: a product ``a*b`` lands over
-    ``a._den * b._den``, and the running sum is rescaled only when that
-    differs from its own denominator.  ``result`` then turns each sum into
-    one canonical ``HodgePoly`` with a single gcd.
+# The monomials u^i v^j of a polynomial lie in a box: the least and largest
+# i, j and d = i - j, as (ilo, ihi, jlo, jhi, dlo, dhi).
+Box = tuple[int, int, int, int, int, int]
+
+
+def box_of(monomials: Iterable[tuple[int, int]]) -> Box | None:
+    """The box of the exponent pairs (i, j), None if there are none."""
+    keys = list(monomials)
+    if not keys:
+        return None
+    ii, jj = zip(*keys)
+    dd = [i - j for i, j in keys]
+    return min(ii), max(ii), min(jj), max(jj), min(dd), max(dd)
+
+
+def extent(poly: HodgePoly) -> tuple[Box | None, int]:
+    """The box of the monomials of poly (None for zero) and the l1 norm,
+    the sum of absolute values, of its numerators."""
+    return box_of(poly._terms), sum(map(abs, poly._terms.values()))
+
+
+class Packing:
+    """A Kronecker layout that holds a polynomial's numerators as one int.
+
+    The numerator of u^i v^j is the digit at index (j - clo) + span*(i - j
+    - dlo) of a number in base 2^bits, for j - clo in [0, span) and i - j -
+    dlo in [0, bands); with ``swapped``, i and j change roles.  Digits are
+    signed: each is an int c with -2^(bits-1) <= c < 2^(bits-1), and the
+    packed int is the sum of c * 2^(bits*index).  The layout is band-major,
+    one band per value of i - j, so a pure-q polynomial is one dense band,
+    and its offsets put the box of the values it holds at index 0, so a
+    monomial of any degree is one digit.
+
+    A sum of packed ints packs the sum and an int multiple the multiple.  A
+    product x*y of ints of two packings of one span, bits and orientation
+    packs the product in :meth:`times` of the two, whose offsets are the
+    sums, provided the columns of the product stay below the span.  All of
+    it is exact integer arithmetic, so only the digits of the final value
+    matter: it unpacks correctly whenever each lies within the layout and
+    the digit range.  The callers make sure of both before they accumulate,
+    from bounds: the box from the operands, and a digit of a sum of
+    products is at most the sum of the products of the operands' l1 norms,
+    since ||ab||_1 <= ||a||_1 ||b||_1.  ``holding`` turns a box and such a
+    bound into the smallest layout that holds them.
     """
 
-    __slots__ = ("_sums",)
+    __slots__ = ("span", "clo", "dlo", "bands", "bits", "swapped", "_half", "_mask")
 
-    def __init__(self):
-        # key -> [denominator, {(i, j): numerator}]; numerators may be zero.
-        self._sums: dict = {}
+    def __init__(self, span: int, clo: int, dlo: int, bands: int, bits: int, swapped: bool):
+        if span < 1 or bands < 1 or bits < 1:
+            raise ValueError(f"no packing with span {span}, {bands} bands and {bits} bits")
+        if span * bands > MAX_CELLS:
+            raise PreconditionError(
+                f"a coefficient would spread over {magnitude(span * bands)} cells of "
+                f"i - j by the power of u or v, past the limit of {MAX_CELLS}"
+            )
+        self.span, self.clo, self.dlo, self.bands = span, clo, dlo, bands
+        self.bits, self.swapped = bits, swapped
+        self._half = 1 << (bits - 1)
+        self._mask = (1 << bits) - 1
 
-    def _entry(self, key, den: int) -> tuple[dict[tuple[int, int], int], int]:
-        """The numerators of key and the factor that brings a value over
-        ``den`` to the (possibly raised) denominator of the sum."""
-        entry = self._sums.get(key)
-        if entry is None:
-            terms: dict[tuple[int, int], int] = {}
-            self._sums[key] = [den, terms]
-            return terms, 1
-        old, terms = entry
-        if old == den:
-            return terms, 1
-        g = gcd(old, den)
-        raise_old = den // g
-        if raise_old != 1:
-            for ij in terms:
-                terms[ij] *= raise_old
-            entry[0] = old * raise_old
-        return terms, old // g
+    @staticmethod
+    def holding(box: Box | None, bound: int) -> "Packing":
+        """The packing of the box in the orientation with the fewer cells,
+        whose digits hold every int of absolute value at most bound:
+        bits = bound.bit_length() + 1."""
+        bits = bound.bit_length() + 1
+        if box is None:
+            return Packing(1, 0, 0, 1, bits, False)
+        ilo, ihi, jlo, jhi, dlo, dhi = box
+        if ihi - ilo < jhi - jlo:
+            return Packing(ihi - ilo + 1, ilo, -dhi, dhi - dlo + 1, bits, True)
+        return Packing(jhi - jlo + 1, jlo, dlo, dhi - dlo + 1, bits, False)
 
-    def add_product(self, key, a: HodgePoly, b: HodgePoly, scale: int = 1) -> None:
-        """Add scale*a*b, for an int scale, into the sum at key."""
-        terms, m = self._entry(key, a._den * b._den)
-        m *= scale
-        get = terms.get
-        for (i1, j1), c1 in a._terms.items():
-            if m != 1:
-                c1 *= m
-            for (i2, j2), c2 in b._terms.items():
-                ij = (i1 + i2, j1 + j2)
-                terms[ij] = get(ij, 0) + c1 * c2
+    def within(self, box: Box) -> "Packing":
+        """This packing's span, width and orientation, placed on a box
+        whose columns fit the span."""
+        ilo, _, jlo, _, dlo, dhi = box
+        if self.swapped:
+            return Packing(self.span, ilo, -dhi, dhi - dlo + 1, self.bits, True)
+        return Packing(self.span, jlo, dlo, dhi - dlo + 1, self.bits, False)
 
-    def add_scaled(self, key, a: HodgePoly, k: int) -> None:
-        """Add a*k, for an int k, into the sum at key."""
-        terms, m = self._entry(key, a._den)
-        k *= m
-        get = terms.get
-        for ij, c in a._terms.items():
-            terms[ij] = get(ij, 0) + c * k
+    def times(self, other: "Packing") -> "Packing":
+        """The packing of the products x*y of an int x of this packing and
+        y of other, when their columns stay below the span."""
+        return Packing(
+            self.span, self.clo + other.clo, self.dlo + other.dlo,
+            self.bands + other.bands - 1, self.bits, self.swapped,
+        )
+
+    def holds(self, bound: int) -> bool:
+        return bound.bit_length() < self.bits
+
+    def widened(self, bound: int) -> "Packing":
+        """This layout with digits that hold bound, at least twice as wide,
+        so that values repacked each time a growing bound outgrows the
+        width are repacked O(log) times."""
+        bits = max(bound.bit_length() + 1, 2 * self.bits)
+        return Packing(self.span, self.clo, self.dlo, self.bands, bits, self.swapped)
+
+    def pack(self, poly: HodgePoly, mult: int = 1) -> int:
+        """The numerators of poly, times the int mult, as one int."""
+        bits, span, clo, dlo, bands, half = (
+            self.bits, self.span, self.clo, self.dlo, self.bands, self._half
+        )
+        swapped = self.swapped
+        x = 0
+        for (i, j), c in poly._terms.items():
+            if swapped:
+                i, j = j, i
+            c *= mult
+            col, band = j - clo, i - j - dlo
+            if not (0 <= col < span and 0 <= band < bands and -half <= c < half):
+                raise OverflowError(f"{c}*u^{i}*v^{j} does not fit {self!r}")
+            x += c << bits * (col + span * band)
+        return x
+
+    def digits(self, x: int) -> list[int]:
+        """The signed digits of a packed int, lowest first, up to the
+        highest nonzero one."""
+        bits, half, mask = self.bits, self._half, self._mask
+        if -half <= x < half:
+            return [x] if x else []
+        out = []
+        for _ in range(self.span * self.bands):
+            d = x & mask
+            x >>= bits
+            if d >= half:
+                d -= mask + 1
+                x += 1
+            out.append(d)
+            if not x:
+                return out
+        raise OverflowError(f"a value of more digits than cells does not fit {self!r}")
+
+    def poly(self, x: int, den: int) -> HodgePoly:
+        """The canonical polynomial of the packed numerators x over the
+        positive int den."""
+        digits = self.digits(x)
+        g = gcd(den, *digits)
+        span, clo, dlo = self.span, self.clo, self.dlo
+        if len(digits) == 1:  # the lowest cell: column clo, band dlo
+            key = (clo, clo + dlo) if self.swapped else (clo + dlo, clo)
+            return _wrap({key: digits[0] // g}, den // g)
+        terms = {}
+        for k, c in enumerate(digits):
+            if c:
+                band, col = divmod(k, span)
+                j = clo + col
+                terms[(j, j + dlo + band) if self.swapped else (j + dlo + band, j)] = c // g
+        return _wrap(terms, den // g)
+
+    def repack(self, x: int, old: "Packing") -> int:
+        """An int of ``old``, which differs from this packing at most in
+        width, in this packing."""
+        bits = self.bits
+        return sum(c << bits * k for k, c in enumerate(old.digits(x)) if c)
+
+    def rebase(self, x: int, old: "Packing") -> int:
+        """An int of ``old``, which differs from this packing at most in its
+        offsets, in this packing; the value must lie within both."""
+        shift = self.bits * (old.clo - self.clo + self.span * (old.dlo - self.dlo))
+        if shift >= 0:
+            return x << shift
+        if x & ((1 << -shift) - 1):
+            raise OverflowError(f"a value below the offsets of {self!r}")
+        return x >> -shift
+
+    def __repr__(self) -> str:
+        return (
+            f"Packing(span={self.span}, clo={self.clo}, dlo={self.dlo}, "
+            f"bands={self.bands}, bits={self.bits}, swapped={self.swapped})"
+        )
+
+
+def product_packings(a: Box, b: Box, bound: int) -> tuple[Packing, Packing, Packing]:
+    """Packings for the two factors of products of polynomials in the boxes
+    a and b, and the packing of their products, with digits that hold
+    bound: the orientation with the fewer cells for the box of products,
+    and a span that holds the columns of both factors together."""
+    product = Packing.holding(tuple(map(add, a, b)), bound)
+    return product.within(a), product.within(b), product
+
+
+class Accumulator:
+    """Sums by key of packed numerators over one positive denominator.
+
+    ``sums`` maps each key to an int of ``packing`` (a sum of packed
+    polynomials, or of products of them, in the packing of the products);
+    callers add into it directly, so a product of two terms is one
+    multiply-add.  The packing must hold every finished sum, which the
+    callers bound beforehand (see :class:`Packing`).  ``result`` turns each
+    sum into one canonical ``HodgePoly``; ``part`` reduces them all by one
+    gcd instead, keeping them packed.
+    """
+
+    __slots__ = ("packing", "den", "sums")
+
+    def __init__(self, packing: Packing, den: int = 1):
+        self.packing = packing
+        self.den = den
+        self.sums: dict = {}
 
     def result(self, divisor: int = 1) -> dict:
         """Each nonzero sum divided by the positive int divisor, as a
         canonical HodgePoly; keys whose sum cancels to zero are left out."""
         if divisor < 1:
             raise ValueError(f"divisor must be a positive int, got {divisor}")
-        out = {}
-        for key, (den, terms) in self._sums.items():
-            nums = {ij: c for ij, c in terms.items() if c}
-            if nums:
-                out[key] = _reduced(nums, den * divisor)
-        return out
+        den, poly = self.den * divisor, self.packing.poly
+        return {key: poly(x, den) for key, x in self.sums.items() if x}
+
+    def part(self, divisor: int, packing: Packing) -> tuple[dict, dict, int]:
+        """The nonzero sums divided by the positive int divisor, moved into
+        packing (see :meth:`Packing.rebase`) and over one denominator, the
+        lcm of their canonical ones: ({key: packed int}, {key: l1 norm of
+        its digits}, denominator)."""
+        if divisor < 1:
+            raise ValueError(f"divisor must be a positive int, got {divisor}")
+        moved = {key: packing.rebase(x, self.packing) for key, x in self.sums.items() if x}
+        digits = {key: packing.digits(x) for key, x in moved.items()}
+        den = self.den * divisor
+        g = gcd(den, *(c for d in digits.values() for c in d))
+        norms = {key: sum(map(abs, d)) // g for key, d in digits.items()}
+        return {key: x // g for key, x in moved.items()}, norms, den // g
 
 
 def _render_monomial(i: int, j: int) -> str:

@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import PreconditionError
-from .hodge import Accumulator
+from .hodge import Accumulator, Packing
 from .partitions import mobius, multiplicities, weight
 from .series import (
     SymSeries,
-    _add_grouped_product,
-    _merge_parts,
+    _add_products,
+    _measure,
     _wrap,
     exp_series,
     log_series,
@@ -92,61 +93,84 @@ def gluing_operator(
 ) -> SymSeries:
     """One application of the gluing operator, in one pass over the terms,
     divided by the positive int divisor."""
-    acc = Accumulator()
-    _add_gluing(acc, f._terms, mode, f.trunc.lambda_max)
+    den, box, norms = _measure(f._terms)
+    _, _, glued = _moves(norms, mode, f.trunc.lambda_max)
+    bound = sum(factor * norms[key] for _, factor, key in glued)
+    acc = Accumulator(Packing.holding(box, bound), den)
+    get = acc.sums.get
+    for target, factor, key in glued:
+        c = f._terms[key]
+        acc.sums[target] = get(target, 0) + acc.packing.pack(c, den // c._den) * factor
     return _wrap(f.trunc, acc.result(divisor))
 
 
-def _add_gluing(
-    acc: Accumulator, terms: dict, mode: GluingMode, top: int, scale: int = 1
-) -> None:
-    """Add scale times the gluing operator of the term map into acc.
+def _moves(norms: dict, mode: GluingMode, top: int) -> tuple[dict, dict, list]:
+    """One pass over the terms of a series, given as {(e, rho): l1 norm}:
+    where d/dp_k of each term lands, {k: {e: [(rho less one k, its weight,
+    key, m)]}} for the m parts of rho equal to k; the l1 norm of each such
+    group, {k: {e: norm}}, the norms times m; and the terms of the gluing
+    operator, [(target key, factor, key)].
 
-    On p_rho with m parts equal to k, (k/2) d^2/dp_k^2 gives
-    k m (m-1)/2 p_{rho-k-k}, and for even k the summand d/dp_k of index
-    k/2 gives m p_{rho-k}.  LITERAL mode raises the lambda exponent of these
-    by 2k and by k; terms past the lambda bound top are left out.  Weight
-    only falls and the caps are monotone, so those are exactly the terms the
+    On p_rho with m parts equal to k, (k/2) d^2/dp_k^2 gives k m (m-1)/2
+    p_{rho-k-k}, and for even k the summand d/dp_k of index k/2 gives
+    m p_{rho-k}.  LITERAL mode raises the lambda exponent of these by 2k
+    and by k; terms past the lambda bound top are left out.  Weight only
+    falls and the caps are monotone, so those are exactly the terms the
     truncation drops.
     """
     shift = 1 if mode is GluingMode.LITERAL else 0
-    for (e, rho), c in terms.items():
+    index: dict = {}
+    dnorms: dict = {}
+    glued = []
+    for key, norm in norms.items():
+        e, rho = key
         for k, m in multiplicities(rho).items():
             idx = rho.index(k)
+            smaller = rho[:idx] + rho[idx + 1 :]
+            index.setdefault(k, {}).setdefault(e, []).append((smaller, sum(smaller), key, m))
+            group = dnorms.setdefault(k, {})
+            group[e] = group.get(e, 0) + norm * m
             if m > 1 and e + shift * 2 * k <= top:
-                key = (e + shift * 2 * k, rho[:idx] + rho[idx + 2 :])
-                acc.add_scaled(key, c, scale * (k * m * (m - 1) // 2))
+                glued.append(((e + shift * 2 * k, rho[:idx] + rho[idx + 2 :]), k * m * (m - 1) // 2, key))
             if k % 2 == 0 and e + shift * k <= top:
-                acc.add_scaled((e + shift * k, rho[:idx] + rho[idx + 1 :]), c, scale * m)
+                glued.append(((e + shift * k, smaller), m, key))
+    return index, dnorms, glued
 
 
 def exp_gluing(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
     """Exponential of the gluing operator: sum over m of its m-th iterate
     divided by m!.  Terminates since each application drops p-weight by at
-    least 2.  Each iterate is the previous one glued and divided by m, and
-    all of them are summed in one accumulator, reduced once at the end."""
-    total = Accumulator()
-    term = f
+    least 2.  Each iterate is the previous one glued and divided by m."""
+    total = term = f
     m = 1
     while term:
-        for key, c in term._terms.items():
-            total.add_scaled(key, c, 1)
         term = gluing_operator(term, mode, divisor=m)
+        total = total + term
         m += 1
-    return _wrap(f.trunc, total.result())
+    return total
 
 
 def glued_log(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
     """log(exp(Delta) Exp f), summed from the parts of :func:`gluing_flow`,
     for f with zero constant term under the conditions stated there; it
-    equals ``log_series(exp_gluing(plethystic_exp(f), mode))``."""
+    equals ``log_series(exp_gluing(plethystic_exp(f), mode))``.  The parts
+    stay packed: they are summed over the lcm of their denominators, in a
+    packing widened first if the sum of their l1 norms needs it."""
     if f.constant_term():
         raise PreconditionError("plethystic exp needs a zero constant term")
-    total = Accumulator()
-    for part in gluing_flow(adams_sum(f), mode):
-        for key, c in part._terms.items():
-            total.add_scaled(key, c, 1)
-    return _wrap(f.trunc, total.result())
+    packing, parts = _flow(adams_sum(f), mode)
+    den = lcm(*(d for _, _, d in parts))
+    bounds: dict = {}
+    for _, norms, d in parts:
+        for key, norm in norms.items():
+            bounds[key] = bounds.get(key, 0) + norm * (den // d)
+    packing, parts = _fit(packing, parts, max(bounds.values(), default=0))
+    acc = Accumulator(packing, den)
+    get = acc.sums.get
+    for values, _, d in parts:
+        for key, x in values.items():
+            acc.sums[key] = get(key, 0) + x * (den // d)
+    return _wrap(f.trunc, acc.result())
 
 
 def gluing_flow(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[SymSeries]:
@@ -173,10 +197,46 @@ def gluing_flow(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[Sym
     most 3e - 2j; the list stops at j = 3 lambda_max / 2, past which every
     part is zero.
 
-    Each step adds every term of 2(j+1) W_{j+1} into one accumulator and
-    reduces once: 2 Delta W_j in one pass, and each unordered pair once,
-    (2k) d_k W_a d_k W_b for a < b and k (d_k W_a)^2 for a = b, with every
-    d_k W_a computed once.
+    The parts are computed packed, one int per term in a
+    :class:`~stablemoduli.hodge.Packing`, each part over one denominator
+    (the lcm of its coefficients' own), so that a product of two terms is
+    one multiply-add; :func:`_flow` says how the layout is bounded.
+    """
+    packing, parts = _flow(w0, mode)
+    return [w0] + [
+        _wrap(w0.trunc, {key: packing.poly(x, den) for key, x in values.items()})
+        for values, _, den in parts[1:]
+    ]
+
+
+# ({key: packed numerators}, {key: their l1 norm}, denominator)
+Part = tuple[dict, dict, int]
+
+
+def _flow(w0: SymSeries, mode: GluingMode) -> tuple[Packing, list[Part]]:
+    """The parts of :func:`gluing_flow` packed, and their packing; part 0 is
+    w0 without its constant term, which no gluing or derivative reaches.
+
+    The layout comes from a slope bound.  Every term of w0 but the constant
+    has lambda exponent e >= 1, so let s_u, s_v and s_b be the largest
+    ratios of the u-degree, the v-degree and |i - j| of a coefficient to
+    its e.  The bounds i <= s_u e, j <= s_v e and |i - j| <= s_b e at
+    lambda^e hold for every term the recursion makes: products add degrees
+    and exponents alike, a derivative or a gluing leaves the coefficient
+    alone and the exponent where it is (or raises it), and lambda^e with e
+    past the lambda bound L is dropped.  So the box i <= floor(s_u L),
+    j <= floor(s_v L), |i - j| <= floor(s_b L) holds every coefficient,
+    every product included: the parts are packed in the packing of that
+    box, and each step sums in the packing of products of two of them
+    (``Packing.times``), whose columns stay within the box.
+
+    The width is checked before each step: each digit of the step's sum at
+    lambda^e, over the lcm of the denominators it brings together, is at
+    most the sum of the l1 norms of the gluing terms that land at lambda^e
+    and of the products of the l1 norms of the derivative groups whose
+    product lands there.  When the packing is too narrow for the largest of
+    these bounds, every part is repacked in one wide enough (``_fit``)
+    before anything is added.
     """
     trunc = w0.trunc
     top = trunc.lambda_max
@@ -188,53 +248,115 @@ def gluing_flow(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[Sym
             "weight above 3e at lambda^e"
         )
     shift = 2 if mode is GluingMode.LITERAL else 0
-    parts = [w0._terms]
-    # a -> k -> d_k W_a grouped by lambda exponent for the products
-    derivs: list[dict[int, dict]] = []
+    terms = {key: c for key, c in w0._terms.items() if key[0] > 0}
+    den, _, norms = _measure(terms)
+    # floor(s L) for each slope s is the largest floor(L i / e) over the
+    # monomials u^i v^j at lambda^e, and so on
+    monomials = [(e, i, j) for (e, _), c in terms.items() for i, j in c._terms]
+    du = max((top * i // e for e, i, _ in monomials), default=0)
+    dv = max((top * j // e for e, _, j in monomials), default=0)
+    band = max((top * abs(i - j) // e for e, i, j in monomials), default=0)
+    packing = Packing.holding((0, du, 0, dv, -band, band), max(norms.values(), default=0))
+    parts = [({key: packing.pack(c, den // c._den) for key, c in terms.items()}, norms, den)]
+    moves: list[tuple] = []  # a -> (index, dnorms, glued) of W_a, from _moves
+    derivs: list[dict] = []  # a -> k -> e -> [(rho, weight, packed d_k W_a term)]
     for j in range(3 * top // 2):
-        derivs.append(_derivatives(parts[j]))
-        acc = Accumulator()
-        _add_gluing(acc, parts[j], mode, top, 2)
-        for a in range(j // 2 + 1):
-            b = j - a
+        moves.append(_moves(parts[j][1], mode, top))
+        pairs = [(a, j - a) for a in range(j // 2 + 1)]
+        dj = parts[j][2]
+        den = lcm(dj, *(parts[a][2] * parts[b][2] for a, b in pairs))
+        # 2 (j+1) W_{j+1} = 2 Delta W_j + sum over k of k d_k W_a d_k W_b over
+        # ordered (a, b); each unordered pair is taken once, with 2k for a < b.
+        glue_mult = 2 * (den // dj)
+        # a bound on the digits of the sums at each lambda exponent
+        bounds = dict.fromkeys(range(top + 1), 0)
+        norms = parts[j][1]
+        for (e, _), factor, key in moves[j][2]:
+            bounds[e] += glue_mult * factor * norms[key]
+        for a, b in pairs:
+            mult = den // (parts[a][2] * parts[b][2])
+            for k, na in moves[a][1].items():
+                nb = moves[b][1].get(k)
+                if nb:
+                    scale = k * (1 + (a < b)) * mult
+                    for e1, x in na.items():
+                        for e2, y in nb.items():
+                            if e1 + e2 + shift * k <= top:
+                                bounds[e1 + e2 + shift * k] += scale * x * y
+        bound = max(bounds.values())
+        if not packing.holds(bound):
+            packing, parts = _fit(packing, parts, bound)
+            derivs.clear()
+        while len(derivs) <= j:
+            values = parts[len(derivs)][0]
+            derivs.append(
+                {
+                    k: {
+                        e: [(rho, w, values[key] * m) for rho, w, key, m in group]
+                        for e, group in grouped.items()
+                    }
+                    for k, grouped in moves[len(derivs)][0].items()
+                }
+            )
+        # every product, a gluing term lifted to it, lies in the box
+        acc = Accumulator(packing.times(packing), den)
+        sums = acc.sums
+        get = sums.get
+        values = parts[j][0]
+        for target, factor, key in moves[j][2]:
+            lifted = acc.packing.rebase(values[key] * (glue_mult * factor), packing)
+            sums[target] = get(target, 0) + lifted
+        for a, b in pairs:
+            mult = den // (parts[a][2] * parts[b][2])
             for k, grouped in derivs[a].items():
+                if k not in derivs[b]:
+                    continue
                 if a == b:
-                    _add_square(acc, grouped, k, shift * k, top)
-                elif k in derivs[b]:
-                    _add_grouped_product(acc, grouped, derivs[b][k], trunc, 2 * k, shift * k)
-        parts.append(acc.result(2 * (j + 1)))
-    return [_wrap(trunc, terms) for terms in parts]
+                    _add_square(sums, grouped, k * mult, shift * k, top)
+                else:
+                    scaled = {
+                        e + shift * k: [(rho, w, x * 2 * k * mult) for rho, w, x in group]
+                        for e, group in grouped.items()
+                    }
+                    _add_products(sums, scaled, derivs[b][k], trunc)
+        parts.append(acc.part(2 * (j + 1), packing))
+    return packing, parts
 
 
-def _derivatives(terms: dict) -> dict[int, dict]:
-    """For each k with a nonzero d/dp_k of the term map: that derivative,
-    grouped by lambda exponent."""
-    out: dict[int, dict] = {}
-    for (e, rho), c in terms.items():
-        for k, m in multiplicities(rho).items():
-            idx = rho.index(k)
-            smaller = rho[:idx] + rho[idx + 1 :]
-            grouped = out.setdefault(k, {})
-            grouped.setdefault(e, []).append((smaller, weight(smaller), c * m if m > 1 else c))
-    return out
+def _fit(packing: Packing, parts: list[Part], bound: int) -> tuple[Packing, list[Part]]:
+    """The packing and the parts, repacked in a wider packing of the same
+    layout if that one does not hold bound."""
+    if packing.holds(bound):
+        return packing, parts
+    wider = packing.widened(bound)
+    return wider, [
+        ({key: wider.repack(x, packing) for key, x in values.items()}, norms, den)
+        for values, norms, den in parts
+    ]
 
 
-def _add_square(acc: Accumulator, grouped: dict, k: int, lift: int, top: int) -> None:
-    """Add k (d_k W)^2, with lambda raised by lift, into acc from the groups
-    of :func:`_derivatives`, each unordered pair of terms once: k c^2 for a
-    term with itself and 2k c c' for two distinct terms.  The weight needs
-    no check: it stays within the 3e rule, as :func:`gluing_flow` argues."""
+def _add_square(sums: dict, grouped: dict, k: int, lift: int, top: int) -> None:
+    """Add k (d_k W)^2, with lambda raised by lift, into sums from d_k W
+    packed as {e: [(rho, weight, x)]}, each unordered pair of terms once:
+    k x^2 for a term with itself and 2k x y for two distinct terms.  The
+    weight needs no check: it stays within the 3e rule, as
+    :func:`gluing_flow` argues."""
+    get = sums.get
     for e1, terms1 in grouped.items():
+        doubled = [(rho, 2 * k * x) for rho, _, x in terms1]
         for e2, terms2 in grouped.items():
             e = e1 + lift + e2
             if e2 < e1 or e > top:
                 continue
             if e2 > e1:
-                for rho, _, c1 in terms1:
-                    for sigma, _, c2 in terms2:
-                        acc.add_product((e, _merge_parts(rho, sigma)), c1, c2, 2 * k)
+                for rho, x in doubled:
+                    for sigma, _, y in terms2:
+                        key = (e, tuple(sorted(rho + sigma, reverse=True)))
+                        sums[key] = get(key, 0) + x * y
                 continue
-            for i, (rho, _, c1) in enumerate(terms1):
-                acc.add_product((e, _merge_parts(rho, rho)), c1, c1, k)
-                for sigma, _, c2 in terms1[i + 1 :]:
-                    acc.add_product((e, _merge_parts(rho, sigma)), c1, c2, 2 * k)
+            for i, (rho, _, x) in enumerate(terms1):
+                key = (e, tuple(sorted(rho + rho, reverse=True)))
+                sums[key] = get(key, 0) + k * x * x
+                for sigma, _, y in terms1[i + 1 :]:
+                    key = (e, tuple(sorted(rho + sigma, reverse=True)))
+                    sums[key] = get(key, 0) + doubled[i][1] * y

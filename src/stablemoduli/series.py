@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator, Mapping, Union
 
-from .characters import character
+from .characters import _abacus, _character, character
 from .errors import PreconditionError
-from .hodge import Accumulator, HodgePoly
+from .hodge import Accumulator, Box, HodgePoly, Packing, box_of, product_packings
 from .partitions import (
     Partition,
     check_partition,
@@ -177,23 +177,31 @@ class SymSeries:
         if not isinstance(other, SymSeries):
             return NotImplemented
         self._check_compatible(other)
-        acc = Accumulator()
-        _add_product(acc, self._terms, other._terms, self.trunc)
-        return _wrap(self.trunc, acc.result())
+        # a constant series multiplies as its coefficient: a number scales
+        # the other series, and two constants multiply as polynomials
+        ca, cb = _constant(self._terms), _constant(other._terms)
+        for c, series in ((ca, other), (cb, self)):
+            if c is not None and c._terms.keys() == {(0, 0)}:
+                n = c._terms[(0, 0)]
+                return series.scale(n if c._den == 1 else Fraction(n, c._den))
+        if ca is not None and cb is not None:
+            return _wrap(self.trunc, {CONSTANT_KEY: ca * cb})
+        return _wrap(self.trunc, _product(self.trunc, self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SymSeries":
         if k < 0:
             raise PreconditionError("negative power of a series")
-        result = SymSeries.constant(self.trunc, 1)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return SymSeries.constant(self.trunc, 1) if result is None else result
 
     def scale(self, coeff: HodgePoly | Scalar) -> "SymSeries":
         return _wrap(self.trunc, _scaled(self._terms, coeff))
@@ -275,20 +283,30 @@ class SymSeries:
         Returns (partition, coefficient) pairs in reverse-lexicographic
         order, zero coefficients dropped.  The coefficient of s_mu is
         sum over rho of chi^mu(rho) times the p_rho coefficient.
+
+        The p_rho coefficients are packed once, over their common
+        denominator, in a :class:`~stablemoduli.hodge.Packing` of the box of
+        their monomials, whose width holds the largest sum over rho of
+        |chi^mu(rho)| times the l1 norm of the p_rho numerators, which
+        bounds every digit of every Schur coefficient.  Each s_mu is then
+        one sum of int multiples, with the abacus of mu taken once for all
+        rho.
         """
-        terms = [
-            (rho, c)
-            for rho in partitions_of(n)
-            if (c := self._terms.get((e, rho))) is not None
-        ]
-        acc = Accumulator()
-        for mu in partitions_of(n):
-            for rho, c in terms:
-                chi = character(mu, rho)
-                if chi:
-                    acc.add_scaled(mu, c, chi)
-        sums = acc.result()
-        return [(mu, sums[mu]) for mu in partitions_of(n) if mu in sums]
+        shapes = partitions_of(n)
+        terms = {rho: c for rho in shapes if (c := self._terms.get((e, rho))) is not None}
+        den, box, norms = _measure(terms)
+        rows = []
+        bound = 0
+        for mu in shapes:
+            beads = _abacus(mu)
+            row = [(chi, rho) for rho in terms if (chi := _character(beads, rho))]
+            bound = max(bound, sum(abs(chi) * norms[rho] for chi, rho in row))
+            rows.append((mu, row))
+        acc = Accumulator(Packing.holding(box, bound), den)
+        packed = {rho: acc.packing.pack(c, den // c._den) for rho, c in terms.items()}
+        for mu, row in rows:
+            acc.sums[mu] = sum(chi * packed[rho] for chi, rho in row)
+        return list(acc.result().items())
 
     # -- text and JSON forms ---------------------------------------------------------
 
@@ -321,6 +339,12 @@ def _wrap(trunc: Truncation, terms: dict[Key, HodgePoly]) -> SymSeries:
     return series
 
 
+def _constant(terms: dict[Key, HodgePoly]) -> HodgePoly | None:
+    """The coefficient of a term map that is one constant term, else None
+    (a zero map is not constant: its product is the empty map)."""
+    return terms.get(CONSTANT_KEY) if len(terms) == 1 else None
+
+
 def _revlex(rho: Partition) -> tuple[int, ...]:
     return tuple(-part for part in rho) + (1,)
 
@@ -329,49 +353,72 @@ def _merge_parts(rho: Partition, sigma: Partition) -> Partition:
     return tuple(sorted(rho + sigma, reverse=True))
 
 
-def _group_by_lambda(
-    terms: dict[Key, HodgePoly]
-) -> dict[int, list[tuple[Partition, int, HodgePoly]]]:
-    grouped: dict[int, list[tuple[Partition, int, HodgePoly]]] = {}
+def _measure(terms: dict) -> tuple[int, Box | None, dict]:
+    """The common denominator of the coefficients of a term map, the box
+    of their monomials, and each one's l1 norm over that denominator, by
+    key."""
+    den = lcm(*(c._den for c in terms.values()))
+    box = box_of(ij for c in terms.values() for ij in c._terms)
+    norms = {key: sum(map(abs, c._terms.values())) * (den // c._den) for key, c in terms.items()}
+    return den, box, norms
+
+
+def _pack_by_lambda(
+    terms: dict[Key, HodgePoly], packing: Packing, den: int
+) -> dict[int, list[tuple[Partition, int, int]]]:
+    """The term map packed over den, a multiple of every coefficient's
+    denominator, as {e: [(rho, weight, packed)]}."""
+    grouped: dict[int, list[tuple[Partition, int, int]]] = {}
     for (e, rho), c in terms.items():
-        grouped.setdefault(e, []).append((rho, weight(rho), c))
+        x = packing.pack(c, den // c._den)
+        grouped.setdefault(e, []).append((rho, sum(rho), x))
     return grouped
 
 
-def _add_product(
-    acc: Accumulator,
-    a: dict[Key, HodgePoly],
-    b: dict[Key, HodgePoly],
-    trunc: Truncation,
-) -> None:
-    """Add the truncated product of the term maps a and b into acc."""
-    _add_grouped_product(acc, _group_by_lambda(a), _group_by_lambda(b), trunc)
+def _product(trunc: Truncation, a: dict, b: dict) -> dict[Key, HodgePoly]:
+    """The truncated product of the term maps a and b.
+
+    Each operand is packed over its own denominator, so a product of two
+    terms lands over their product, in packings from the boxes of their
+    monomials (``hodge.product_packings``) whose width holds the product of
+    their l1 norms, which bounds every digit of the sum (and of each
+    operand, neither norm being 0 unless the product is).  Each product of
+    two terms is then one multiply-add.
+    """
+    if not (a and b):
+        return {}
+    da, box_a, na = _measure(a)
+    db, box_b, nb = _measure(b)
+    na, nb = sum(na.values()), sum(nb.values())
+    pa, pb, product = product_packings(box_a, box_b, max(na * nb, na, nb))
+    acc = Accumulator(product, da * db)
+    _add_products(acc.sums, _pack_by_lambda(a, pa, da), _pack_by_lambda(b, pb, db), trunc)
+    return acc.result()
 
 
-def _add_grouped_product(
-    acc: Accumulator,
-    a: dict[int, list[tuple[Partition, int, HodgePoly]]],
-    b: dict[int, list[tuple[Partition, int, HodgePoly]]],
+def _add_products(
+    sums: dict,
+    a: dict[int, list[tuple[Partition, int, int]]],
+    b: dict[int, list[tuple[Partition, int, int]]],
     trunc: Truncation,
-    scale: int = 1,
-    lift: int = 0,
 ) -> None:
-    """``_add_product`` for term maps already split by ``_group_by_lambda``,
-    each product times the int scale and with its lambda exponent raised by
-    lift."""
+    """Add into sums, at its key, the product x*y of every term of a and
+    term of b, packed as from ``_pack_by_lambda``, that the truncation
+    keeps: one multiply-add per product."""
+    get = sums.get
     for e1, terms_a in a.items():
         for e2, terms_b in b.items():
-            e = e1 + e2 + lift
+            e = e1 + e2
             if e > trunc.lambda_max:
                 continue
             cap = trunc.cap(e)
-            for rho, w1, c1 in terms_a:
+            for rho, w1, x in terms_a:
                 if w1 > cap:
                     continue
-                for sigma, w2, c2 in terms_b:
-                    if w1 + w2 > cap:
-                        continue
-                    acc.add_product((e, _merge_parts(rho, sigma)), c1, c2, scale)
+                for sigma, w2, y in terms_b:
+                    if w1 + w2 <= cap:
+                        key = (e, tuple(sorted(rho + sigma, reverse=True)))
+                        sums[key] = get(key, 0) + x * y
 
 
 def _scaled(terms: dict[Key, HodgePoly], coeff: HodgePoly | Scalar) -> dict[Key, HodgePoly]:
@@ -410,18 +457,15 @@ def exp_series(f: SymSeries) -> SymSeries:
     if f.constant_term():
         raise PreconditionError("exp needs a series with zero constant term")
     trunc = f.trunc
-    df = {j: _scaled(part, j) for j, part in _graded_parts(f._terms).items()}
-    parts = [{CONSTANT_KEY: HodgePoly.one()}]
-    total = dict(parts[0])
+    fparts = {j: _wrap(trunc, part) for j, part in _graded_parts(f._terms).items()}
+    parts = [SymSeries.constant(trunc, 1)]
     for d in range(1, _max_degree(trunc) + 1):
-        acc = Accumulator()
-        for j, fj in df.items():
+        part = SymSeries.zero(trunc)
+        for j, fj in fparts.items():
             if j <= d:
-                _add_product(acc, fj, parts[d - j], trunc)
-        part = acc.result(d)
+                part = part + fj * parts[d - j] * Fraction(j, d)
         parts.append(part)
-        total.update(part)
-    return _wrap(trunc, total)
+    return sum(parts[1:], parts[0])
 
 
 def log_series(g: SymSeries) -> SymSeries:
@@ -435,21 +479,16 @@ def log_series(g: SymSeries) -> SymSeries:
     if g.constant_term() != HodgePoly.one():
         raise PreconditionError("log needs a series with constant term 1")
     trunc = g.trunc
-    gparts = _graded_parts(g._terms)
-    neg_dl: dict[int, dict[Key, HodgePoly]] = {}  # j -> -j L_j
-    total: dict[Key, HodgePoly] = {}
+    gparts = {d: _wrap(trunc, part) for d, part in _graded_parts(g._terms).items()}
+    parts: dict[int, SymSeries] = {}  # d -> L_d
     for d in range(1, _max_degree(trunc) + 1):
-        acc = Accumulator()  # sums to d L_d
-        for key, c in gparts.get(d, {}).items():
-            acc.add_scaled(key, c, d)
-        for j, lj in neg_dl.items():
+        part = gparts.get(d, SymSeries.zero(trunc))
+        for j, lj in parts.items():
             if d - j in gparts:
-                _add_product(acc, lj, gparts[d - j], trunc)
-        part = acc.result(d)
+                part = part - lj * gparts[d - j] * Fraction(j, d)
         if part:
-            total.update(part)
-            neg_dl[d] = _scaled(part, -d)
-    return _wrap(trunc, total)
+            parts[d] = part
+    return sum(parts.values(), SymSeries.zero(trunc))
 
 
 # -- basis elements and conversions ------------------------------------------------

@@ -27,6 +27,14 @@ def hodge_polys(max_exp: int = 3, diagonal: bool = False) -> st.SearchStrategy[H
     return st.dictionaries(keys, small_fractions, max_size=4).map(HodgePoly)
 
 
+def wide_polys(max_exp: int = 3) -> st.SearchStrategy[HodgePoly]:
+    """Polynomials with off-diagonal terms on both sides of the diagonal,
+    numerators up to 2^64 and denominators up to 2^20."""
+    coeffs = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**20))
+    keys = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
+    return st.dictionaries(keys, coeffs, max_size=4).map(HodgePoly)
+
+
 def partitions(max_weight: int = 6) -> st.SearchStrategy[tuple[int, ...]]:
     return st.integers(0, max_weight).flatmap(
         lambda n: st.sampled_from(partitions_of(n))

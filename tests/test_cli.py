@@ -434,7 +434,7 @@ def test_table_row_too_long_to_print_is_refused_before_evaluation(tmp_path, caps
 
 def test_table_row_past_the_monomial_cap_is_refused_before_evaluation(tmp_path, capsys):
     doc = tmp_path / "deep.dat"
-    doc.write_text("M[0,3] = s[3]\nM[1,1] = q^999999999*s[1]\n", encoding="utf-8")
+    doc.write_text("M[0,3] = s[3]\nM[1,1] = (1 + q^999999999)*s[1]\n", encoding="utf-8")
     start = perf_counter()
     rc, out, err = run(capsys, "table", "--input", str(doc))
     assert perf_counter() - start < 0.5
@@ -453,7 +453,7 @@ def test_expression_past_the_monomial_cap_is_refused_before_evaluation(capsys, t
     assert perf_counter() - start < 0.5
     assert rc == 4
     assert out == ""
-    assert f"a coefficient may hold 20301 monomials in u and v, past the limit of {MAX_MONOMIALS}" in err
+    assert f"a coefficient may hold 10201 monomials in u and v, past the limit of {MAX_MONOMIALS}" in err
 
 
 def test_table_row_of_many_monomials_is_refused_with_its_line(tmp_path, capsys):
@@ -464,7 +464,36 @@ def test_table_row_of_many_monomials_is_refused_with_its_line(tmp_path, capsys):
     assert perf_counter() - start < 0.5
     assert rc == 4
     assert out == ""
-    assert "error: line 2: a coefficient may hold 20301 monomials" in err
+    assert "error: line 2: a coefficient may hold 10201 monomials" in err
+
+
+@pytest.mark.parametrize(
+    "text,cells", [("q^999999999", "1000000000"), ("(u+v)^99", "19900"), ("q^" + "9" * 30, "about 10^30")]
+)
+def test_expression_past_the_cell_cap_is_refused_before_evaluation(capsys, text, cells):
+    # few monomials, but too many cells for the packed kernel
+    start = perf_counter()
+    rc, out, err = run(capsys, "expr", text)
+    assert perf_counter() - start < 0.5
+    assert rc == 4
+    assert out == ""
+    assert f"a coefficient may spread over {cells} cells" in err
+
+
+def test_homogeneous_expression_within_the_caps_evaluates(capsys):
+    rc, out, err = run(capsys, "expr", "(u+v)^32")
+    assert rc == 0 and err == ""
+    assert out.startswith("λ^0 * (v^32 + 32*u*v^31 + 496*u^2*v^30 + ")
+    assert out.count(" + ") == 32
+
+
+def test_table_row_too_wide_for_the_pipeline_is_refused(tmp_path, capsys):
+    doc = tmp_path / "skew.dat"
+    doc.write_text("M[0,3] = s[3]\nM[1,1] = u^999999999*s[1]\n", encoding="utf-8")
+    rc, out, err = run(capsys, "table", "--input", str(doc))
+    assert rc == 4
+    assert out == ""
+    assert "a coefficient would spread over 9999999991 cells" in err
 
 
 def test_bound_too_long_to_print_is_shown_by_its_magnitude(capsys):

@@ -9,6 +9,7 @@ from stablemoduli.errors import ExprParseError, PreconditionError, TableFormatEr
 from stablemoduli.exprlang import (
     Add,
     IntLit,
+    MAX_CELLS,
     MAX_MONOMIALS,
     Mul,
     Neg,
@@ -158,18 +159,31 @@ def test_monomial_bound():
 
     assert grades("q*s[4] - s[2,2]") == (1, 1, 0, 0, 2)
     assert grades("(q^2 + u)*v^3 - 7") == (2, 5, -3, 0, 12)
-    assert grades("(u*v)^4*s[3]^2") == (4, 4, 0, 0, 5)
-    assert grades("(u*v)^300") == grades("q^300") == (300, 300, 0, 0, 301)
+    # homogeneous: the one monomial q^k
+    assert grades("(u*v)^4*s[3]^2") == (4, 4, 0, 0, 1)
+    assert grades("(u*v)^300") == grades("q^300") == (300, 300, 0, 0, 1)
     assert grades("p[9]^4 + 0^0") == (0, 0, 0, 0, 1)
     assert grades("(1+q)^1000") == (1000, 1000, 0, 0, 1001)
-    assert grades("q^999999999") == (999999999, 999999999, 0, 0, 10**9)
-    assert grades("(q+u+v+1)^100") == (100, 100, -100, 100, 20301)
-    assert grades("(u+v)^32") == (32, 32, -32, 32, 2145)
+    assert grades("q^999999999") == (999999999, 999999999, 0, 0, 1)
+    assert grades("1 + q^999999999") == (999999999, 999999999, 0, 0, 10**9)
+    assert grades("(q+u+v+1)^100") == (100, 100, -100, 100, 101**2)
+    assert grades("(u+v)^32") == (32, 32, -32, 32, 33)
+    assert grades("(1+v)^1023") == (0, 1023, -1023, 0, 1024)
     # x^0 is 1, but x is still evaluated on the way
-    assert grades("((q+u+v+1)^100)^0") == (100, 100, -100, 100, 20301)
+    assert grades("((q+u+v+1)^100)^0") == (100, 100, -100, 100, 101**2)
     assert grades("(u^3)^0") == (3, 0, 0, 3, 4)
+    # counted along i + j (7 values) rather than i - j (21)
+    assert bounds(parse_expression("(u^2+v^2)^5*(1+q)^3")).monomials == 74
     assert bounds(parse_expression("(1+q)^1000")).monomials <= MAX_MONOMIALS
+    assert bounds(parse_expression("(u+v)^32")).monomials <= MAX_MONOMIALS
     assert bounds(parse_expression("(q+u+v+1)^100")).monomials > MAX_MONOMIALS
+    # the cells of the packed form: (min(du, dv) + 1) * (hi - lo + 1)
+    assert bounds(parse_expression("(u+v)^32")).grid == 33 * 65 <= MAX_CELLS
+    assert bounds(parse_expression("q^999999999")).grid == 10**9 > MAX_CELLS
+    assert bounds(parse_expression("u^999999999")).grid == 1
+    # past 2^16 values along both, the grid stands in for the count
+    huge = bounds(parse_expression("(q+u+v+1)^99999"))
+    assert huge.monomials == huge.grid == 10**5 * (2 * 99999 + 1)
 
 
 _exprs = st.recursive(
@@ -207,11 +221,19 @@ def test_digits_bound_covers_numerators_and_denominators(expr):
     bound = bounds(expr)
     # two weights past the bound, so a term past it would show
     value = eval_expression(expr, Truncation.flat(0, bound.weight + 2))
+    cells = [
+        (i, j)
+        for i in range(bound.du + 1)
+        for j in range(bound.dv + 1)
+        if bound.lo <= i - j <= bound.hi and bound.tlo <= i + j <= bound.thi
+    ]
+    assert bound.monomials == len(cells) <= bound.grid
     for (_, rho), coeff in value.items():
         assert sum(rho) <= bound.weight
         assert len(coeff) <= bound.monomials
         for (i, j), c in coeff.items():
             assert i <= bound.du and j <= bound.dv and bound.lo <= i - j <= bound.hi
+            assert bound.tlo <= i + j <= bound.thi
             assert log10(abs(c.numerator)) <= bound.digits + 1e-9
             assert log10(c.denominator) <= bound.digits + 1e-9
 

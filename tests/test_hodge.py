@@ -1,15 +1,23 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stablemoduli.errors import ExprParseError, OffDiagonalError, PreconditionError
-from stablemoduli.hodge import Accumulator, HodgePoly, join_signed
+from stablemoduli.hodge import (
+    Accumulator,
+    HodgePoly,
+    Packing,
+    box_of,
+    extent,
+    join_signed,
+    product_packings,
+)
 
 import oracles
-from strategies import hodge_polys, small_fractions
+from strategies import hodge_polys, small_fractions, wide_polys
 
 Q = HodgePoly.q()
 U = HodgePoly.u()
@@ -108,49 +116,58 @@ def test_equal_values_by_different_routes_share_form_and_hash():
     assert cancelled._den == 1 and (third * 0)._den == 1
 
 
+def packed_sums(entries, divisor=1):
+    """The sums by key of scale*a*b over the (key, a, b, scale) in entries,
+    b None for scale*a alone, through the packed kernel as its callers use
+    it: one denominator, a packing whose span and band add the operands'
+    and whose width holds the l1 bound, each product one multiply-add at
+    level 2.  Returns the accumulator."""
+    one = HodgePoly.one()
+    entries = [(key, a, one if b is None else b, scale) for key, a, b, scale in entries]
+    den = lcm(*(a._den * b._den for _, a, b, _ in entries))
+    bound = 0
+    for _, a, b, scale in entries:
+        (_, na), (_, nb) = extent(a), extent(b)
+        m = abs(scale) * (den // (a._den * b._den))
+        bound = max(bound + m * na * nb, m * na, nb)
+    box_a = box_of(ij for _, a, _, _ in entries for ij in a._terms)
+    box_b = box_of(ij for _, _, b, _ in entries for ij in b._terms)
+    if box_a is None or box_b is None:
+        return Accumulator(Packing.holding(None, 0), den)
+    pa, pb, product = product_packings(box_a, box_b, bound)
+    acc = Accumulator(product, den)
+    for key, a, b, scale in entries:
+        x = pa.pack(a, scale * (den // (a._den * b._den))) * pb.pack(b)
+        acc.sums[key] = acc.sums.get(key, 0) + x
+    return acc
+
+
 @given(
-    st.dictionaries(st.integers(0, 2), hodge_polys(), max_size=3),
-    st.integers(-4, 4),
     st.lists(
         st.tuples(
             st.integers(0, 2),
-            hodge_polys(),
-            st.one_of(hodge_polys(), st.integers(-6, 6)),
+            wide_polys(),
+            st.one_of(st.none(), wide_polys()),
             st.integers(-5, 5),
         ),
         max_size=8,
     ),
-    hodge_polys(),
-    hodge_polys(),
+    wide_polys(),
+    wide_polys(),
     st.integers(1, 6),
 )
-def test_accumulator_matches_oracle_and_ring(start, k, products, a, b, divisor):
-    """A start value scaled by k, products of polynomials and int scalars
-    with any denominators, products times an int scale (zero and negative
-    included), a sum that cancels, then division by divisor."""
-    acc = Accumulator()
+def test_accumulator_matches_oracle_and_ring(products, a, b, divisor):
+    """Products and multiples of polynomials with any denominators, times
+    int scales (zero and negative included), a sum that cancels, then
+    division by divisor; the sums also as one part over one denominator."""
+    entries = products + [("cancels", a, b, 1), ("cancels", -a, b, 1)]
+    acc = packed_sums(entries, divisor)
     expected: dict = {}
     by_ring: dict = {}
-
-    def add(key, a, b, oracle_value, scale=1):
-        before = (as_dict(a), b if isinstance(b, int) else as_dict(b))
-        if isinstance(b, int):
-            acc.add_scaled(key, a, b)
-        else:
-            acc.add_product(key, a, b, scale)
-        assert (as_dict(a), b if isinstance(b, int) else as_dict(b)) == before
-        expected[key] = oracles.uv_add(expected.get(key, {}), oracle_value)
-        by_ring[key] = by_ring.get(key, HodgePoly.zero()) + a * b * scale
-
-    for key, c in start.items():
-        add(key, c, k, oracles.uv_scale(as_dict(c), k))
-    for key, x, y, scale in products:
-        if isinstance(y, int):
-            add(key, x, y, oracles.uv_scale(as_dict(x), y))
-        else:
-            add(key, x, y, oracles.uv_scale(oracles.uv_mul(as_dict(x), as_dict(y)), scale), scale)
-    add("cancels", a, b, oracles.uv_mul(as_dict(a), as_dict(b)))
-    add("cancels", -a, b, oracles.uv_neg(oracles.uv_mul(as_dict(a), as_dict(b))))
+    for key, x, y, scale in entries:
+        value = oracles.uv_scale(as_dict(x) if y is None else oracles.uv_mul(as_dict(x), as_dict(y)), scale)
+        expected[key] = oracles.uv_add(expected.get(key, {}), value)
+        by_ring[key] = by_ring.get(key, HodgePoly.zero()) + (x if y is None else x * y) * scale
 
     out = acc.result(divisor)
     assert "cancels" not in out
@@ -162,24 +179,107 @@ def test_accumulator_matches_oracle_and_ring(start, k, products, a, b, divisor):
         ring = by_ring[key] * Fraction(1, divisor)
         assert value == ring and hash(value) == hash(ring)
 
+    values, norms, den = acc.part(divisor, acc.packing)
+    assert {key: acc.packing.poly(x, den) for key, x in values.items()} == out
+    assert norms == {key: extent(value)[1] * (den // value._den) for key, value in out.items()}
+    assert gcd(den, *(c for x in values.values() for c in acc.packing.digits(x))) == 1
+
 
 def test_accumulator_reduces_each_sum_once():
     half = HodgePoly.const(Fraction(1, 2))
-    acc = Accumulator()
-    acc.add_product("q", half, Q)
-    acc.add_scaled("q", Fraction(1, 6) * Q, 3)  # mixed denominators: 2 and 6
-    acc.add_product("u", HodgePoly.const(Fraction(1, 3)) + Fraction(1, 2) * U, HodgePoly.one())
-    acc.add_product("u", HodgePoly.const(Fraction(-1, 3)) + Fraction(1, 2) * U, HodgePoly.one())
-    acc.add_scaled("zero", half, 2)
-    acc.add_scaled("zero", HodgePoly.one(), -1)
+    acc = packed_sums(
+        [
+            ("q", half, Q, 1),
+            ("q", Fraction(1, 6) * Q, None, 3),  # mixed denominators: 2 and 6
+            ("u", HodgePoly.const(Fraction(1, 3)) + Fraction(1, 2) * U, None, 1),
+            ("u", HodgePoly.const(Fraction(-1, 3)) + Fraction(1, 2) * U, None, 1),
+            ("zero", half, None, 2),
+            ("zero", HodgePoly.one(), None, -1),
+        ]
+    )
     out = acc.result()
     assert out == {"q": Q, "u": U}
     assert out["q"]._den == out["u"]._den == 1
     assert hash(out["q"]) == hash(Q) and hash(out["u"]) == hash(U)
     assert acc.result(4) == {"q": Fraction(1, 4) * Q, "u": Fraction(1, 4) * U}
+    values, norms, den = acc.part(4, acc.packing)
+    assert den == 4 and norms == {"q": 1, "u": 1}
     for bad in (0, -2):
         with pytest.raises(ValueError):
             acc.result(bad)
+        with pytest.raises(ValueError):
+            acc.part(bad, acc.packing)
+
+
+# -- widths of the packed kernel -------------------------------------------------
+
+
+@given(wide_polys(max_exp=4))
+def test_pack_round_trips(p):
+    # either orientation, by which of the u- and v-degrees spreads less
+    box, norm = extent(p)
+    largest = max((abs(c) for c in p._terms.values()), default=0)
+    packing = Packing.holding(box, largest)
+    assert packing.poly(packing.pack(p), p._den) == p
+    wider = packing.widened(3 * norm)
+    assert wider.bits >= 2 * packing.bits and wider.holds(3 * norm)
+    x = wider.repack(packing.pack(p), packing)
+    assert x == wider.pack(p)
+    assert wider.digits(3 * x) == [3 * c for c in wider.digits(x)]
+    # a monomial of any degree is one digit
+    far = HodgePoly({(10**6, 3 * 10**6): 5})
+    assert Packing.holding(extent(far)[0], 5).pack(far) == 5
+
+
+@given(wide_polys(max_exp=4), wide_polys(max_exp=4))
+def test_rebase_moves_between_offsets(p, q):
+    # the product packing holds p * q and, lifted, p * 1
+    (box_p, np), (box_q, nq) = extent(p), extent(q)
+    assume(box_p is not None and box_q is not None)
+    one = HodgePoly.one()
+    hull = box_of(list(p._terms) + list((p * q)._terms) + [(0, 0)])
+    outer = Packing.holding(hull, np * nq + np)
+    inner = outer.within(box_p)
+    lifted = outer.rebase(inner.pack(p), inner)
+    assert lifted == outer.pack(p)
+    assert inner.rebase(lifted, outer) == inner.pack(p)
+    assert outer.poly(lifted, p._den) == p * one
+
+
+uv_keys = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@given(st.integers(2, 80), st.data())
+def test_digits_at_the_edge_of_the_width_round_trip(bits, data):
+    edge = (1 << (bits - 1)) - 1
+    digits = st.one_of(st.sampled_from([edge, -edge]), st.integers(-edge, edge))
+    terms = data.draw(st.dictionaries(uv_keys, digits, min_size=1, max_size=6))
+    terms[data.draw(uv_keys)] = data.draw(st.sampled_from([edge, -edge]))
+    p = HodgePoly(terms)
+    packing = Packing.holding(extent(p)[0], edge)
+    assert packing.bits == bits and packing.holds(edge) and not packing.holds(edge + 1)
+    assert packing.digits(packing.pack(p))[-1] != 0
+    assert packing.poly(packing.pack(p), 1) == p
+    with pytest.raises(OverflowError):
+        packing.pack(HodgePoly({(0, 0): edge + 1}))
+
+
+@given(wide_polys(max_exp=4), wide_polys(max_exp=4))
+def test_packed_products_match_the_ring_and_oracle(a, b):
+    expected = oracles.uv_mul(as_dict(a), as_dict(b))
+    assert as_dict(a * b) == expected
+    assert as_dict(packed_sums([("ab", a, b, 1)]).result().get("ab", HodgePoly.zero())) == expected
+
+
+@given(st.integers(2, 80), uv_keys, uv_keys, st.sampled_from([1, -1]))
+def test_a_product_digit_at_the_edge_of_the_width(bits, ij, kl, sign):
+    # a monomial times a monomial is one digit, as large as the l1 bound
+    edge = (1 << (bits - 1)) - 1
+    a, b = HodgePoly({ij: edge}), HodgePoly({kl: sign})
+    acc = packed_sums([("ab", a, b, 1)])
+    assert acc.packing.bits == bits
+    assert acc.result() == {"ab": HodgePoly({(ij[0] + kl[0], ij[1] + kl[1]): sign * edge})}
+    assert a * b == acc.result()["ab"]
 
 
 def test_negative_exponents_rejected():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablemoduli.errors import PreconditionError
+from stablemoduli.hodge import HodgePoly, Packing
 from stablemoduli.plethysm import (
     GluingMode,
     adams_sum,
@@ -24,7 +25,7 @@ from stablemoduli.series import (
 )
 
 from oracles import gluing_by_derivatives, lambda_component
-from strategies import FLAT_33, STD_3, hodge_polys, series, small_fractions
+from strategies import FLAT_33, STD_3, hodge_polys, series, small_fractions, wide_polys
 
 HALF = Fraction(1, 2)
 
@@ -159,6 +160,39 @@ def test_exp_gluing_agrees_with_series_definition(f):
 def test_gluing_recursion_is_the_log_of_the_glued_exp(f):
     for mode in GluingMode:
         assert glued_log(f, mode) == log_series(exp_gluing(plethystic_exp(f), mode))
+
+
+@given(series(STD_3, min_lambda=1, coeffs=wide_polys(max_exp=2)))
+@settings(max_examples=25, deadline=None)
+def test_gluing_recursion_on_wide_coefficients(f):
+    # off-diagonal both ways, numerators up to 2^64, denominators up to 2^20
+    for mode in GluingMode:
+        assert glued_log(f, mode) == log_series(exp_gluing(plethystic_exp(f), mode))
+
+
+def test_gluing_recursion_widens_and_repacks(monkeypatch):
+    widened = []
+    original = Packing.widened
+
+    def spy(packing, bound):
+        widened.append((packing.bits, bound.bit_length()))
+        return original(packing, bound)
+
+    monkeypatch.setattr(Packing, "widened", spy)
+    f = SymSeries(
+        STD_3,
+        {
+            (1, (1, 1, 1)): HodgePoly({(0, 1): 2**64 - 1, (1, 0): Fraction(1, 2**20 - 3)}),
+            (1, (2, 1)): HodgePoly({(1, 1): Fraction(-(2**63), 7)}),
+            (2, (2, 2)): HodgePoly({(2, 0): 3, (0, 2): Fraction(5, 2**19)}),
+        },
+    )
+    for mode in GluingMode:
+        widened.clear()
+        assert glued_log(f, mode) == log_series(exp_gluing(plethystic_exp(f), mode))
+        # the parts outgrow the width they start at, and every part is
+        # repacked each time
+        assert widened and all(bits <= need for bits, need in widened)
 
 
 def test_gluing_flow_on_the_three_point_class():
