@@ -22,7 +22,7 @@ from math import lgamma, log, log10
 from typing import NamedTuple, Union
 
 from .errors import ExprParseError, PreconditionError, TableFormatError
-from .hodge import MAX_CELLS, HodgePoly, join_signed, magnitude
+from .hodge import MAX_CELLS, HodgePoly, _wrap, join_signed, magnitude
 from .partitions import Partition, format_partition, weight
 from .pipeline import ModuliTable, is_stable
 from .series import (
@@ -35,17 +35,19 @@ from .series import (
 
 # The largest weight ``evaluate`` and a table row take on.  Work grows with
 # the number of partitions of the weight: on a 2-core host with Python 3.11,
-# evaluating s[30] takes about 0.3 s, s[35] about 0.6 s, s[40] about 1.5 s
-# and s[5]^16 (weight 80) about 21 s.
+# evaluating s[30] takes about 0.07 s, s[35] about 0.2 s, s[40] about 0.7 s
+# and s[5]^16 (weight 80) about 4.5 s; ``expr 's[30]'`` takes about 0.25 s
+# end to end, the rest of it start-up and printing.
 MAX_EXPR_WEIGHT = 30
 
 # The most monomials u^i*v^j a coefficient may hold, by the bound
 # ``Bounds.monomials``, in ``evaluate`` and in a table row.  On the same
-# host, ``expr`` took end to end about 0.95 s for (1+q)^1023 (bound 1024),
-# 0.7 s for (1+q+q^2)^511 (1023) and 0.2 s for (q+u+v+1)^21 (484), while
-# (q+u+v+1)^100 (10201) took 13.5 s.  A Serre polynomial of M_{g,n} within
-# the largest truncation has degree under 20 in u and in v, so its bound
-# stays under 400.
+# host, ``expr`` took end to end about 0.23 s for (1+q)^1023 (bound 1024),
+# 0.17 s for (1+q+q^2)^511 (1023) and 0.11 s for (q+u+v+1)^21 (484), most
+# of it start-up and printing, while evaluating (1+q)^2047 (2048) took
+# 0.9 s, against 0.1 s for (1+q)^1023.  A Serre polynomial of M_{g,n}
+# within the largest truncation has degree under 20 in u and in v, so its
+# bound stays under 400.
 MAX_MONOMIALS = 1024
 
 # A coefficient may spread over at most ``hodge.MAX_CELLS`` cells, by the
@@ -381,13 +383,23 @@ def bounds(expr: Expr) -> Bounds:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+# u^i*v^j of each coefficient symbol, as (i, j)
+_VARIABLES = {"q": (1, 1), "u": (1, 0), "v": (0, 1)}
+
+
 def eval_expression(expr: Expr, trunc: Truncation) -> SymSeries:
     """Evaluate to a series at lambda^0; q expands to u*v."""
+    return _lift(_eval(expr, trunc), trunc)
+
+
+def _eval(expr: Expr, trunc: Truncation) -> HodgePoly | SymSeries:
+    """The value of expr: a polynomial where it has no s, h or p atom, else
+    a series.  A polynomial becomes a constant series only where it is added
+    to a series; times a series it scales it."""
     if isinstance(expr, IntLit):
-        return SymSeries.constant(trunc, expr.value)
+        return _wrap({(0, 0): expr.value} if expr.value else {}, 1)
     if isinstance(expr, VarAtom):
-        poly = {"q": HodgePoly.q(), "u": HodgePoly.u(), "v": HodgePoly.v()}[expr.name]
-        return SymSeries.constant(trunc, poly)
+        return _wrap({_VARIABLES[expr.name]: 1}, 1)
     if isinstance(expr, SchurAtom):
         return schur(expr.mu, trunc)
     if isinstance(expr, HomAtom):
@@ -395,16 +407,23 @@ def eval_expression(expr: Expr, trunc: Truncation) -> SymSeries:
     if isinstance(expr, PowerAtom):
         return power_sum(expr.n, trunc)
     if isinstance(expr, Neg):
-        return -eval_expression(expr.operand, trunc)
-    if isinstance(expr, Add):
-        return eval_expression(expr.left, trunc) + eval_expression(expr.right, trunc)
-    if isinstance(expr, Sub):
-        return eval_expression(expr.left, trunc) - eval_expression(expr.right, trunc)
+        return -_eval(expr.operand, trunc)
+    if isinstance(expr, (Add, Sub)):
+        a, b = _eval(expr.left, trunc), _eval(expr.right, trunc)
+        if isinstance(a, SymSeries) or isinstance(b, SymSeries):
+            a, b = _lift(a, trunc), _lift(b, trunc)
+        return a + b if isinstance(expr, Add) else a - b
     if isinstance(expr, Mul):
-        return eval_expression(expr.left, trunc) * eval_expression(expr.right, trunc)
+        # a polynomial times a series is SymSeries.scale, by __rmul__ if
+        # the polynomial comes first
+        return _eval(expr.left, trunc) * _eval(expr.right, trunc)
     if isinstance(expr, Pow):
-        return eval_expression(expr.base, trunc) ** expr.exponent
+        return _eval(expr.base, trunc) ** expr.exponent
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _lift(value: HodgePoly | SymSeries, trunc: Truncation) -> SymSeries:
+    return value if isinstance(value, SymSeries) else SymSeries.constant(trunc, value)
 
 
 def _check_size(expr: Expr, where: str = "") -> int:

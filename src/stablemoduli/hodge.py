@@ -24,7 +24,8 @@ product is the sum of the boxes of its factors, a digit of a sum of
 products is at most the sum of the products of the factors' l1 norms
 (||ab||_1 <= ||a||_1 ||b||_1), and callers size the packing from those
 bounds before they add anything.  Each finished sum is unpacked and
-reduced once.
+reduced once.  A product with a single monomial c*u^k*v^l packs nothing: it
+shifts the other factor's keys by (k, l) and scales its numerators by c.
 
 Values are immutable; all arithmetic returns fresh polynomials in canonical
 form, and ``items`` iterates in ascending ``(i, j)`` order.
@@ -170,6 +171,14 @@ class HodgePoly:
         if isinstance(other, HodgePoly):
             if not (self._terms and other._terms):
                 return _wrap({}, 1)
+            a, b = (other, self) if len(self._terms) == 1 else (self, other)
+            if len(b._terms) == 1:
+                # times one monomial c*u^k*v^l: shift the keys and scale
+                ((k, l), c), = b._terms.items()
+                return _reduced(
+                    {(i + k, j + l): n * c for (i, j), n in a._terms.items()},
+                    a._den * b._den,
+                )
             (box_a, na), (box_b, nb) = extent(self), extent(other)
             # the packings hold both factors as well as their product
             pa, pb, product = product_packings(box_a, box_b, max(na * nb, na, nb))
@@ -200,14 +209,15 @@ class HodgePoly:
     def __pow__(self, n: int) -> "HodgePoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = HodgePoly.one()
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return HodgePoly.one() if result is None else result
 
     # -- lambda-ring and duality actions ------------------------------------
 

@@ -177,15 +177,10 @@ class SymSeries:
         if not isinstance(other, SymSeries):
             return NotImplemented
         self._check_compatible(other)
-        # a constant series multiplies as its coefficient: a number scales
-        # the other series, and two constants multiply as polynomials
-        ca, cb = _constant(self._terms), _constant(other._terms)
-        for c, series in ((ca, other), (cb, self)):
-            if c is not None and c._terms.keys() == {(0, 0)}:
-                n = c._terms[(0, 0)]
-                return series.scale(n if c._den == 1 else Fraction(n, c._den))
-        if ca is not None and cb is not None:
-            return _wrap(self.trunc, {CONSTANT_KEY: ca * cb})
+        # a constant series multiplies as its coefficient, scaling the other
+        for c, series in ((_constant(self._terms), other), (_constant(other._terms), self)):
+            if c is not None:
+                return series.scale(c)
         return _wrap(self.trunc, _product(self.trunc, self._terms, other._terms))
 
     __rmul__ = __mul__

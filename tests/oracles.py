@@ -1,7 +1,7 @@
 """Independent test-only oracles.
 
-Apart from the series references and the package's parse-error type,
-nothing here imports the package under test.  Polynomials in q are plain
+Apart from the series references, the expression syntax tree and the
+package's parse-error type, nothing here imports the package under test.  Polynomials in q are plain
 dicts mapping exponent -> integer coefficient, and polynomials in u, v
 plain dicts mapping (i, j) -> Fraction, so a disagreement with the package
 cannot share a root cause with it.  The Jacobi-Trudi Schur reference
@@ -17,10 +17,11 @@ import re
 from fractions import Fraction
 from itertools import count, permutations
 
+from stablemoduli import exprlang
 from stablemoduli.errors import ExprParseError
 from stablemoduli.hodge import HodgePoly
 from stablemoduli.plethysm import GluingMode
-from stablemoduli.series import SymSeries
+from stablemoduli.series import SymSeries, complete_homogeneous, power_sum, schur
 
 QPoly = dict[int, int]
 UVPoly = dict[tuple[int, int], Fraction]
@@ -400,3 +401,34 @@ def gluing_by_derivatives(f: SymSeries, mode: GluingMode) -> SymSeries:
             summand = summand.with_truncation(f.trunc, lambda_shift=2 * k)
         total = total + summand
     return total
+
+
+# -- expressions evaluated on series alone --------------------------------------------
+
+
+def eval_as_series(expr: exprlang.Expr, trunc) -> SymSeries:
+    """The value of an expression tree with every leaf a series: a number or
+    q, u, v as a constant series, an atom as its series in the p-basis.  So
+    every sum, product and power is series arithmetic, and nothing is lifted
+    from a polynomial to a series as in ``exprlang.eval_expression``."""
+    variables = {"q": HodgePoly.q(), "u": HodgePoly.u(), "v": HodgePoly.v()}
+    if isinstance(expr, exprlang.IntLit):
+        return SymSeries.constant(trunc, expr.value)
+    if isinstance(expr, exprlang.VarAtom):
+        return SymSeries.constant(trunc, variables[expr.name])
+    if isinstance(expr, exprlang.SchurAtom):
+        return schur(expr.mu, trunc)
+    if isinstance(expr, exprlang.HomAtom):
+        return complete_homogeneous(expr.n, trunc)
+    if isinstance(expr, exprlang.PowerAtom):
+        return power_sum(expr.n, trunc)
+    if isinstance(expr, exprlang.Neg):
+        return -eval_as_series(expr.operand, trunc)
+    if isinstance(expr, exprlang.Pow):
+        return eval_as_series(expr.base, trunc) ** expr.exponent
+    a, b = eval_as_series(expr.left, trunc), eval_as_series(expr.right, trunc)
+    if isinstance(expr, exprlang.Add):
+        return a + b
+    if isinstance(expr, exprlang.Sub):
+        return a - b
+    return a * b

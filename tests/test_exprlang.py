@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from stablemoduli.errors import ExprParseError, PreconditionError, TableFormatError
 from stablemoduli.exprlang import (
     Add,
+    HomAtom,
     IntLit,
     MAX_CELLS,
     MAX_MONOMIALS,
     Mul,
     Neg,
     Pow,
+    PowerAtom,
     SchurAtom,
     Sub,
     VarAtom,
@@ -27,6 +29,8 @@ from stablemoduli.exprlang import (
 )
 from stablemoduli.hodge import HodgePoly
 from stablemoduli.series import SymSeries, Truncation, complete_homogeneous, schur
+
+import oracles
 
 T6 = Truncation.flat(0, 6)
 
@@ -213,6 +217,44 @@ def test_eval_is_a_ring_homomorphism(a, b):
     assert eval_expression(Mul(a, b), t) == va * vb
     assert eval_expression(Neg(a), t) == -va
     assert eval_expression(Pow(a, 2), t) == va * va
+
+
+def _trees(leaves: st.SearchStrategy) -> st.SearchStrategy:
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.tuples(children, children).map(lambda ab: Add(*ab)),
+            st.tuples(children, children).map(lambda ab: Sub(*ab)),
+            st.tuples(children, children).map(lambda ab: Mul(*ab)),
+            children.map(Neg),
+            st.tuples(children, st.integers(0, 3)).map(lambda bk: Pow(*bk)),
+        ),
+        max_leaves=5,
+    )
+
+
+_numbers = st.one_of(st.integers(-4, 4).map(IntLit), st.sampled_from("quv").map(VarAtom))
+_atoms = st.one_of(
+    st.sampled_from([(1,), (2,), (1, 1), (2, 1)]).map(SchurAtom),
+    st.integers(1, 3).map(HomAtom),
+    st.integers(1, 3).map(PowerAtom),
+)
+# without an atom, a polynomial; with one at the top, a series on every route
+_polynomial_exprs = _trees(_numbers)
+_series_exprs = st.tuples(_trees(st.one_of(_numbers, _atoms)), _atoms).map(lambda ea: Mul(*ea))
+
+
+@given(_trees(st.one_of(_numbers, _atoms)), _polynomial_exprs, _series_exprs)
+@settings(max_examples=80)
+def test_eval_matches_a_series_only_evaluator(expr, poly, series):
+    lifted = [
+        Add(poly, series), Add(series, poly), Sub(poly, series), Sub(series, poly),
+        Mul(poly, series), Mul(series, poly), Pow(poly, 0), Pow(series, 0),
+    ]
+    for case in [expr, poly, series, *lifted]:
+        value = eval_expression(case, T6)
+        assert isinstance(value, SymSeries)
+        assert value == oracles.eval_as_series(case, T6)
 
 
 @given(_exprs)

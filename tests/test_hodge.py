@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import assume, given
@@ -280,6 +280,52 @@ def test_a_product_digit_at_the_edge_of_the_width(bits, ij, kl, sign):
     assert acc.packing.bits == bits
     assert acc.result() == {"ab": HodgePoly({(ij[0] + kl[0], ij[1] + kl[1]): sign * edge})}
     assert a * b == acc.result()["ab"]
+
+
+# a nonzero coefficient off the diagonal or on it, negative or fractional
+one_monomials = st.builds(
+    lambda key, c: HodgePoly({key: c}),
+    uv_keys,
+    st.builds(Fraction, st.integers(-(2**64), 2**64).filter(bool), st.integers(1, 2**20)),
+)
+
+
+@given(wide_polys(), one_monomials)
+def test_product_by_one_monomial_matches_oracle(a, m):
+    expected = oracles.uv_mul(as_dict(a), as_dict(m))
+    for value in (a * m, m * a):
+        assert_canonical(value)
+        assert as_dict(value) == expected
+
+
+def test_product_by_one_monomial_reduces_its_denominator():
+    third_u = HodgePoly({(1, 0): Fraction(3, 4)})
+    value = HodgePoly({(0, 0): Fraction(2, 3), (0, 2): Fraction(4, 3)}) * third_u
+    assert value == HodgePoly({(1, 0): Fraction(1, 2), (1, 2): 1})
+    assert_canonical(value)
+    assert value._den == 2
+
+
+def test_power_stops_squaring_at_its_last_bit(monkeypatch):
+    # (u+v)^64 would spread over 65*129 = 8385 cells, past hodge.MAX_CELLS
+    assert (U + V) ** 32 == HodgePoly({(k, 32 - k): comb(32, k) for k in range(33)})
+    degrees = []
+    product = HodgePoly.__mul__
+
+    def spy(a, b):
+        value = product(a, b)
+        degrees.append(max(i for i, _ in value._terms))
+        return value
+
+    monkeypatch.setattr(HodgePoly, "__mul__", spy)
+    value = (1 + Q) ** 512
+    assert degrees == [2, 4, 8, 16, 32, 64, 128, 256, 512]
+    assert value.q_coefficient_list() == [comb(512, k) for k in range(513)]
+    degrees.clear()
+    value = (1 + Q) ** 5
+    assert degrees == [2, 4, 5]
+    assert value == HodgePoly.from_q_coefficients([1, 5, 10, 10, 5, 1])
+    assert Q**0 == HodgePoly.zero() ** 0 == 1
 
 
 def test_negative_exponents_rejected():
