@@ -23,7 +23,7 @@ from typing import NamedTuple, Union
 
 from .errors import ExprParseError, PreconditionError, TableFormatError
 from .hodge import MAX_CELLS, HodgePoly, _wrap, join_signed, magnitude
-from .partitions import Partition, format_partition, weight
+from .partitions import Partition, count_partitions_up_to, format_partition, weight
 from .pipeline import ModuliTable, is_stable
 from .series import (
     SymSeries,
@@ -49,6 +49,16 @@ MAX_EXPR_WEIGHT = 30
 # within the largest truncation has degree under 20 in u and in v, so its
 # bound stays under 400.
 MAX_MONOMIALS = 1024
+
+# The most terms times monomials times digits, by the bound
+# ``Bounds.size``, that an expression in ``evaluate`` or a table row may
+# reach: the caps above hold one at a time, but work and output grow with
+# their product.  On the same host, ``expr`` took end to end 0.29 s and
+# printed 2.5 MB for (1+q)^1000*h[6] (bound 9.2e6), 0.32 s for s[30]
+# (9.6e5, the largest bound in the tests) and 0.85 s and 17 MB for
+# (1+q)^1000*h[12] (8.5e7), while (1+q)^1000*h[20] (8.7e8) took 5.7 s and
+# printed 141 MB.  The rows of the shipped table stay under 10^4.
+MAX_SIZE = 10**7
 
 # A coefficient may spread over at most ``hodge.MAX_CELLS`` cells, by the
 # bound ``Bounds.grid``: the products of ``hodge.Packing`` hold it as one int
@@ -300,6 +310,14 @@ class Bounds(NamedTuple):
         return self.norm + self.den
 
     @property
+    def size(self) -> float:
+        """The terms times the monomials times the digits: a bound on the
+        partitions of weight at most ``weight`` (each a possible term),
+        times :attr:`monomials`, times 1 + :attr:`digits`, which grows with
+        the work and the printed length of the value."""
+        return count_partitions_up_to(self.weight) * self.monomials * (1 + self.digits)
+
+    @property
     def monomials(self) -> int:
         """The number of monomials u^i*v^j with i <= du, j <= dv,
         lo <= i - j <= hi and tlo <= i + j <= thi: a bound on the monomials
@@ -430,7 +448,8 @@ def _check_size(expr: Expr, where: str = "") -> int:
     """Refuse an expression whose weight may pass ``MAX_EXPR_WEIGHT``, whose
     coefficients might be too long to print, or one of whose coefficients
     may hold more than ``MAX_MONOMIALS`` monomials or spread over more than
-    ``hodge.MAX_CELLS`` cells, before any evaluation; return its weight bound.
+    ``hodge.MAX_CELLS`` cells, or whose terms times monomials times digits
+    may pass ``MAX_SIZE``, before any evaluation; return its weight bound.
     ``where`` prefixes the refusal message."""
     bound = bounds(expr)
     if bound.weight > MAX_EXPR_WEIGHT:
@@ -453,6 +472,11 @@ def _check_size(expr: Expr, where: str = "") -> int:
         raise PreconditionError(
             f"{where}a coefficient may spread over {magnitude(bound.grid)} cells "
             f"of i - j by the power of u or v, past the limit of {MAX_CELLS}"
+        )
+    if bound.size > MAX_SIZE:
+        raise PreconditionError(
+            f"{where}the value may reach {bound.size:.3g} terms times monomials "
+            f"times digits, past the limit of {MAX_SIZE}"
         )
     return bound.weight
 

@@ -52,6 +52,16 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(gen(n, n))
 
 
+def count_partitions_up_to(w: int) -> int:
+    """The number of partitions of weight at most w, counted by the
+    recurrence on the largest part allowed, without building them."""
+    counts = [1] * (w + 1)  # partitions of n into parts of size 1
+    for part in range(2, w + 1):
+        for n in range(part, w + 1):
+            counts[n] += counts[n - part]
+    return sum(counts)
+
+
 def multiplicities(rho: Partition) -> dict[int, int]:
     counts: dict[int, int] = {}
     for part in rho:

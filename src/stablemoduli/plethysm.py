@@ -35,7 +35,6 @@ from .hodge import Accumulator, Packing
 from .partitions import mobius, multiplicities, weight
 from .series import (
     SymSeries,
-    _add_products,
     _measure,
     _wrap,
     exp_series,
@@ -94,7 +93,7 @@ def gluing_operator(
     """One application of the gluing operator, in one pass over the terms,
     divided by the positive int divisor."""
     den, box, norms = _measure(f._terms)
-    _, _, glued = _moves(norms, mode, f.trunc.lambda_max)
+    glued = _glued(f._terms, mode, f.trunc.lambda_max)
     bound = sum(factor * norms[key] for _, factor, key in glued)
     acc = Accumulator(Packing.holding(box, bound), den)
     get = acc.sums.get
@@ -104,12 +103,9 @@ def gluing_operator(
     return _wrap(f.trunc, acc.result(divisor))
 
 
-def _moves(norms: dict, mode: GluingMode, top: int) -> tuple[dict, dict, list]:
-    """One pass over the terms of a series, given as {(e, rho): l1 norm}:
-    where d/dp_k of each term lands, {k: {e: [(rho less one k, its weight,
-    key, m)]}} for the m parts of rho equal to k; the l1 norm of each such
-    group, {k: {e: norm}}, the norms times m; and the terms of the gluing
-    operator, [(target key, factor, key)].
+def _glued(keys, mode: GluingMode, top: int) -> list[tuple]:
+    """The terms of the gluing operator on the terms with the keys (e, rho):
+    [(target key, factor, key)].
 
     On p_rho with m parts equal to k, (k/2) d^2/dp_k^2 gives k m (m-1)/2
     p_{rho-k-k}, and for even k the summand d/dp_k of index k/2 gives
@@ -119,22 +115,16 @@ def _moves(norms: dict, mode: GluingMode, top: int) -> tuple[dict, dict, list]:
     truncation drops.
     """
     shift = 1 if mode is GluingMode.LITERAL else 0
-    index: dict = {}
-    dnorms: dict = {}
     glued = []
-    for key, norm in norms.items():
+    for key in keys:
         e, rho = key
         for k, m in multiplicities(rho).items():
             idx = rho.index(k)
-            smaller = rho[:idx] + rho[idx + 1 :]
-            index.setdefault(k, {}).setdefault(e, []).append((smaller, sum(smaller), key, m))
-            group = dnorms.setdefault(k, {})
-            group[e] = group.get(e, 0) + norm * m
             if m > 1 and e + shift * 2 * k <= top:
                 glued.append(((e + shift * 2 * k, rho[:idx] + rho[idx + 2 :]), k * m * (m - 1) // 2, key))
             if k % 2 == 0 and e + shift * k <= top:
-                glued.append(((e + shift * k, smaller), m, key))
-    return index, dnorms, glued
+                glued.append(((e + shift * k, rho[:idx] + rho[idx + 1 :]), m, key))
+    return glued
 
 
 def exp_gluing(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
@@ -155,22 +145,23 @@ def glued_log(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
     for f with zero constant term under the conditions stated there; it
     equals ``log_series(exp_gluing(plethystic_exp(f), mode))``.  The parts
     stay packed: they are summed over the lcm of their denominators, in a
-    packing widened first if the sum of their l1 norms needs it."""
+    packing widened first if the sum of their l1 norms needs it, and their
+    codes are decoded once, in the sum."""
     if f.constant_term():
         raise PreconditionError("plethystic exp needs a zero constant term")
-    packing, parts = _flow(adams_sum(f), mode)
+    codes, packing, parts = _flow(adams_sum(f), mode)
     den = lcm(*(d for _, _, d in parts))
     bounds: dict = {}
     for _, norms, d in parts:
-        for key, norm in norms.items():
-            bounds[key] = bounds.get(key, 0) + norm * (den // d)
+        for code, norm in norms.items():
+            bounds[code] = bounds.get(code, 0) + norm * (den // d)
     packing, parts = _fit(packing, parts, max(bounds.values(), default=0))
     acc = Accumulator(packing, den)
     get = acc.sums.get
     for values, _, d in parts:
-        for key, x in values.items():
-            acc.sums[key] = get(key, 0) + x * (den // d)
-    return _wrap(f.trunc, acc.result())
+        for code, x in values.items():
+            acc.sums[code] = get(code, 0) + x * (den // d)
+    return _wrap(f.trunc, {codes.decode(code): c for code, c in acc.result().items()})
 
 
 def gluing_flow(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[SymSeries]:
@@ -200,22 +191,87 @@ def gluing_flow(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[Sym
     The parts are computed packed, one int per term in a
     :class:`~stablemoduli.hodge.Packing`, each part over one denominator
     (the lcm of its coefficients' own), so that a product of two terms is
-    one multiply-add; :func:`_flow` says how the layout is bounded.
+    one multiply-add; :func:`_flow` says how the layout is bounded.  Each
+    term is keyed by one int code (:class:`_Codes`): e in the low bits of
+    the lambda bound L, and above them a field of (3L).bit_length() bits
+    for the multiplicity of each part.  By the 3e rule every term and every
+    product kept has e <= L and weight at most 3e <= 3L, so no field
+    overflows: the code of a product is the sum of its factors' codes, with
+    no carry.  The codes are decoded once, when the parts are handed out.
     """
-    packing, parts = _flow(w0, mode)
+    codes, packing, parts = _flow(w0, mode)
     return [w0] + [
-        _wrap(w0.trunc, {key: packing.poly(x, den) for key, x in values.items()})
+        _wrap(w0.trunc, {codes.decode(code): packing.poly(x, den) for code, x in values.items()})
         for values, _, den in parts[1:]
     ]
 
 
-# ({key: packed numerators}, {key: their l1 norm}, denominator)
+class _Codes:
+    """The keys of the gluing recursion within the lambda bound L: the term
+    lambda^e p_rho as the int code e + sum over the parts k of rho of
+    m_k(rho) unit(k).  The low ``ebits`` = L.bit_length() bits hold e, and
+    the multiplicity of part k sits in the field of ``fbits`` =
+    (3L).bit_length() bits at bit ebits + (k - 1) fbits.
+
+    A code of e <= L and weight at most 3L has every field within its
+    bits.  So, as long as the result stays so, the code of a product is the
+    sum of the codes, d/dp_k lowers a code by ``unit(k)``, and raising
+    lambda by c adds c; :func:`gluing_flow` says why the recursion stays so.
+    ``parts`` reads the parts of a code once per partition for the run.
+    """
+
+    __slots__ = ("ebits", "fbits", "_parts")
+
+    def __init__(self, top: int):
+        self.ebits = top.bit_length()
+        self.fbits = (3 * top).bit_length()
+        self._parts: dict = {}  # code >> ebits -> [(k, m, unit(k))]
+
+    def unit(self, k: int) -> int:
+        return 1 << (self.ebits + (k - 1) * self.fbits)
+
+    def encode(self, e: int, rho) -> int:
+        return e + sum(m * self.unit(k) for k, m in multiplicities(rho).items())
+
+    def decode(self, code: int) -> tuple[int, tuple[int, ...]]:
+        rho = tuple(k for k, m, _ in reversed(self.parts(code)) for _ in range(m))
+        return code & ((1 << self.ebits) - 1), rho
+
+    def parts(self, code: int) -> list[tuple[int, int, int]]:
+        """(k, m_k, unit(k)) for each part k of the code's partition."""
+        rest = code >> self.ebits
+        found = self._parts.get(rest)
+        if found is not None:
+            return found
+        fields = self._parts[rest] = []
+        mask = (1 << self.fbits) - 1
+        unit = 1 << self.ebits
+        k = 1
+        while rest:
+            if rest & mask:
+                fields.append((k, rest & mask, unit))
+            rest >>= self.fbits
+            unit <<= self.fbits
+            k += 1
+        return fields
+
+
+# ({code: packed numerators}, {code: their l1 norm}, denominator)
 Part = tuple[dict, dict, int]
 
 
-def _flow(w0: SymSeries, mode: GluingMode) -> tuple[Packing, list[Part]]:
-    """The parts of :func:`gluing_flow` packed, and their packing; part 0 is
-    w0 without its constant term, which no gluing or derivative reaches.
+def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]:
+    """The parts of :func:`gluing_flow` packed and keyed by their codes, the
+    codes and the packing; part 0 is w0 without its constant term, which no
+    gluing or derivative reaches.
+
+    The codes (:class:`_Codes`) hold every key of the run.  Every term of a
+    part has e <= L and, by the 3e rule, weight at most 3e <= 3L, and so
+    does every product of two derivative terms that lands at lambda^e <= L:
+    its fields, the sums of its factors', stay below 2^fbits > 3L.  So a
+    product's code is one int add, with no carry, and its weight needs no
+    check; products past the lambda bound are left out before they are
+    formed.
 
     The layout comes from a slope bound.  Every term of w0 but the constant
     has lambda exponent e >= 1, so let s_u, s_v and s_b be the largest
@@ -248,20 +304,22 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[Packing, list[Part]]:
             "weight above 3e at lambda^e"
         )
     shift = 2 if mode is GluingMode.LITERAL else 0
-    terms = {key: c for key, c in w0._terms.items() if key[0] > 0}
-    den, _, norms = _measure(terms)
+    codes = _Codes(top)
+    emask = (1 << codes.ebits) - 1
     # floor(s L) for each slope s is the largest floor(L i / e) over the
     # monomials u^i v^j at lambda^e, and so on
-    monomials = [(e, i, j) for (e, _), c in terms.items() for i, j in c._terms]
+    monomials = [(e, i, j) for (e, _), c in w0._terms.items() if e for i, j in c._terms]
     du = max((top * i // e for e, i, _ in monomials), default=0)
     dv = max((top * j // e for e, _, j in monomials), default=0)
     band = max((top * abs(i - j) // e for e, i, j in monomials), default=0)
+    terms = {codes.encode(e, rho): c for (e, rho), c in w0._terms.items() if e}
+    den, _, norms = _measure(terms)
     packing = Packing.holding((0, du, 0, dv, -band, band), max(norms.values(), default=0))
-    parts = [({key: packing.pack(c, den // c._den) for key, c in terms.items()}, norms, den)]
+    parts = [({code: packing.pack(c, den // c._den) for code, c in terms.items()}, norms, den)]
     moves: list[tuple] = []  # a -> (index, dnorms, glued) of W_a, from _moves
-    derivs: list[dict] = []  # a -> k -> e -> [(rho, weight, packed d_k W_a term)]
+    derivs: list[dict] = []  # a -> k -> e -> [(code, packed d_k W_a term)]
     for j in range(3 * top // 2):
-        moves.append(_moves(parts[j][1], mode, top))
+        moves.append(_moves(parts[j][1], codes, mode, top))
         pairs = [(a, j - a) for a in range(j // 2 + 1)]
         dj = parts[j][2]
         den = lcm(dj, *(parts[a][2] * parts[b][2] for a, b in pairs))
@@ -271,8 +329,8 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[Packing, list[Part]]:
         # a bound on the digits of the sums at each lambda exponent
         bounds = dict.fromkeys(range(top + 1), 0)
         norms = parts[j][1]
-        for (e, _), factor, key in moves[j][2]:
-            bounds[e] += glue_mult * factor * norms[key]
+        for target, factor, code in moves[j][2]:
+            bounds[target & emask] += glue_mult * factor * norms[code]
         for a, b in pairs:
             mult = den // (parts[a][2] * parts[b][2])
             for k, na in moves[a][1].items():
@@ -292,7 +350,7 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[Packing, list[Part]]:
             derivs.append(
                 {
                     k: {
-                        e: [(rho, w, values[key] * m) for rho, w, key, m in group]
+                        e: [(smaller, values[code] * m) for smaller, code, m in group]
                         for e, group in grouped.items()
                     }
                     for k, grouped in moves[len(derivs)][0].items()
@@ -303,24 +361,45 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[Packing, list[Part]]:
         sums = acc.sums
         get = sums.get
         values = parts[j][0]
-        for target, factor, key in moves[j][2]:
-            lifted = acc.packing.rebase(values[key] * (glue_mult * factor), packing)
+        for target, factor, code in moves[j][2]:
+            lifted = acc.packing.rebase(values[code] * (glue_mult * factor), packing)
             sums[target] = get(target, 0) + lifted
         for a, b in pairs:
             mult = den // (parts[a][2] * parts[b][2])
             for k, grouped in derivs[a].items():
-                if k not in derivs[b]:
+                other = derivs[b].get(k)
+                if other is None:
                     continue
                 if a == b:
                     _add_square(sums, grouped, k * mult, shift * k, top)
                 else:
-                    scaled = {
-                        e + shift * k: [(rho, w, x * 2 * k * mult) for rho, w, x in group]
-                        for e, group in grouped.items()
-                    }
-                    _add_products(sums, scaled, derivs[b][k], trunc)
+                    _add_cross(sums, grouped, other, 2 * k * mult, shift * k, top)
         parts.append(acc.part(2 * (j + 1), packing))
-    return packing, parts
+    return codes, packing, parts
+
+
+def _moves(norms: dict, codes: _Codes, mode: GluingMode, top: int) -> tuple[dict, dict, list]:
+    """One pass over the terms of a part, given as {code: l1 norm}: where
+    d/dp_k of each term lands, {k: {e: [(code less unit(k), code, m)]}} for
+    the m parts of the term equal to k; the l1 norm of each such group,
+    {k: {e: norm}}, the norms times m; and the terms of the gluing
+    operator, [(target code, factor, code)], as :func:`_glued` has them."""
+    shift = 1 if mode is GluingMode.LITERAL else 0
+    emask = (1 << codes.ebits) - 1
+    index: dict = {}
+    dnorms: dict = {}
+    glued = []
+    for code, norm in norms.items():
+        e = code & emask
+        for k, m, unit in codes.parts(code):
+            index.setdefault(k, {}).setdefault(e, []).append((code - unit, code, m))
+            group = dnorms.setdefault(k, {})
+            group[e] = group.get(e, 0) + norm * m
+            if m > 1 and e + shift * 2 * k <= top:
+                glued.append((code - 2 * unit + shift * 2 * k, k * m * (m - 1) // 2, code))
+            if k % 2 == 0 and e + shift * k <= top:
+                glued.append((code - unit + shift * k, m, code))
+    return index, dnorms, glued
 
 
 def _fit(packing: Packing, parts: list[Part], bound: int) -> tuple[Packing, list[Part]]:
@@ -330,33 +409,51 @@ def _fit(packing: Packing, parts: list[Part], bound: int) -> tuple[Packing, list
         return packing, parts
     wider = packing.widened(bound)
     return wider, [
-        ({key: wider.repack(x, packing) for key, x in values.items()}, norms, den)
+        ({code: wider.repack(x, packing) for code, x in values.items()}, norms, den)
         for values, norms, den in parts
     ]
 
 
 def _add_square(sums: dict, grouped: dict, k: int, lift: int, top: int) -> None:
     """Add k (d_k W)^2, with lambda raised by lift, into sums from d_k W
-    packed as {e: [(rho, weight, x)]}, each unordered pair of terms once:
-    k x^2 for a term with itself and 2k x y for two distinct terms.  The
-    weight needs no check: it stays within the 3e rule, as
-    :func:`gluing_flow` argues."""
+    packed as {e: [(code, x)]}, each unordered pair of terms once: k x^2 for
+    a term with itself and 2k x y for two distinct terms, at the sum of
+    their codes.  Products past the lambda bound top are left out; the
+    weight needs no check, as :func:`_flow` argues."""
     get = sums.get
     for e1, terms1 in grouped.items():
-        doubled = [(rho, 2 * k * x) for rho, _, x in terms1]
+        doubled = [(c + lift, 2 * k * x) for c, x in terms1]
         for e2, terms2 in grouped.items():
-            e = e1 + lift + e2
-            if e2 < e1 or e > top:
+            if e2 < e1 or e1 + lift + e2 > top:
                 continue
             if e2 > e1:
-                for rho, x in doubled:
-                    for sigma, _, y in terms2:
-                        key = (e, tuple(sorted(rho + sigma, reverse=True)))
-                        sums[key] = get(key, 0) + x * y
+                for c, x in doubled:
+                    for c2, y in terms2:
+                        code = c + c2
+                        sums[code] = get(code, 0) + x * y
                 continue
-            for i, (rho, _, x) in enumerate(terms1):
-                key = (e, tuple(sorted(rho + rho, reverse=True)))
-                sums[key] = get(key, 0) + k * x * x
-                for sigma, _, y in terms1[i + 1 :]:
-                    key = (e, tuple(sorted(rho + sigma, reverse=True)))
-                    sums[key] = get(key, 0) + doubled[i][1] * y
+            for i, (c, x) in enumerate(terms1):
+                lifted, x2 = doubled[i]
+                code = lifted + c
+                sums[code] = get(code, 0) + k * x * x
+                for c2, y in terms1[i + 1 :]:
+                    code = lifted + c2
+                    sums[code] = get(code, 0) + x2 * y
+
+
+def _add_cross(sums: dict, a: dict, b: dict, scale: int, lift: int, top: int) -> None:
+    """Add scale x y, with lambda raised by lift, into sums at the sum of
+    the codes, for every term x of a and y of b, each packed as
+    {e: [(code, x)]}.  Products past the lambda bound top are left out; the
+    weight needs no check, as :func:`_flow` argues."""
+    get = sums.get
+    for e1, terms_a in a.items():
+        within = [terms_b for e2, terms_b in b.items() if e1 + lift + e2 <= top]
+        if not within:
+            continue
+        scaled = [(c + lift, x * scale) for c, x in terms_a]
+        for terms_b in within:
+            for c, x in scaled:
+                for c2, y in terms_b:
+                    code = c + c2
+                    sums[code] = get(code, 0) + x * y

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import stablemoduli
 from stablemoduli.cli import MAX_TRUNCATION, main
 from stablemoduli.dataset import dataset_text
-from stablemoduli.exprlang import MAX_EXPR_WEIGHT, MAX_MONOMIALS
+from stablemoduli.exprlang import MAX_EXPR_WEIGHT, MAX_MONOMIALS, MAX_SIZE
 
 HEADLINE = "q^7 + 5q^6 + 16q^5 + 29q^4 + 29q^3 + 16q^2 + 5q + 1"
 
@@ -478,6 +478,29 @@ def test_expression_past_the_cell_cap_is_refused_before_evaluation(capsys, text,
     assert rc == 4
     assert out == ""
     assert f"a coefficient may spread over {cells} cells" in err
+
+
+@pytest.mark.parametrize("text", ["(1+q)^1000*h[30]", "(1+q)^1000*h[20]", "(1+q)^30*s[30]"])
+def test_expression_past_the_size_cap_is_refused_before_evaluation(capsys, text):
+    # each cap holds, but terms times monomials times digits is too large:
+    # (1+q)^1000*h[20] took 5.7 s to evaluate and printed 141 MB
+    start = perf_counter()
+    rc, out, err = run(capsys, "expr", text)
+    assert perf_counter() - start < 1
+    assert rc == 4
+    assert out == ""
+    assert f"terms times monomials times digits, past the limit of {MAX_SIZE}" in err
+
+
+def test_table_row_past_the_size_cap_is_refused_with_its_line(tmp_path, capsys):
+    doc = tmp_path / "large.dat"
+    doc.write_text("M[0,3] = s[3]\nM[1,1] = (1+q)^1000*h[1] + (1+q)^1000*h[30]\n", encoding="utf-8")
+    start = perf_counter()
+    rc, out, err = run(capsys, "table", "--input", str(doc))
+    assert perf_counter() - start < 1
+    assert rc == 4
+    assert out == ""
+    assert "error: line 2: the value may reach" in err
 
 
 def test_homogeneous_expression_within_the_caps_evaluates(capsys):

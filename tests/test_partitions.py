@@ -7,6 +7,7 @@ from stablemoduli.errors import PreconditionError
 from stablemoduli.partitions import (
     check_partition,
     conjugate,
+    count_partitions_up_to,
     format_partition,
     mobius,
     multiplicities,
@@ -21,6 +22,12 @@ from oracles import partition_count
 def test_partition_counts_match_pentagonal_recurrence():
     for n in range(0, 13):
         assert len(partitions_of(n)) == partition_count(n)
+
+
+def test_partition_counts_up_to_a_weight_match_the_pentagonal_recurrence():
+    # counted without building them, far past what partitions_of is asked
+    for w in (0, 1, 5, 30, 100, 400):
+        assert count_partitions_up_to(w) == sum(partition_count(n) for n in range(w + 1))
 
 
 def test_partitions_order_is_reverse_lexicographic():

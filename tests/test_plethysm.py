@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablemoduli.cli import MAX_TRUNCATION
 from stablemoduli.errors import PreconditionError
 from stablemoduli.hodge import HodgePoly, Packing
+from stablemoduli.partitions import count_partitions_up_to, partitions_of
 from stablemoduli.plethysm import (
     GluingMode,
+    _Codes,
     adams_sum,
     exp_gluing,
     glued_log,
@@ -225,3 +228,41 @@ def test_gluing_flow_parts_sum_to_the_glued_log(f):
     for part in gluing_flow(adams_sum(f)):
         total = total + part
     assert total == glued_log(f)
+
+
+# -- the codes of the recursion's terms -------------------------------------------
+
+
+def test_codes_round_trip_every_partition_within_the_largest_truncation():
+    # every partition the 3e rule allows at lambda^L, each at a lambda
+    # exponent that runs through 0..L in turn, so every exponent meets
+    # partitions of every weight
+    top = MAX_TRUNCATION
+    codes = _Codes(top)
+    assert (codes.ebits, codes.fbits) == (4, 6)
+    i = 0
+    for w in range(3 * top + 1):
+        for rho in partitions_of(w):
+            e = i % (top + 1)
+            assert codes.decode(codes.encode(e, rho)) == (e, rho)
+            i += 1
+    assert i == count_partitions_up_to(3 * top) == 99133
+
+
+def test_gluing_recursion_fills_a_multiplicity_field():
+    # At L = 5 a field has (15).bit_length() = 4 bits; p_1^15 at lambda^5
+    # fills the field of part 1, and p_3^5 reaches the top weight 3L with a
+    # larger part, next to terms whose products and Adams images land there.
+    trunc = Truncation.standard(5)
+    assert _Codes(5).fbits == 4
+    f = SymSeries(
+        trunc,
+        {
+            (5, (1,) * 15): 1,
+            (5, (3,) * 5): Fraction(-2, 3),
+            (1, (1, 1, 1)): HodgePoly({(1, 1): 1, (0, 0): 1}),
+            (2, (2, 2, 2)): HodgePoly({(2, 0): 1, (0, 2): -1}),
+        },
+    )
+    for mode in GluingMode:
+        assert glued_log(f, mode) == log_series(exp_gluing(plethystic_exp(f), mode))

@@ -1,14 +1,21 @@
-"""In-process stage times of ``stablemoduli table --format json``.
+"""In-process stage times of ``stablemoduli table --format json``, compared
+between source trees.
 
-    python3 tools/stage_times.py --src src --truncations 5,7,10,12 --runs 5
+    python3 tools/stage_times.py --src ../parent/src --src src --truncations 5,7,10,12 --runs 10
 
-Imports the package from --src, so two checkouts can be timed on one host,
-and runs the table pipeline stage by stage, graded mode, on the shipped
-table: parse_table (the dataset text), open_moduli_series, glued_log, the
-Moebius-Adams sum, the slot reports and the JSON text.  Each run starts
-with the package's caches cleared, as a fresh process would.  Prints one
-JSON object: the median seconds of each stage per truncation, and the
-sha256 of the JSON text, which must be the same for every checkout.
+Runs the table pipeline stage by stage, graded mode, on the shipped table:
+parse_table (the dataset text), open_moduli_series, glued_log, the
+Moebius-Adams sum, the slot reports and the JSON text.  Each run is a fresh
+interpreter that imports the package from one --src and times every
+truncation once, in the order given, so the first parse is cold as in a
+fresh process.  The runs alternate between the trees, each round starting
+with the tree the last one ended with, so that a drift of the host's load
+falls on every tree alike.
+
+Prints one JSON object: for each truncation, each tree's median seconds per
+stage and the sha256 of its JSON text, and, with more than one --src, the
+ratio of each later tree's medians to the first's.  Exits 1 if the sha256
+differs between trees at any truncation.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import subprocess
 import sys
 from statistics import median
 from time import perf_counter
@@ -54,24 +62,56 @@ def one_run(truncation: int) -> tuple[dict[str, float], str]:
     return times, hashlib.sha256(text.encode()).hexdigest()
 
 
+def spawn(src: str, truncations: str) -> dict:
+    """One fresh interpreter's run of every truncation from the tree src:
+    {"L=..": [times, sha256]}."""
+    argv = [sys.executable, __file__, "--one", "--src", src, "--truncations", truncations]
+    return json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default="src")
+    parser.add_argument("--src", action="append", help="a source tree; give it once per tree")
     parser.add_argument("--truncations", default="5,7,10,12")
-    parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
+    parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    sys.path.insert(0, args.src)
-    out = {}
-    for truncation in map(int, args.truncations.split(",")):
-        runs = [one_run(truncation) for _ in range(args.runs)]
-        out[f"L={truncation}"] = {
-            "median_s": {
-                stage: round(median(times[stage] for times, _ in runs), 4)
-                for stage in runs[0][0]
-            },
-            "sha256": runs[0][1],
-        }
+    trees = args.src or ["src"]
+    if args.one:
+        sys.path.insert(0, trees[0])
+        runs = {f"L={t}": one_run(t) for t in map(int, args.truncations.split(","))}
+        print(json.dumps(runs))
+        return 0
+    results: dict[str, list[dict]] = {src: [] for src in trees}
+    order = list(trees)
+    for _ in range(args.runs):
+        for src in order:
+            results[src].append(spawn(src, args.truncations))
+        order.reverse()
+    out: dict = {"trees": trees, "runs_per_tree": args.runs}
+    same = True
+    for key in results[trees[0]][0]:
+        entry: dict = {}
+        for src in trees:
+            runs = [run[key] for run in results[src]]
+            stages = runs[0][0]
+            entry[src] = {
+                "median_s": {s: round(median(t[s] for t, _ in runs), 4) for s in stages},
+                "sha256": sorted({sha for _, sha in runs}),
+            }
+        shas = {sha for src in trees for sha in entry[src]["sha256"]}
+        same = same and len(shas) == 1
+        first = entry[trees[0]]["median_s"]
+        for src in trees[1:]:
+            entry[src]["ratio"] = {
+                s: round(m / first[s], 3) if first[s] else None
+                for s, m in entry[src]["median_s"].items()
+            }
+        out[key] = entry
     print(json.dumps(out, indent=2))
+    if not same:
+        print("error: the JSON text differs between trees", file=sys.stderr)
+        return 1
     return 0
 
 
