@@ -208,23 +208,21 @@ def gluing_flow(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[Sym
 
 class _Codes:
     """The keys of the gluing recursion within the lambda bound L: the term
-    lambda^e p_rho as the int code e + sum over the parts k of rho of
-    m_k(rho) unit(k).  The low ``ebits`` = L.bit_length() bits hold e, and
-    the multiplicity of part k sits in the field of ``fbits`` =
-    (3L).bit_length() bits at bit ebits + (k - 1) fbits.
-
-    A code of e <= L and weight at most 3L has every field within its
-    bits.  So, as long as the result stays so, the code of a product is the
-    sum of the codes, d/dp_k lowers a code by ``unit(k)``, and raising
-    lambda by c adds c; :func:`gluing_flow` says why the recursion stays so.
-    ``parts`` reads the parts of a code once per partition for the run.
+    lambda^e p_rho as the int e + sum over the parts k of rho of
+    m_k(rho) unit(k), with unit(k) = 2^(ebits + (k - 1) fbits), ebits =
+    L.bit_length() and fbits = (3L).bit_length().  While e <= L and every
+    multiplicity is below 2^fbits, as :func:`gluing_flow` shows for the
+    recursion, the code of a product is the sum of the codes, d/dp_k
+    subtracts unit(k) and raising lambda by c adds c.  ``parts`` reads the
+    parts of a code once per partition for the run.
     """
 
-    __slots__ = ("ebits", "fbits", "_parts")
+    __slots__ = ("ebits", "fbits", "emask", "_parts")
 
     def __init__(self, top: int):
         self.ebits = top.bit_length()
         self.fbits = (3 * top).bit_length()
+        self.emask = (1 << self.ebits) - 1  # code & emask is e
         self._parts: dict = {}  # code >> ebits -> [(k, m, unit(k))]
 
     def unit(self, k: int) -> int:
@@ -235,7 +233,7 @@ class _Codes:
 
     def decode(self, code: int) -> tuple[int, tuple[int, ...]]:
         rho = tuple(k for k, m, _ in reversed(self.parts(code)) for _ in range(m))
-        return code & ((1 << self.ebits) - 1), rho
+        return code & self.emask, rho
 
     def parts(self, code: int) -> list[tuple[int, int, int]]:
         """(k, m_k, unit(k)) for each part k of the code's partition."""
@@ -305,7 +303,6 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
         )
     shift = 2 if mode is GluingMode.LITERAL else 0
     codes = _Codes(top)
-    emask = (1 << codes.ebits) - 1
     # floor(s L) for each slope s is the largest floor(L i / e) over the
     # monomials u^i v^j at lambda^e, and so on
     monomials = [(e, i, j) for (e, _), c in w0._terms.items() if e for i, j in c._terms]
@@ -330,7 +327,7 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
         bounds = dict.fromkeys(range(top + 1), 0)
         norms = parts[j][1]
         for target, factor, code in moves[j][2]:
-            bounds[target & emask] += glue_mult * factor * norms[code]
+            bounds[target & codes.emask] += glue_mult * factor * norms[code]
         for a, b in pairs:
             mult = den // (parts[a][2] * parts[b][2])
             for k, na in moves[a][1].items():
@@ -385,7 +382,7 @@ def _moves(norms: dict, codes: _Codes, mode: GluingMode, top: int) -> tuple[dict
     {k: {e: norm}}, the norms times m; and the terms of the gluing
     operator, [(target code, factor, code)], as :func:`_glued` has them."""
     shift = 1 if mode is GluingMode.LITERAL else 0
-    emask = (1 << codes.ebits) - 1
+    emask = codes.emask
     index: dict = {}
     dnorms: dict = {}
     glued = []

@@ -344,10 +344,6 @@ def _revlex(rho: Partition) -> tuple[int, ...]:
     return tuple(-part for part in rho) + (1,)
 
 
-def _merge_parts(rho: Partition, sigma: Partition) -> Partition:
-    return tuple(sorted(rho + sigma, reverse=True))
-
-
 def _measure(terms: dict) -> tuple[int, Box | None, dict]:
     """The common denominator of the coefficients of a term map, the box
     of their monomials, and each one's l1 norm over that denominator, by

@@ -26,7 +26,7 @@ def test_partition_counts_match_pentagonal_recurrence():
 
 def test_partition_counts_up_to_a_weight_match_the_pentagonal_recurrence():
     # counted without building them, far past what partitions_of is asked
-    for w in (0, 1, 5, 30, 100, 400):
+    for w in (0, 1, 5, 30, 120):
         assert count_partitions_up_to(w) == sum(partition_count(n) for n in range(w + 1))
 
 
