@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from math import lgamma, log, log10
 from typing import NamedTuple, Union
 
@@ -60,6 +59,12 @@ MAX_MONOMIALS = 1024
 # printed 141 MB.  The rows of the shipped table stay under 10^4.
 MAX_SIZE = 10**7
 
+# The deepest nesting of parentheses and unary minus an expression may
+# have.  Each level takes four stack frames in the parser and a few in
+# ``bounds`` and the evaluation, so this keeps every walk far from the
+# interpreter's recursion limit; the shipped table nests two deep.
+MAX_NESTING = 100
+
 # A coefficient may spread over at most ``hodge.MAX_CELLS`` cells, by the
 # bound ``Bounds.grid``: the products of ``hodge.Packing`` hold it as one int
 # with a digit per cell, so this caps their size where the monomial bound
@@ -68,68 +73,124 @@ MAX_SIZE = 10**7
 # -- abstract syntax -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class _Node:
+    """A syntax-tree node: equal only to a node of the same class with equal
+    fields, and hashable, so not to be changed once built.  Its fields are
+    its ``__slots__``.  Plain classes, not dataclasses: building those costs
+    milliseconds at every import of the package."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class VarAtom:
-    name: str  # "q", "u" or "v"
+class IntLit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class SchurAtom:
-    mu: Partition
+class VarAtom(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name  # "q", "u" or "v"
 
 
-@dataclass(frozen=True)
-class HomAtom:
-    n: int
+class SchurAtom(_Node):
+    __slots__ = ("mu",)
+
+    def __init__(self, mu: Partition):
+        self.mu = mu
 
 
-@dataclass(frozen=True)
-class PowerAtom:
-    n: int
+class HomAtom(_Node):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class PowerAtom(_Node):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Neg(_Node):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Add(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Sub(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Mul(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self.left = left
+        self.right = right
+
+
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        self.base = base
+        self.exponent = exponent
 
 
 Expr = Union[IntLit, VarAtom, SchurAtom, HomAtom, PowerAtom, Neg, Add, Sub, Mul, Pow]
 
 
+def _unchain(expr: Add | Sub | Mul) -> tuple[Expr, list[Add | Sub | Mul]]:
+    """Split the left-deep chain that the parser makes of a + b - c ... (or
+    of a * b * c ...) into its first operand and its links in order, so a
+    walk over a long sum or product takes no stack per term."""
+    kinds = Mul if isinstance(expr, Mul) else (Add, Sub)
+    links = []
+    while isinstance(expr, kinds):
+        links.append(expr)
+        expr = expr.left
+    links.reverse()
+    return expr, links
+
+
 # -- tokenizer --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int", "name", a punctuation character, or "eof"
     text: str
     line: int
@@ -189,6 +250,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.idx = 0
+        self.depth = 0  # open parentheses and unary minuses around the token
 
     def peek(self) -> _Token:
         return self.tokens[self.idx]
@@ -220,10 +282,24 @@ class _Parser:
             node = Mul(node, self.factor())
         return node
 
+    def nest(self, token: _Token) -> None:
+        """Enter a parenthesis or unary minus, refusing one past
+        ``MAX_NESTING``: each takes stack frames in the parser and in the
+        walks over the tree."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprParseError(
+                f"parentheses and unary minus nest deeper than {MAX_NESTING} levels",
+                token.line,
+                token.col,
+            )
+
     def factor(self) -> Expr:
         if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.factor())
+            self.nest(self.advance())
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
         base = self.atom()
         if self.peek().kind == "^":
             self.advance()
@@ -237,9 +313,10 @@ class _Parser:
             self.advance()
             return IntLit(int(token.text))
         if token.kind == "(":
-            self.advance()
+            self.nest(self.advance())
             node = self.expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return node
         if token.kind == "name":
             self.advance()
@@ -388,16 +465,21 @@ def bounds(expr: Expr) -> Bounds:
             *(k * grade for grade in base[:7]), kf * base.norm, kf * base.den
         )
     if isinstance(expr, (Add, Sub, Mul)):
-        a, b = bounds(expr.left), bounds(expr.right)
-        if isinstance(expr, Mul):
-            return Bounds(*(x + y for x, y in zip(a, b)))
-        hi, lo = max(a.norm, b.norm), min(a.norm, b.norm)
-        norm = hi + log10(1 + 10 ** (lo - hi)) if lo < hi else hi + log10(2)
-        return Bounds(
-            *map(max, a[:3], b[:3]),
-            min(a.lo, b.lo), max(a.hi, b.hi), min(a.tlo, b.tlo), max(a.thi, b.thi),
-            norm, a.den + b.den,
-        )
+        first, links = _unchain(expr)
+        a = bounds(first)
+        for link in links:
+            b = bounds(link.right)
+            if isinstance(link, Mul):
+                a = Bounds(*(x + y for x, y in zip(a, b)))
+                continue
+            hi, lo = max(a.norm, b.norm), min(a.norm, b.norm)
+            norm = hi + log10(1 + 10 ** (lo - hi)) if lo < hi else hi + log10(2)
+            a = Bounds(
+                *map(max, a[:3], b[:3]),
+                min(a.lo, b.lo), max(a.hi, b.hi), min(a.tlo, b.tlo), max(a.thi, b.thi),
+                norm, a.den + b.den,
+            )
+        return a
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -426,15 +508,20 @@ def _eval(expr: Expr, trunc: Truncation) -> HodgePoly | SymSeries:
         return power_sum(expr.n, trunc)
     if isinstance(expr, Neg):
         return -_eval(expr.operand, trunc)
-    if isinstance(expr, (Add, Sub)):
-        a, b = _eval(expr.left, trunc), _eval(expr.right, trunc)
-        if isinstance(a, SymSeries) or isinstance(b, SymSeries):
-            a, b = _lift(a, trunc), _lift(b, trunc)
-        return a + b if isinstance(expr, Add) else a - b
-    if isinstance(expr, Mul):
-        # a polynomial times a series is SymSeries.scale, by __rmul__ if
-        # the polynomial comes first
-        return _eval(expr.left, trunc) * _eval(expr.right, trunc)
+    if isinstance(expr, (Add, Sub, Mul)):
+        first, links = _unchain(expr)
+        a = _eval(first, trunc)
+        for link in links:
+            b = _eval(link.right, trunc)
+            if isinstance(link, Mul):
+                # a polynomial times a series is SymSeries.scale, by
+                # __rmul__ if the polynomial comes first
+                a = a * b
+                continue
+            if isinstance(a, SymSeries) or isinstance(b, SymSeries):
+                a, b = _lift(a, trunc), _lift(b, trunc)
+            a = a + b if isinstance(link, Add) else a - b
+        return a
     if isinstance(expr, Pow):
         return _eval(expr.base, trunc) ** expr.exponent
     raise TypeError(f"not an expression node: {expr!r}")

@@ -25,8 +25,8 @@ it cancel in the final Adams sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import OffDiagonalError, PreconditionError
 from .hodge import HodgePoly, join_signed
@@ -168,8 +168,7 @@ def stable_slots(lambda_max: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass
-class SlotReport:
+class SlotReport(NamedTuple):
     """Everything the pipeline knows about one (g, n) answer."""
 
     g: int

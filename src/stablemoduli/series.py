@@ -15,7 +15,6 @@ their truncations agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterator, Mapping, Union
@@ -38,24 +37,37 @@ Scalar = Union[int, Fraction]
 CONSTANT_KEY: Key = (0, ())
 
 
-@dataclass(frozen=True)
 class Truncation:
     """Retention bounds: lambda exponent at most ``lambda_max``, and p-weight
-    at lambda^e at most ``weight_caps[e]`` (a weakly increasing tuple)."""
+    at lambda^e at most ``weight_caps[e]`` (a weakly increasing tuple).
+    Equal to a truncation with the same bounds, and hashable, so not to be
+    changed once built."""
 
-    lambda_max: int
-    weight_caps: tuple[int, ...]
+    __slots__ = ("lambda_max", "weight_caps")
 
-    def __post_init__(self):
-        if self.lambda_max < 0:
+    def __init__(self, lambda_max: int, weight_caps: tuple[int, ...]):
+        if lambda_max < 0:
             raise ValueError("lambda_max must be nonnegative")
-        if len(self.weight_caps) != self.lambda_max + 1:
+        if len(weight_caps) != lambda_max + 1:
             raise ValueError("need one weight cap per lambda exponent 0..lambda_max")
         previous = 0
-        for cap in self.weight_caps:
+        for cap in weight_caps:
             if cap < 0 or cap < previous:
                 raise ValueError("weight caps must be nonnegative and monotone")
             previous = cap
+        self.lambda_max = lambda_max
+        self.weight_caps = weight_caps
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.lambda_max == other.lambda_max and self.weight_caps == other.weight_caps
+
+    def __hash__(self):
+        return hash((self.lambda_max, self.weight_caps))
+
+    def __repr__(self):
+        return f"Truncation(lambda_max={self.lambda_max!r}, weight_caps={self.weight_caps!r})"
 
     @classmethod
     def standard(cls, lambda_max: int) -> "Truncation":

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import stablemoduli
 from stablemoduli.cli import MAX_TRUNCATION, main
 from stablemoduli.dataset import dataset_text
-from stablemoduli.exprlang import MAX_EXPR_WEIGHT, MAX_MONOMIALS, MAX_SIZE
+from stablemoduli.exprlang import MAX_EXPR_WEIGHT, MAX_MONOMIALS, MAX_NESTING, MAX_SIZE
 
 HEADLINE = "q^7 + 5q^6 + 16q^5 + 29q^4 + 29q^3 + 16q^2 + 5q + 1"
 
@@ -329,6 +329,22 @@ def test_stdout_closed_before_a_short_output_ends_quietly_with_exit_0(unbuffered
     assert proc.stderr == b""
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Each op and each command pays for the import; building dataclasses,
+    # with inspect behind them, was about half of it.
+    code = (
+        "import sys; before = set(sys.modules); import stablemoduli, stablemoduli.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(""),
+        timeout=60, check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "stablemoduli.exprlang" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_missing_input_file_is_usage_error(capsys):
     rc, _, err = run(capsys, "compute", "--g", "1", "--n", "1", "--input", "/no/such/file")
     assert rc == 2
@@ -526,6 +542,30 @@ def test_bound_too_long_to_print_is_shown_by_its_magnitude(capsys):
     assert rc == 4
     assert out == ""
     assert f"error: weight may reach about 10^{limit}, past the limit of {MAX_EXPR_WEIGHT}" in err
+
+
+def test_sum_of_a_thousand_terms_evaluates(capsys):
+    rc, out, err = run(capsys, "expr", "+".join(["q"] * 1000))
+    assert (rc, out, err) == (0, "λ^0 * (1000*q) * p[]\n", "")
+
+
+def test_deep_parentheses_are_parse_error(capsys):
+    rc, out, err = run(capsys, "expr", "(" * 300 + "q" + ")" * 300)
+    assert rc == 3 and out == ""
+    assert (
+        f"error: 1:{MAX_NESTING + 1}: parentheses and unary minus nest deeper "
+        f"than {MAX_NESTING} levels" in err
+    )
+
+
+def test_table_row_of_thousands_of_terms_reads_as_its_sum(tmp_path, capsys):
+    long, short = tmp_path / "long.dat", tmp_path / "short.dat"
+    long.write_text("M[0,3] = s[3]" + "+0" * 3000 + "\n", encoding="utf-8")
+    short.write_text("M[0,3] = s[3]\n", encoding="utf-8")
+    argv = ("table", "--truncation", "1", "--format", "json", "--input")
+    rc, out, err = run(capsys, *argv, str(long))
+    assert rc == 0 and '"partition": [\n          3\n        ]' in out
+    assert (rc, out, err) == run(capsys, *argv, str(short))
 
 
 def test_overlong_integer_literal_is_parse_error(capsys):

@@ -12,6 +12,7 @@ from stablemoduli.exprlang import (
     IntLit,
     MAX_CELLS,
     MAX_MONOMIALS,
+    MAX_NESTING,
     Mul,
     Neg,
     Pow,
@@ -103,6 +104,49 @@ def test_exponent_rules():
     with pytest.raises(ExprParseError):
         parse_expression("2^3^2")
     assert parse_expression("q^0") == Pow(VarAtom("q"), 0)
+
+
+def test_nodes_equal_only_nodes_of_their_class_with_equal_fields():
+    leaves = [IntLit(2), HomAtom(2), PowerAtom(2)]
+    for i, a in enumerate(leaves):
+        for j, b in enumerate(leaves):
+            assert (a == b) == (i == j)
+    assert len(set(leaves + [IntLit(2)])) == 3
+    a, b = VarAtom("q"), SchurAtom((2, 1))
+    assert Add(a, b) != Mul(a, b) and Add(a, b) != Sub(a, b) and Add(a, b) != Add(b, a)
+    assert IntLit(2) != 2 and IntLit(2) != (2,) and Add(a, b) != (a, b)
+    built = [IntLit(2), Add(a, b), Pow(Neg(Mul(a, b)), 3)]
+    rebuilt = [IntLit(2), Add(VarAtom("q"), SchurAtom((2, 1))),
+               Pow(Neg(Mul(VarAtom("q"), SchurAtom((2, 1)))), 3)]
+    for x, y in zip(built, rebuilt):
+        assert x == y and x is not y and hash(x) == hash(y)
+    assert (Pow(a, 2).base, Pow(a, 2).exponent, Neg(a).operand, HomAtom(3).n) == (a, 2, a, 3)
+    assert repr(Add(IntLit(1), b)) == "Add(left=IntLit(value=1), right=SchurAtom(mu=(2, 1)))"
+
+
+def test_nesting_is_capped_with_the_position_that_passes_the_cap():
+    assert parse_expression("(" * MAX_NESTING + "q" + ")" * MAX_NESTING) == VarAtom("q")
+    assert evaluate("-" * MAX_NESTING + "q") == evaluate("q")
+    for text, col in [
+        ("(" * 300 + "q" + ")" * 300, MAX_NESTING + 1),
+        ("-" * (MAX_NESTING + 1) + "q", MAX_NESTING + 1),
+        # parentheses and unary minus count together; level 101 is a '-'
+        ("q + " + "-(" * 60 + "q" + ")" * 60, 4 + MAX_NESTING + 1),
+    ]:
+        with pytest.raises(ExprParseError) as err:
+            parse_expression(text, line=3)
+        assert (err.value.line, err.value.col) == (3, col)
+        assert f"nest deeper than {MAX_NESTING} levels" in str(err.value)
+    # side by side, parentheses do not nest
+    assert evaluate("+".join(["(q)"] * 300)) == evaluate("300*q")
+
+
+def test_long_sums_and_products_evaluate_without_a_frame_per_term():
+    assert evaluate("+".join(["q"] * 1000)) == evaluate("1000*q")
+    assert evaluate("q" + "-q+q" * 1000) == evaluate("q")
+    assert evaluate("*".join(["q"] * 1000)) == evaluate("q^1000")
+    assert evaluate("s[3]" + "+0" * 3000) == evaluate("s[3]")
+    assert bounds(parse_expression("+".join(["q"] * 1000))).norm == pytest.approx(3)
 
 
 def test_atom_index_rules():

@@ -50,6 +50,13 @@ def test_truncation_validation():
         Truncation(0, (-1,))
 
 
+def test_truncations_with_equal_bounds_are_equal_and_hash_alike():
+    a, b = Truncation.flat(1, 3), Truncation.flat(1, 3)
+    assert a == b and a is not b and hash(a) == hash(b) and {a: 0}[b] == 0
+    assert a == Truncation(1, (3, 3)) and (a.lambda_max, a.weight_caps) == (1, (3, 3))
+    assert a != Truncation.flat(1, 4) and a != Truncation.standard(1) and a != (1, (3, 3))
+
+
 def test_truncation_families():
     std = Truncation.standard(5)
     assert std.weight_caps == (0, 3, 6, 9, 12, 15)

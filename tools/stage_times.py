@@ -12,10 +12,17 @@ fresh process.  The runs alternate between the trees, each round starting
 with the tree the last one ended with, so that a drift of the host's load
 falls on every tree alike.
 
-Prints one JSON object: for each truncation, each tree's median seconds per
-stage and the sha256 of its JSON text, and, with more than one --src, the
-ratio of each later tree's medians to the first's.  Exits 1 if the sha256
-differs between trees at any truncation.
+Each run also times ``import stablemoduli, stablemoduli.cli`` once, before
+its first truncation and after the tool's own imports (argparse, json,
+subprocess): the "import" row, the counterpart of perfbench's setup_s.  It is
+kept out of every "total", so totals stay comparable with those taken before
+the row existed.  As in perfbench, the runs may write bytecode, so after a
+tree's first run the import reads it from the cache.
+
+Prints one JSON object: each tree's median import seconds; for each
+truncation, each tree's median seconds per stage and the sha256 of its JSON
+text; and, with more than one --src, the ratio of each later tree's medians to
+the first's.  Exits 1 if the sha256 differs between trees at any truncation.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from statistics import median
@@ -64,9 +72,12 @@ def one_run(truncation: int) -> tuple[dict[str, float], str]:
 
 def spawn(src: str, truncations: str) -> dict:
     """One fresh interpreter's run of every truncation from the tree src:
-    {"L=..": [times, sha256]}."""
+    {"import": seconds, "L=..": [times, sha256]}."""
     argv = [sys.executable, __file__, "--one", "--src", src, "--truncations", truncations]
-    return json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    return json.loads(
+        subprocess.run(argv, check=True, capture_output=True, text=True, env=env).stdout
+    )
 
 
 def main() -> int:
@@ -79,7 +90,11 @@ def main() -> int:
     trees = args.src or ["src"]
     if args.one:
         sys.path.insert(0, trees[0])
-        runs = {f"L={t}": one_run(t) for t in map(int, args.truncations.split(","))}
+        start = perf_counter()
+        import stablemoduli.cli  # noqa: F401  (imports stablemoduli first)
+
+        runs: dict = {"import": perf_counter() - start}
+        runs.update((f"L={t}", one_run(t)) for t in map(int, args.truncations.split(",")))
         print(json.dumps(runs))
         return 0
     results: dict[str, list[dict]] = {src: [] for src in trees}
@@ -88,9 +103,16 @@ def main() -> int:
         for src in order:
             results[src].append(spawn(src, args.truncations))
         order.reverse()
-    out: dict = {"trees": trees, "runs_per_tree": args.runs}
+    out: dict = {"trees": trees, "runs_per_tree": args.runs, "import": {}}
+    for src in trees:
+        seconds = median(run["import"] for run in results[src])
+        out["import"][src] = {"median_s": round(seconds, 4)}
+        if src != trees[0]:
+            out["import"][src]["ratio"] = round(seconds / out["import"][trees[0]]["median_s"], 3)
     same = True
     for key in results[trees[0]][0]:
+        if key == "import":
+            continue
         entry: dict = {}
         for src in trees:
             runs = [run[key] for run in results[src]]
