@@ -145,7 +145,6 @@ def test_long_sums_and_products_evaluate_without_a_frame_per_term():
     assert evaluate("+".join(["q"] * 1000)) == evaluate("1000*q")
     assert evaluate("q" + "-q+q" * 1000) == evaluate("q")
     assert evaluate("*".join(["q"] * 1000)) == evaluate("q^1000")
-    assert evaluate("s[3]" + "+0" * 3000) == evaluate("s[3]")
     assert bounds(parse_expression("+".join(["q"] * 1000))).norm == pytest.approx(3)
 
 
