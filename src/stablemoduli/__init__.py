@@ -23,18 +23,10 @@ from .series import (
     SymSeries,
     Truncation,
     complete_homogeneous,
-    exp_series,
-    log_series,
     power_sum,
     schur,
 )
-from .plethysm import (
-    GluingMode,
-    exp_gluing,
-    gluing_operator,
-    plethystic_exp,
-    plethystic_log,
-)
+from .plethysm import GluingMode
 from .pipeline import (
     ModuliTable,
     SlotReport,
@@ -81,21 +73,15 @@ __all__ = [
     "embedded_dataset",
     "eval_expression",
     "evaluate",
-    "exp_gluing",
-    "exp_series",
     "format_partition",
-    "gluing_operator",
     "is_stable",
     "lambda_exponent",
-    "log_series",
     "mobius",
     "moduli_dim",
     "open_moduli_series",
     "parse_expression",
     "parse_table",
     "partitions_of",
-    "plethystic_exp",
-    "plethystic_log",
     "power_sum",
     "render_table",
     "required_inputs",

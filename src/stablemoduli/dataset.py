@@ -1,12 +1,12 @@
 """The canonical dataset shipped with the package.
 
-The data file is the single source of truth; it is read through
-importlib.resources so the installed package carries it verbatim.
+The data file is the single source of truth; it is read from beside this
+module, where the installed package carries it verbatim.
 """
 
 from __future__ import annotations
 
-from importlib.resources import files
+from pathlib import Path
 
 from .exprlang import parse_table
 from .pipeline import ModuliTable
@@ -16,7 +16,7 @@ DATASET_RESOURCE = "data/moduli_serre.dat"
 
 def dataset_text() -> str:
     """The raw text of the shipped dataset file."""
-    return files("stablemoduli").joinpath(DATASET_RESOURCE).read_text(encoding="utf-8")
+    return (Path(__file__).parent / DATASET_RESOURCE).read_text(encoding="utf-8")
 
 
 def embedded_dataset() -> ModuliTable:

@@ -643,19 +643,10 @@ def render_entry(entry: SymSeries, n: int) -> str:
         negative = q_terms[-1][1] < 0
         magnitude = -coeff if negative else coeff
         schur_text = f"s{format_partition(mu)}"
-        if len(q_terms) == 1:
-            k, c = magnitude.q_coefficients()[0]
-            factors = []
-            if abs(c) != 1:
-                factors.append(str(abs(c)))
-            if k == 1:
-                factors.append("q")
-            elif k > 1:
-                factors.append(f"q^{k}")
-            factors.append(schur_text)
-            body = "*".join(factors)
-        else:
-            body = f"({magnitude.render_q(explicit_mul=True)})*{schur_text}"
+        q_text = magnitude.render_q(explicit_mul=True)
+        if len(q_terms) > 1:
+            q_text = f"({q_text})"
+        body = schur_text if magnitude == 1 else f"{q_text}*{schur_text}"
         pieces.append(("-" if negative else "+", body))
     return join_signed(pieces)
 

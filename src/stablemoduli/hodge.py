@@ -14,12 +14,14 @@ arithmetic works on ints and reduces each result once by that gcd; the
 public accessors (``items``, ``coefficient``, ``q_coefficients``) hand out
 ``Fraction`` coefficients.
 
-``Accumulator`` serves the sums of products that make up series
-coefficients, on a packed form of the numerators (Kronecker substitution):
-a :class:`Packing` lays the monomials u^i v^j of a box out as the digits of
+A :class:`Packing` holds the numerators in a packed form (Kronecker
+substitution): it lays the monomials u^i v^j of a box out as the digits of
 one int in base 2^bits, one band of digits per value of i - j, so that the
 product of two polynomials is one int multiply and a sum of products one
-multiply-add per pair.  Every width is derived, not guessed: the box of a
+multiply-add per pair.  It serves the products of two polynomials of
+several terms, the gluing recursion and the Schur read-off; callers keep
+their sums of packed ints in a dict and turn them into polynomials with
+:meth:`Packing.polys`.  Every width is derived, not guessed: the box of a
 product is the sum of the boxes of its factors, a digit of a sum of
 products is at most the sum of the products of the factors' l1 norms
 (||ab||_1 <= ||a||_1 ||b||_1), and callers size the packing from those
@@ -525,6 +527,12 @@ class Packing:
                 terms[(j, j + dlo + band) if self.swapped else (j + dlo + band, j)] = c // g
         return _wrap(terms, den // g)
 
+    def polys(self, sums: dict, den: int) -> dict:
+        """Each nonzero packed int of sums over the positive int den as a
+        canonical HodgePoly, by key; keys whose sum is zero are left out."""
+        poly = self.poly
+        return {key: poly(x, den) for key, x in sums.items() if x}
+
     def repack(self, x: int, old: "Packing") -> int:
         """An int of ``old``, which differs from this packing at most in
         width, in this packing."""
@@ -555,48 +563,6 @@ def product_packings(a: Box, b: Box, bound: int) -> tuple[Packing, Packing, Pack
     and a span that holds the columns of both factors together."""
     product = Packing.holding(tuple(map(add, a, b)), bound)
     return product.within(a), product.within(b), product
-
-
-class Accumulator:
-    """Sums by key of packed numerators over one positive denominator.
-
-    ``sums`` maps each key to an int of ``packing`` (a sum of packed
-    polynomials, or of products of them, in the packing of the products);
-    callers add into it directly, so a product of two terms is one
-    multiply-add.  The packing must hold every finished sum, which the
-    callers bound beforehand (see :class:`Packing`).  ``result`` turns each
-    sum into one canonical ``HodgePoly``; ``part`` reduces them all by one
-    gcd instead, keeping them packed.
-    """
-
-    __slots__ = ("packing", "den", "sums")
-
-    def __init__(self, packing: Packing, den: int = 1):
-        self.packing = packing
-        self.den = den
-        self.sums: dict = {}
-
-    def result(self, divisor: int = 1) -> dict:
-        """Each nonzero sum divided by the positive int divisor, as a
-        canonical HodgePoly; keys whose sum cancels to zero are left out."""
-        if divisor < 1:
-            raise ValueError(f"divisor must be a positive int, got {divisor}")
-        den, poly = self.den * divisor, self.packing.poly
-        return {key: poly(x, den) for key, x in self.sums.items() if x}
-
-    def part(self, divisor: int, packing: Packing) -> tuple[dict, dict, int]:
-        """The nonzero sums divided by the positive int divisor, moved into
-        packing (see :meth:`Packing.rebase`) and over one denominator, the
-        lcm of their canonical ones: ({key: packed int}, {key: l1 norm of
-        its digits}, denominator)."""
-        if divisor < 1:
-            raise ValueError(f"divisor must be a positive int, got {divisor}")
-        moved = {key: packing.rebase(x, self.packing) for key, x in self.sums.items() if x}
-        digits = {key: packing.digits(x) for key, x in moved.items()}
-        den = self.den * divisor
-        g = gcd(den, *(c for d in digits.values() for c in d))
-        norms = {key: sum(map(abs, d)) // g for key, d in digits.items()}
-        return {key: x // g for key, x in moved.items()}, norms, den // g
 
 
 def _render_monomial(i: int, j: int) -> str:

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import PreconditionError
-from .hodge import Accumulator, Packing
+from .hodge import HodgePoly, Packing, magnitude
 from .partitions import mobius, multiplicities, weight
 from .series import (
     SymSeries,
@@ -87,20 +87,12 @@ def plethystic_log(g: SymSeries) -> SymSeries:
     return mobius_adams_sum(log_series(g))
 
 
-def gluing_operator(
-    f: SymSeries, mode: GluingMode = GluingMode.GRADED, divisor: int = 1
-) -> SymSeries:
-    """One application of the gluing operator, in one pass over the terms,
-    divided by the positive int divisor."""
-    den, box, norms = _measure(f._terms)
-    glued = _glued(f._terms, mode, f.trunc.lambda_max)
-    bound = sum(factor * norms[key] for _, factor, key in glued)
-    acc = Accumulator(Packing.holding(box, bound), den)
-    get = acc.sums.get
-    for target, factor, key in glued:
-        c = f._terms[key]
-        acc.sums[target] = get(target, 0) + acc.packing.pack(c, den // c._den) * factor
-    return _wrap(f.trunc, acc.result(divisor))
+def gluing_operator(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
+    """One application of the gluing operator, in one pass over the terms."""
+    terms: dict = {}
+    for target, factor, key in _glued(f._terms, mode, f.trunc.lambda_max):
+        terms[target] = terms.get(target, HodgePoly.zero()) + f._terms[key] * factor
+    return _wrap(f.trunc, {key: c for key, c in terms.items() if c})
 
 
 def _glued(keys, mode: GluingMode, top: int) -> list[tuple]:
@@ -134,7 +126,7 @@ def exp_gluing(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
     total = term = f
     m = 1
     while term:
-        term = gluing_operator(term, mode, divisor=m)
+        term = gluing_operator(term, mode) * Fraction(1, m)
         total = total + term
         m += 1
     return total
@@ -156,12 +148,12 @@ def glued_log(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
         for code, norm in norms.items():
             bounds[code] = bounds.get(code, 0) + norm * (den // d)
     packing, parts = _fit(packing, parts, max(bounds.values(), default=0))
-    acc = Accumulator(packing, den)
-    get = acc.sums.get
+    sums: dict = {}
+    get = sums.get
     for values, _, d in parts:
         for code, x in values.items():
-            acc.sums[code] = get(code, 0) + x * (den // d)
-    return _wrap(f.trunc, {codes.decode(code): c for code, c in acc.result().items()})
+            sums[code] = get(code, 0) + x * (den // d)
+    return _wrap(f.trunc, {codes.decode(code): c for code, c in packing.polys(sums, den).items()})
 
 
 def gluing_flow(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[SymSeries]:
@@ -257,6 +249,27 @@ class _Codes:
 # ({code: packed numerators}, {code: their l1 norm}, denominator)
 Part = tuple[dict, dict, int]
 
+# The most bits an int of the products of the gluing recursion may hold:
+# the cells of the packing of products times their width.  The shipped
+# table needs 1632 at the largest truncation.  A row whose coefficients
+# reach a high power of u or v at a low lambda exponent spreads over a
+# wide box by the slope bound, and with large digits each product would
+# take megabits, so a layout past the limit is refused before it is used.
+MAX_PRODUCT_BITS = 1 << 20
+
+
+def _sized(packing: Packing) -> Packing:
+    """packing, if an int of the products of two of its ints holds at most
+    MAX_PRODUCT_BITS bits; otherwise PreconditionError."""
+    product = packing.times(packing)
+    size = product.span * product.bands * product.bits
+    if size > MAX_PRODUCT_BITS:
+        raise PreconditionError(
+            f"the gluing recursion would hold each product in {magnitude(size)} bits, "
+            f"past the limit of {MAX_PRODUCT_BITS}"
+        )
+    return packing
+
 
 def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]:
     """The parts of :func:`gluing_flow` packed and keyed by their codes, the
@@ -290,7 +303,8 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
     and of the products of the l1 norms of the derivative groups whose
     product lands there.  When the packing is too narrow for the largest of
     these bounds, every part is repacked in one wide enough (``_fit``)
-    before anything is added.
+    before anything is added.  The first layout and every widened one must
+    keep a product int within MAX_PRODUCT_BITS, or the run is refused.
     """
     trunc = w0.trunc
     top = trunc.lambda_max
@@ -311,7 +325,7 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
     band = max((top * abs(i - j) // e for e, i, j in monomials), default=0)
     terms = {codes.encode(e, rho): c for (e, rho), c in w0._terms.items() if e}
     den, _, norms = _measure(terms)
-    packing = Packing.holding((0, du, 0, dv, -band, band), max(norms.values(), default=0))
+    packing = _sized(Packing.holding((0, du, 0, dv, -band, band), max(norms.values(), default=0)))
     parts = [({code: packing.pack(c, den // c._den) for code, c in terms.items()}, norms, den)]
     moves: list[tuple] = []  # a -> (index, dnorms, glued) of W_a, from _moves
     derivs: list[dict] = []  # a -> k -> e -> [(code, packed d_k W_a term)]
@@ -354,12 +368,12 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
                 }
             )
         # every product, a gluing term lifted to it, lies in the box
-        acc = Accumulator(packing.times(packing), den)
-        sums = acc.sums
+        product = packing.times(packing)
+        sums: dict = {}
         get = sums.get
         values = parts[j][0]
         for target, factor, code in moves[j][2]:
-            lifted = acc.packing.rebase(values[code] * (glue_mult * factor), packing)
+            lifted = product.rebase(values[code] * (glue_mult * factor), packing)
             sums[target] = get(target, 0) + lifted
         for a, b in pairs:
             mult = den // (parts[a][2] * parts[b][2])
@@ -371,8 +385,19 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
                     _add_square(sums, grouped, k * mult, shift * k, top)
                 else:
                     _add_cross(sums, grouped, other, 2 * k * mult, shift * k, top)
-        parts.append(acc.part(2 * (j + 1), packing))
+        parts.append(_part(sums, product, 2 * (j + 1) * den, packing))
     return codes, packing, parts
+
+
+def _part(sums: dict, product: Packing, den: int, packing: Packing) -> Part:
+    """The nonzero sums of ints of product over the positive int den, moved
+    into packing (see :meth:`~stablemoduli.hodge.Packing.rebase`) and over
+    one denominator, the lcm of their canonical ones, as a :data:`Part`."""
+    moved = {code: packing.rebase(x, product) for code, x in sums.items() if x}
+    digits = {code: packing.digits(x) for code, x in moved.items()}
+    g = gcd(den, *(c for d in digits.values() for c in d))
+    norms = {code: sum(map(abs, d)) // g for code, d in digits.items()}
+    return {code: x // g for code, x in moved.items()}, norms, den // g
 
 
 def _moves(norms: dict, codes: _Codes, mode: GluingMode, top: int) -> tuple[dict, dict, list]:
@@ -401,10 +426,11 @@ def _moves(norms: dict, codes: _Codes, mode: GluingMode, top: int) -> tuple[dict
 
 def _fit(packing: Packing, parts: list[Part], bound: int) -> tuple[Packing, list[Part]]:
     """The packing and the parts, repacked in a wider packing of the same
-    layout if that one does not hold bound."""
+    layout if that one does not hold bound; PreconditionError if the wider
+    one is past MAX_PRODUCT_BITS."""
     if packing.holds(bound):
         return packing, parts
-    wider = packing.widened(bound)
+    wider = _sized(packing.widened(bound))
     return wider, [
         ({code: wider.repack(x, packing) for code, x in values.items()}, norms, den)
         for values, norms, den in parts

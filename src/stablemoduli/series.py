@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Union
 
 from .characters import _abacus, _character, character
 from .errors import PreconditionError
-from .hodge import Accumulator, Box, HodgePoly, Packing, box_of, product_packings
+from .hodge import Box, HodgePoly, Packing, _reduced, box_of
 from .partitions import (
     Partition,
     check_partition,
@@ -309,11 +309,10 @@ class SymSeries:
             row = [(chi, rho) for rho in terms if (chi := _character(beads, rho))]
             bound = max(bound, sum(abs(chi) * norms[rho] for chi, rho in row))
             rows.append((mu, row))
-        acc = Accumulator(Packing.holding(box, bound), den)
-        packed = {rho: acc.packing.pack(c, den // c._den) for rho, c in terms.items()}
-        for mu, row in rows:
-            acc.sums[mu] = sum(chi * packed[rho] for chi, rho in row)
-        return list(acc.result().items())
+        packing = Packing.holding(box, bound)
+        packed = {rho: packing.pack(c, den // c._den) for rho, c in terms.items()}
+        sums = {mu: sum(chi * packed[rho] for chi, rho in row) for mu, row in rows}
+        return list(packing.polys(sums, den).items())
 
     # -- text and JSON forms ---------------------------------------------------------
 
@@ -366,62 +365,47 @@ def _measure(terms: dict) -> tuple[int, Box | None, dict]:
     return den, box, norms
 
 
-def _pack_by_lambda(
-    terms: dict[Key, HodgePoly], packing: Packing, den: int
-) -> dict[int, list[tuple[Partition, int, int]]]:
-    """The term map packed over den, a multiple of every coefficient's
-    denominator, as {e: [(rho, weight, packed)]}."""
-    grouped: dict[int, list[tuple[Partition, int, int]]] = {}
-    for (e, rho), c in terms.items():
-        x = packing.pack(c, den // c._den)
-        grouped.setdefault(e, []).append((rho, sum(rho), x))
-    return grouped
-
-
 def _product(trunc: Truncation, a: dict, b: dict) -> dict[Key, HodgePoly]:
     """The truncated product of the term maps a and b.
 
-    Each operand is packed over its own denominator, so a product of two
-    terms lands over their product, in packings from the boxes of their
-    monomials (``hodge.product_packings``) whose width holds the product of
-    their l1 norms, which bounds every digit of the sum (and of each
-    operand, neither norm being 0 unless the product is).  Each product of
-    two terms is then one multiply-add.
+    Each operand's numerators are brought over the lcm of its own
+    denominators, so every product of two terms lands over the product of
+    the two lcms: each coefficient of the result is one sum of products of
+    int numerators by monomial, reduced once when it is done.
     """
     if not (a and b):
         return {}
-    da, box_a, na = _measure(a)
-    db, box_b, nb = _measure(b)
-    na, nb = sum(na.values()), sum(nb.values())
-    pa, pb, product = product_packings(box_a, box_b, max(na * nb, na, nb))
-    acc = Accumulator(product, da * db)
-    _add_products(acc.sums, _pack_by_lambda(a, pa, da), _pack_by_lambda(b, pb, db), trunc)
-    return acc.result()
-
-
-def _add_products(
-    sums: dict,
-    a: dict[int, list[tuple[Partition, int, int]]],
-    b: dict[int, list[tuple[Partition, int, int]]],
-    trunc: Truncation,
-) -> None:
-    """Add into sums, at its key, the product x*y of every term of a and
-    term of b, packed as from ``_pack_by_lambda``, that the truncation
-    keeps: one multiply-add per product."""
-    get = sums.get
-    for e1, terms_a in a.items():
-        for e2, terms_b in b.items():
-            e = e1 + e2
-            if e > trunc.lambda_max:
+    terms_a, da = _numerators(a)
+    terms_b, db = _numerators(b)
+    sums: dict[Key, dict] = {}
+    for e1, rho, w1, x in terms_a:
+        for e2, sigma, w2, y in terms_b:
+            if not trunc.admits(e1 + e2, w1 + w2):
                 continue
-            cap = trunc.cap(e)
-            for rho, w1, x in terms_a:
-                if w1 > cap:
-                    continue
-                for sigma, w2, y in terms_b:
-                    if w1 + w2 <= cap:
-                        key = (e, tuple(sorted(rho + sigma, reverse=True)))
-                        sums[key] = get(key, 0) + x * y
+            key = (e1 + e2, tuple(sorted(rho + sigma, reverse=True)))
+            out = sums.setdefault(key, {})
+            for (i, j), c in x.items():
+                for (k, l), d in y.items():
+                    ij = (i + k, j + l)
+                    out[ij] = out.get(ij, 0) + c * d
+    den = da * db
+    product = {}
+    for key, out in sums.items():
+        nonzero = {ij: c for ij, c in out.items() if c}
+        if nonzero:
+            product[key] = _reduced(nonzero, den)
+    return product
+
+
+def _numerators(terms: dict[Key, HodgePoly]) -> tuple[list, int]:
+    """The terms of a term map as [(e, rho, weight, {(i, j): numerator})],
+    the numerators over the lcm of the coefficients' denominators, and
+    that lcm."""
+    den = lcm(*(c._den for c in terms.values()))
+    return [
+        (e, rho, sum(rho), {ij: n * (den // c._den) for ij, n in c._terms.items()})
+        for (e, rho), c in terms.items()
+    ], den
 
 
 def _scaled(terms: dict[Key, HodgePoly], coeff: HodgePoly | Scalar) -> dict[Key, HodgePoly]:

@@ -15,7 +15,7 @@ from time import perf_counter
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stablemoduli
@@ -329,20 +329,34 @@ def test_stdout_closed_before_a_short_output_ends_quietly_with_exit_0(unbuffered
     assert proc.stderr == b""
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # Each op and each command pays for the import; building dataclasses,
-    # with inspect behind them, was about half of it.
+def modules_added_by_import(*flags):
+    """The modules a fresh interpreter, started with flags, loads to import
+    the package and its command line."""
     code = (
         "import sys; before = set(sys.modules); import stablemoduli, stablemoduli.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(""),
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=cli_env(""),
         timeout=60, check=True,
     )
-    added = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Each op and each command pays for the import; building dataclasses,
+    # with inspect behind them, was about half of it.
+    added = modules_added_by_import()
     assert "stablemoduli.exprlang" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_import_loads_no_resource_or_archive_modules():
+    # Without -S, a .pth file of the site packages may load these before the
+    # import, and the test could not fail.
+    added = modules_added_by_import("-S")
+    assert "stablemoduli.dataset" in added
+    assert not added & {"importlib.resources", "tempfile", "shutil", "bz2", "lzma", "random"}
 
 
 def test_missing_input_file_is_usage_error(capsys):
@@ -688,6 +702,9 @@ def _argvs(draw):
 
 @given(_argvs())
 @settings(max_examples=300, deadline=None)
+# u^31 at lambda^1 spreads the gluing recursion over 1866 cells of about 930
+# bits each; it ran for about 40 s before it exited 4.
+@example((["verify"], "M[0,3] = s[3]\nM[1,1] = (q+999999999^31+0^999999999 -(u^31)-0)*p[1]\n"))
 def test_fuzzed_command_lines_end_in_a_documented_exit_code(argv_doc):
     argv, doc = argv_doc
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from stablemoduli.errors import ExprParseError, OffDiagonalError, PreconditionError
 from stablemoduli.hodge import (
-    Accumulator,
     HodgePoly,
     Packing,
     box_of,
@@ -15,6 +14,7 @@ from stablemoduli.hodge import (
     join_signed,
     product_packings,
 )
+from stablemoduli.plethysm import _part
 
 import oracles
 from strategies import hodge_polys, small_fractions, wide_polys
@@ -116,12 +116,12 @@ def test_equal_values_by_different_routes_share_form_and_hash():
     assert cancelled._den == 1 and (third * 0)._den == 1
 
 
-def packed_sums(entries, divisor=1):
+def packed_sums(entries):
     """The sums by key of scale*a*b over the (key, a, b, scale) in entries,
     b None for scale*a alone, through the packed kernel as its callers use
     it: one denominator, a packing whose span and band add the operands'
     and whose width holds the l1 bound, each product one multiply-add at
-    level 2.  Returns the accumulator."""
+    level 2.  Returns (packing, {key: packed sum}, denominator)."""
     one = HodgePoly.one()
     entries = [(key, a, one if b is None else b, scale) for key, a, b, scale in entries]
     den = lcm(*(a._den * b._den for _, a, b, _ in entries))
@@ -133,13 +133,13 @@ def packed_sums(entries, divisor=1):
     box_a = box_of(ij for _, a, _, _ in entries for ij in a._terms)
     box_b = box_of(ij for _, _, b, _ in entries for ij in b._terms)
     if box_a is None or box_b is None:
-        return Accumulator(Packing.holding(None, 0), den)
+        return Packing.holding(None, 0), {}, den
     pa, pb, product = product_packings(box_a, box_b, bound)
-    acc = Accumulator(product, den)
+    sums: dict = {}
     for key, a, b, scale in entries:
         x = pa.pack(a, scale * (den // (a._den * b._den))) * pb.pack(b)
-        acc.sums[key] = acc.sums.get(key, 0) + x
-    return acc
+        sums[key] = sums.get(key, 0) + x
+    return product, sums, den
 
 
 @given(
@@ -156,12 +156,13 @@ def packed_sums(entries, divisor=1):
     wide_polys(),
     st.integers(1, 6),
 )
-def test_accumulator_matches_oracle_and_ring(products, a, b, divisor):
+def test_packed_sums_match_oracle_and_ring(products, a, b, divisor):
     """Products and multiples of polynomials with any denominators, times
     int scales (zero and negative included), a sum that cancels, then
-    division by divisor; the sums also as one part over one denominator."""
+    division by divisor through the denominator; the sums also as one part
+    over one denominator."""
     entries = products + [("cancels", a, b, 1), ("cancels", -a, b, 1)]
-    acc = packed_sums(entries, divisor)
+    packing, sums, den = packed_sums(entries)
     expected: dict = {}
     by_ring: dict = {}
     for key, x, y, scale in entries:
@@ -169,7 +170,7 @@ def test_accumulator_matches_oracle_and_ring(products, a, b, divisor):
         expected[key] = oracles.uv_add(expected.get(key, {}), value)
         by_ring[key] = by_ring.get(key, HodgePoly.zero()) + (x if y is None else x * y) * scale
 
-    out = acc.result(divisor)
+    out = packing.polys(sums, den * divisor)
     assert "cancels" not in out
     assert {key: as_dict(value) for key, value in out.items()} == {
         key: oracles.uv_scale(value, Fraction(1, divisor)) for key, value in expected.items() if value
@@ -179,15 +180,15 @@ def test_accumulator_matches_oracle_and_ring(products, a, b, divisor):
         ring = by_ring[key] * Fraction(1, divisor)
         assert value == ring and hash(value) == hash(ring)
 
-    values, norms, den = acc.part(divisor, acc.packing)
-    assert {key: acc.packing.poly(x, den) for key, x in values.items()} == out
-    assert norms == {key: extent(value)[1] * (den // value._den) for key, value in out.items()}
-    assert gcd(den, *(c for x in values.values() for c in acc.packing.digits(x))) == 1
+    values, norms, part_den = _part(sums, packing, den * divisor, packing)
+    assert {key: packing.poly(x, part_den) for key, x in values.items()} == out
+    assert norms == {key: extent(value)[1] * (part_den // value._den) for key, value in out.items()}
+    assert gcd(part_den, *(c for x in values.values() for c in packing.digits(x))) == 1
 
 
-def test_accumulator_reduces_each_sum_once():
+def test_packed_sums_are_reduced_once():
     half = HodgePoly.const(Fraction(1, 2))
-    acc = packed_sums(
+    packing, sums, den = packed_sums(
         [
             ("q", half, Q, 1),
             ("q", Fraction(1, 6) * Q, None, 3),  # mixed denominators: 2 and 6
@@ -197,18 +198,13 @@ def test_accumulator_reduces_each_sum_once():
             ("zero", HodgePoly.one(), None, -1),
         ]
     )
-    out = acc.result()
+    out = packing.polys(sums, den)
     assert out == {"q": Q, "u": U}
     assert out["q"]._den == out["u"]._den == 1
     assert hash(out["q"]) == hash(Q) and hash(out["u"]) == hash(U)
-    assert acc.result(4) == {"q": Fraction(1, 4) * Q, "u": Fraction(1, 4) * U}
-    values, norms, den = acc.part(4, acc.packing)
-    assert den == 4 and norms == {"q": 1, "u": 1}
-    for bad in (0, -2):
-        with pytest.raises(ValueError):
-            acc.result(bad)
-        with pytest.raises(ValueError):
-            acc.part(bad, acc.packing)
+    assert packing.polys(sums, 4 * den) == {"q": Fraction(1, 4) * Q, "u": Fraction(1, 4) * U}
+    values, norms, part_den = _part(sums, packing, 4 * den, packing)
+    assert part_den == 4 and norms == {"q": 1, "u": 1}
 
 
 # -- widths of the packed kernel -------------------------------------------------
@@ -268,7 +264,8 @@ def test_digits_at_the_edge_of_the_width_round_trip(bits, data):
 def test_packed_products_match_the_ring_and_oracle(a, b):
     expected = oracles.uv_mul(as_dict(a), as_dict(b))
     assert as_dict(a * b) == expected
-    assert as_dict(packed_sums([("ab", a, b, 1)]).result().get("ab", HodgePoly.zero())) == expected
+    packing, sums, den = packed_sums([("ab", a, b, 1)])
+    assert as_dict(packing.polys(sums, den).get("ab", HodgePoly.zero())) == expected
 
 
 @given(st.integers(2, 80), uv_keys, uv_keys, st.sampled_from([1, -1]))
@@ -276,10 +273,10 @@ def test_a_product_digit_at_the_edge_of_the_width(bits, ij, kl, sign):
     # a monomial times a monomial is one digit, as large as the l1 bound
     edge = (1 << (bits - 1)) - 1
     a, b = HodgePoly({ij: edge}), HodgePoly({kl: sign})
-    acc = packed_sums([("ab", a, b, 1)])
-    assert acc.packing.bits == bits
-    assert acc.result() == {"ab": HodgePoly({(ij[0] + kl[0], ij[1] + kl[1]): sign * edge})}
-    assert a * b == acc.result()["ab"]
+    packing, sums, den = packed_sums([("ab", a, b, 1)])
+    assert packing.bits == bits
+    assert packing.polys(sums, den) == {"ab": HodgePoly({(ij[0] + kl[0], ij[1] + kl[1]): sign * edge})}
+    assert a * b == packing.polys(sums, den)["ab"]
 
 
 # a nonzero coefficient off the diagonal or on it, negative or fractional

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from stablemoduli.dataset import embedded_dataset
 from stablemoduli.errors import OffDiagonalError, PreconditionError
-from stablemoduli.hodge import HodgePoly
+from stablemoduli.hodge import HodgePoly, Packing
 from stablemoduli.partitions import partitions_of, weight
 from stablemoduli.pipeline import (
     ModuliTable,
@@ -205,6 +205,20 @@ def test_closed_series_is_the_reference(lam, mode):
     closed, reference = shipped_routes(lam, mode)
     assert closed.trunc == Truncation.standard(lam)
     assert closed == reference
+
+
+@pytest.mark.parametrize("lam,mode", SHIPPED_CASES)
+def test_reference_route_packs_nothing(lam, mode, monkeypatch):
+    # The reference checks the packed gluing recursion, so it must not run
+    # on the same kernel: with every packing refused, it gives the same series.
+    phi = open_moduli_series(embedded_dataset(), Truncation.standard(lam))
+    closed = closed_moduli_series(phi, mode)
+
+    def refuse(*args):
+        raise AssertionError("the reference route packed a coefficient")
+
+    monkeypatch.setattr(Packing, "__init__", refuse)
+    assert reference_route(phi, mode) == closed
 
 
 @pytest.mark.parametrize("withheld", embedded_dataset().keys(), ids=lambda key: "M[%d,%d]" % key)
