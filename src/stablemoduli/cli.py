@@ -21,6 +21,7 @@ from pathlib import Path
 from .dataset import dataset_text
 from .errors import ExprParseError, PreconditionError, TableFormatError
 from .exprlang import evaluate, parse_table, render_table
+from .hodge import check_printable
 from .partitions import format_partition
 from .pipeline import (
     ModuliTable,
@@ -222,7 +223,8 @@ EXPECTED_CORRECTION = "3q^6 + 15q^5 + 29q^4 + 29q^3 + 16q^2 + 4q"
 
 
 def _rank_text(closed: SymSeries, g: int, n: int) -> str:
-    return render_coefficient(closed.rank(lambda_exponent(g, n), n))
+    rank = closed.rank(lambda_exponent(g, n), n)
+    return render_coefficient(check_printable(rank, f"the rank of M[{g},{n}]"))
 
 
 def run_verify(ns: argparse.Namespace) -> int:

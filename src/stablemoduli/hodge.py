@@ -35,6 +35,7 @@ form, and ``items`` iterates in ascending ``(i, j)`` order.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm, log10
 from operator import add
@@ -327,6 +328,21 @@ def magnitude(n: int) -> str:
     """n in decimal, or its order of magnitude past 64 bits: an int past
     the interpreter's digit limit cannot be printed in full."""
     return str(n) if n.bit_length() <= 64 else f"about 10^{int(n.bit_length() * log10(2))}"
+
+
+def check_printable(poly: HodgePoly, what: str) -> HodgePoly:
+    """poly, or PreconditionError if a numerator or the denominator may have
+    more digits than the interpreter's limit for int-to-str conversion: a
+    coefficient past it cannot be printed in full."""
+    limit = sys.get_int_max_str_digits()
+    bits = max(c.bit_length() for c in (poly._den, *poly._terms.values()))
+    digits = int(bits * log10(2)) + 1
+    if limit and digits > limit:
+        raise PreconditionError(
+            f"{what} may run to {digits} digits, past the {limit}-digit limit "
+            "for printing an integer"
+        )
+    return poly
 
 
 def join_signed(pieces: list[tuple[str, str]], sep: str = " ") -> str:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import OffDiagonalError, PreconditionError
-from .hodge import HodgePoly, join_signed
+from .hodge import HodgePoly, check_printable, join_signed
 from .partitions import Partition, format_partition, weight
 from .plethysm import GluingMode, glued_log, mobius_adams_sum
 # The composition the recursion equals; perfbench/tracer.py looks these
@@ -228,7 +228,9 @@ class SlotReport(NamedTuple):
 def build_slot_report(closed: SymSeries, g: int, n: int) -> SlotReport:
     equivariant = slot_schur(closed, g, n)
     e = lambda_exponent(g, n)
-    rank = closed.rank(e, n)
+    rank = check_printable(closed.rank(e, n), f"the rank of M[{g},{n}]")
+    for mu, coeff in equivariant:
+        check_printable(coeff, f"the coefficient of s{format_partition(mu)} in M[{g},{n}]")
     witness = rank.off_diagonal_witness()
     diagonal = rank.q_coefficient_list() if witness is None else None
     return SlotReport(

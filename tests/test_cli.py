@@ -549,6 +549,18 @@ def test_table_row_too_wide_for_the_pipeline_is_refused(tmp_path, capsys):
     assert "a coefficient would spread over 9999999991 cells" in err
 
 
+@pytest.mark.parametrize("argv", [["table"], ["table", "--format", "json"], ["verify"]])
+def test_output_coefficient_too_long_to_print_is_refused(tmp_path, capsys, argv):
+    # A row of about 1860 digits, within the limit, glues into a rank of
+    # M[3,1] past it.
+    doc = tmp_path / "long.dat"
+    doc.write_text("M[0,3] = s[3]\nM[1,1] = (q+10^1860)*s[1]\n", encoding="utf-8")
+    rc, out, err = run(capsys, *argv, "--input", str(doc))
+    assert rc == 4
+    assert "error: the rank of M[3,1] may run to" in err
+    assert "-digit limit for printing an integer" in err
+
+
 def test_bound_too_long_to_print_is_shown_by_its_magnitude(capsys):
     # the weight bound 2 * (10^limit - 1) is one digit past the limit for printing
     limit = sys.get_int_max_str_digits()
@@ -705,6 +717,8 @@ def _argvs(draw):
 # u^31 at lambda^1 spreads the gluing recursion over 1866 cells of about 930
 # bits each; it ran for about 40 s before it exited 4.
 @example((["verify"], "M[0,3] = s[3]\nM[1,1] = (q+999999999^31+0^999999999 -(u^31)-0)*p[1]\n"))
+# A row within the digit limit glues into a rank of M[3,1] past it.
+@example((["table"], "M[0,3] = s[3]\nM[1,1] = (q+q+q+(1000000000000000000000000000000^31)^2)*s[1]\n"))
 def test_fuzzed_command_lines_end_in_a_documented_exit_code(argv_doc):
     argv, doc = argv_doc
     with tempfile.TemporaryDirectory() as tmp:
