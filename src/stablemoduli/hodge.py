@@ -555,6 +555,23 @@ class Packing:
         bits = self.bits
         return sum(c << bits * k for k, c in enumerate(old.digits(x)) if c)
 
+    def adams(self, x: int, k: int, old: "Packing") -> int:
+        """The k-th Adams operation (u^i v^j to u^{ki} v^{kj}) of an int of
+        ``old``, which differs from this packing at most in width, in this
+        packing; the image must lie within the layout."""
+        span, clo, dlo, bands, bits = old.span, old.clo, old.dlo, old.bands, self.bits
+        y = 0
+        for index, c in enumerate(old.digits(x)):
+            if c:
+                # (i, j) -> (ki, kj) scales both j and i - j (in either
+                # orientation) by k
+                band, col = divmod(index, span)
+                col, band = k * (clo + col) - clo, k * (dlo + band) - dlo
+                if not (0 <= col < span and 0 <= band < bands):
+                    raise OverflowError(f"psi_{k} of a value does not fit {self!r}")
+                y += c << bits * (col + span * band)
+        return y
+
     def rebase(self, x: int, old: "Packing") -> int:
         """An int of ``old``, which differs from this packing at most in its
         offsets, in this packing; the value must lie within both."""

@@ -14,8 +14,10 @@ The pipeline never builds the disconnected series Exp(f).  With
 F = sum over k of psi_k(f)/k, the ordinary logarithm W = log(exp(Delta)
 exp(F)) is solved directly by the gluing recursion of
 :func:`~stablemoduli.plethysm.gluing_flow`, which stays on connected
-series, and the closed series is sum over k of mu(k)/k psi_k(W).  The tests
-keep the composition Log exp(Delta) Exp as the reference it equals.
+series, and the closed series is sum over k of mu(k)/k psi_k(W), formed on
+the recursion's packed ints and decoded once
+(:func:`~stablemoduli.plethysm.closed_series`).  The tests keep the
+composition Log exp(Delta) Exp as the reference it equals.
 
 A slot (g, n) at lambda^e has weight n = e + 2 - 2g, so within a lambda
 bound L every slot has weight at most L + 2.  The closed series, a sum over
@@ -31,7 +33,7 @@ from typing import NamedTuple
 from .errors import OffDiagonalError, PreconditionError
 from .hodge import HodgePoly, check_printable, join_signed
 from .partitions import Partition, format_partition, weight
-from .plethysm import GluingMode, glued_log, mobius_adams_sum
+from .plethysm import GluingMode, closed_series
 # The composition the recursion equals; perfbench/tracer.py looks these
 # stage names up here.
 from .plethysm import exp_gluing, plethystic_exp, plethystic_log  # noqa: F401
@@ -112,10 +114,10 @@ def closed_moduli_series(
 ) -> SymSeries:
     """The full pipeline: Log exp(Delta) Exp of the open series, computed as
     sum over k of mu(k)/k psi_k(W) with W = log(exp(Delta) Exp f) from the
-    gluing recursion (:func:`~stablemoduli.plethysm.glued_log`), which needs
-    the open series in a truncation like ``Truncation.standard``.  The result
-    is in the truncation of the open series."""
-    return mobius_adams_sum(glued_log(open_series, mode))
+    gluing recursion (:func:`~stablemoduli.plethysm.closed_series`), which
+    needs the open series in a truncation like ``Truncation.standard``.  The
+    result is in the truncation of the open series."""
+    return closed_series(open_series, mode)
 
 
 def slot_schur(closed: SymSeries, g: int, n: int) -> SchurList:
@@ -193,11 +195,11 @@ class SlotReport(NamedTuple):
             "schur": [
                 {
                     "partition": list(mu),
-                    "coeff_q": _json_coeffs(coeff.q_coefficient_list()),
+                    "coeff_q": _json_coeffs(coeff),
                 }
                 for mu, coeff in self.equivariant
             ],
-            "rank_q": _json_coeffs(self.rank.q_coefficient_list()),
+            "rank_q": _json_coeffs(self.rank),
             "duality": self.duality_ok,
         }
 
@@ -251,8 +253,20 @@ def render_coefficient(coeff: HodgePoly) -> str:
     return coeff.render_q() if coeff.is_diagonal() else coeff.render()
 
 
-def _json_coeffs(values: list[Fraction]) -> list[int | str]:
-    return [int(c) if c.denominator == 1 else str(c) for c in values]
+def _json_coeffs(coeff: HodgePoly) -> list[int | str]:
+    """The dense q-coefficients of a diagonal polynomial, each an int or,
+    past a denominator of 1, the string of its fraction; OffDiagonalError
+    for a term off the diagonal.  An integral polynomial's numerators are
+    written as they are."""
+    if not coeff.is_integral():
+        return [int(c) if c.denominator == 1 else str(c) for c in coeff.q_coefficient_list()]
+    witness = coeff.off_diagonal_witness()
+    if witness is not None:
+        raise OffDiagonalError(*witness)
+    out = [0] * (max((i for i, _ in coeff._terms), default=-1) + 1)
+    for (i, _), c in coeff._terms.items():
+        out[i] = c
+    return out
 
 
 # -- paper-style LaTeX rendering ------------------------------------------------

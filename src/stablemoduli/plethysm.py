@@ -19,9 +19,11 @@ instead; it belongs to a lambda^{2g-2} grading and is kept only so the
 mismatch is demonstrable: under it the boundary contribution of the
 one-pointed genus-one space lands in the wrong slot.
 
-``glued_log`` gives log(exp(Delta) Exp f) without building Exp f or its
-glued image: ``gluing_flow`` solves for it as a sum of connected parts, one
-per number of gluings, by a recursion in the derivatives d/dp_k.
+``closed_series`` gives Log exp(Delta) Exp f without building Exp f or
+its glued image: ``gluing_flow`` solves for W = log(exp(Delta) Exp f) as a
+sum of connected parts, one per number of gluings, by a recursion in the
+derivatives d/dp_k, and the sum over k of mu(k)/k psi_k(W) is formed on
+the packed sum of the parts, which is decoded once.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import PreconditionError
-from .hodge import HodgePoly, Packing, magnitude
+from .hodge import HodgePoly, Packing, _reduced, magnitude
 from .partitions import mobius, multiplicities, weight
 from .series import (
     SymSeries,
@@ -56,15 +58,28 @@ def _adams_bound(f: SymSeries) -> int:
 
 def adams_sum(f: SymSeries) -> SymSeries:
     """Sum over k >= 1 of psi_k(f) / k, the argument of the exponential in
-    Exp(f)."""
-    total = SymSeries.zero(f.trunc)
-    for k in range(1, _adams_bound(f) + 1):
-        total = total + f.adams(k) * Fraction(1, k)
-    return total
+    Exp(f), in one pass over the terms of f: a term at lambda^e >= 1 meets
+    only the k <= L // e that keep it within the lambda bound L."""
+    trunc = f.trunc
+    top, bound = trunc.lambda_max, _adams_bound(f)
+    out: dict = {}
+    for (e, rho), c in f._terms.items():
+        w = weight(rho)
+        for k in range(1, (top // e if e else bound) + 1):
+            if trunc.admits(k * e, k * w):
+                key = (k * e, tuple(k * part for part in rho))
+                term = c if k == 1 else _reduced(
+                    {(k * i, k * j): n for (i, j), n in c._terms.items()}, c._den * k
+                )
+                s = out.get(key)
+                out[key] = term if s is None else s + term
+    return _wrap(trunc, {key: c for key, c in out.items() if c})
 
 
 def mobius_adams_sum(g: SymSeries) -> SymSeries:
-    """Sum over k >= 1 of mu(k)/k psi_k(g), the inverse of ``adams_sum``."""
+    """Sum over k >= 1 of mu(k)/k psi_k(g), the inverse of ``adams_sum``;
+    the last step of ``plethystic_log``.  :func:`closed_series` forms the
+    same sum on packed ints."""
     total = SymSeries.zero(g.trunc)
     for k in range(1, _adams_bound(g) + 1):
         m = mobius(k)
@@ -132,28 +147,67 @@ def exp_gluing(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
     return total
 
 
-def glued_log(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
-    """log(exp(Delta) Exp f), summed from the parts of :func:`gluing_flow`,
-    for f with zero constant term under the conditions stated there; it
-    equals ``log_series(exp_gluing(plethystic_exp(f), mode))``.  The parts
-    stay packed: they are summed over the lcm of their denominators, in a
-    packing widened first if the sum of their l1 norms needs it, and their
-    codes are decoded once, in the sum."""
+def closed_series(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
+    """Log exp(Delta) Exp f, for f with zero constant term under the
+    conditions stated in :func:`gluing_flow`: the sum over k of mu(k)/k
+    psi_k(W), with W = log(exp(Delta) Exp f) the sum of the parts of
+    ``gluing_flow(adams_sum(f), mode)``.  It equals
+    ``plethystic_log(exp_gluing(plethystic_exp(f), mode))``.
+
+    Nothing leaves the packing until the end.  The parts are summed over
+    the lcm of their denominators, in a packing widened first if the sum
+    of their l1 norms needs it.  For k >= 2 only the terms at lambda^e
+    with k e <= L move: psi_k re-keys lambda^e p_rho to lambda^(ke)
+    p_(k rho) and sends u^i v^j to u^(ki) v^(kj), which stays in the box of
+    the packing by its slope bound (see :func:`_flow`).  The terms such a
+    move reaches are summed over the denominator times the lcm of those k,
+    in a packing wide enough for the sum of the l1 norms that land there;
+    every other term is W's own.  Each code is decoded once, and terms
+    that cancel drop out.
+    """
     if f.constant_term():
         raise PreconditionError("plethystic exp needs a zero constant term")
     codes, packing, parts = _flow(adams_sum(f), mode)
+    top = f.trunc.lambda_max
     den = lcm(*(d for _, _, d in parts))
-    bounds: dict = {}
-    for _, norms, d in parts:
-        for code, norm in norms.items():
-            bounds[code] = bounds.get(code, 0) + norm * (den // d)
-    packing, parts = _fit(packing, parts, max(bounds.values(), default=0))
+    norms: dict = {}
+    for _, part_norms, d in parts:
+        for code, norm in part_norms.items():
+            norms[code] = norms.get(code, 0) + norm * (den // d)
+    packing, parts = _fit(packing, parts, max(norms.values(), default=0))
     sums: dict = {}
     get = sums.get
     for values, _, d in parts:
         for code, x in values.items():
             sums[code] = get(code, 0) + x * (den // d)
-    return _wrap(f.trunc, {codes.decode(code): c for code, c in packing.polys(sums, den).items()})
+    ks = [k for k in range(2, top + 1) if mobius(k)]
+    mult = lcm(1, *ks)
+    images: dict = {}  # target code -> [(k, source code)]
+    for code, x in sums.items():
+        e = code & codes.emask
+        if x and 2 * e <= top:
+            for k in ks:
+                if k * e > top:
+                    break
+                images.setdefault(codes.adams(code, k), []).append((k, code))
+    bound = max(
+        (
+            mult * norms.get(target, 0) + sum(mult // k * norms[code] for k, code in group)
+            for target, group in images.items()
+        ),
+        default=0,
+    )
+    wide = packing if packing.holds(bound) else _sized(packing.widened(bound))
+    mixed = {}
+    for target, group in images.items():
+        x = sums.get(target)
+        y = mult * wide.repack(x, packing) if x else 0
+        for k, code in group:
+            y += mobius(k) * (mult // k) * wide.adams(sums[code], k, packing)
+        mixed[target] = y
+    closed = packing.polys({code: x for code, x in sums.items() if code not in mixed}, den)
+    closed.update(wide.polys(mixed, den * mult))
+    return _wrap(f.trunc, {codes.decode(code): c for code, c in closed.items()})
 
 
 def gluing_flow(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[SymSeries]:
@@ -227,6 +281,12 @@ class _Codes:
         rho = tuple(k for k, m, _ in reversed(self.parts(code)) for _ in range(m))
         return code & self.emask, rho
 
+    def adams(self, code: int, k: int) -> int:
+        """The code of psi_k of the term: lambda^(ke) p_(k rho) for
+        lambda^e p_rho, which must have ke <= L."""
+        fields = sum(m * self.unit(k * part) for part, m, _ in self.parts(code))
+        return k * (code & self.emask) + fields
+
     def parts(self, code: int) -> list[tuple[int, int, int]]:
         """(k, m_k, unit(k)) for each part k of the code's partition."""
         rest = code >> self.ebits
@@ -258,11 +318,16 @@ Part = tuple[dict, dict, int]
 MAX_PRODUCT_BITS = 1 << 20
 
 
+def _product_bits(packing: Packing) -> int:
+    """The bits of an int of the products of two ints of packing."""
+    product = packing.times(packing)
+    return product.span * product.bands * product.bits
+
+
 def _sized(packing: Packing) -> Packing:
     """packing, if an int of the products of two of its ints holds at most
     MAX_PRODUCT_BITS bits; otherwise PreconditionError."""
-    product = packing.times(packing)
-    size = product.span * product.bands * product.bits
+    size = _product_bits(packing)
     if size > MAX_PRODUCT_BITS:
         raise PreconditionError(
             f"the gluing recursion would hold each product in {magnitude(size)} bits, "
@@ -305,6 +370,9 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
     these bounds, every part is repacked in one wide enough (``_fit``)
     before anything is added.  The first layout and every widened one must
     keep a product int within MAX_PRODUCT_BITS, or the run is refused.
+    Each part is walked once (``_walk``) for its packed derivative groups,
+    their norms and its gluing terms; a widening walks the repacked parts
+    again.
     """
     trunc = w0.trunc
     top = trunc.lambda_max
@@ -327,10 +395,10 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
     den, _, norms = _measure(terms)
     packing = _sized(Packing.holding((0, du, 0, dv, -band, band), max(norms.values(), default=0)))
     parts = [({code: packing.pack(c, den // c._den) for code, c in terms.items()}, norms, den)]
-    moves: list[tuple] = []  # a -> (index, dnorms, glued) of W_a, from _moves
-    derivs: list[dict] = []  # a -> k -> e -> [(code, packed d_k W_a term)]
+    moves: dict = {}  # code -> what its term does, from _moves
+    walks: list[tuple] = []  # a -> (derivs, dnorms, glued) of W_a, from _walk
     for j in range(3 * top // 2):
-        moves.append(_moves(parts[j][1], codes, mode, top))
+        walks.append(_walk(parts[j], moves, codes, mode, top))
         pairs = [(a, j - a) for a in range(j // 2 + 1)]
         dj = parts[j][2]
         den = lcm(dj, *(parts[a][2] * parts[b][2] for a, b in pairs))
@@ -340,12 +408,12 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
         # a bound on the digits of the sums at each lambda exponent
         bounds = dict.fromkeys(range(top + 1), 0)
         norms = parts[j][1]
-        for target, factor, code in moves[j][2]:
+        for target, factor, code in walks[j][2]:
             bounds[target & codes.emask] += glue_mult * factor * norms[code]
         for a, b in pairs:
             mult = den // (parts[a][2] * parts[b][2])
-            for k, na in moves[a][1].items():
-                nb = moves[b][1].get(k)
+            for k, na in walks[a][1].items():
+                nb = walks[b][1].get(k)
                 if nb:
                     scale = k * (1 + (a < b)) * mult
                     for e1, x in na.items():
@@ -354,31 +422,27 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
                                 bounds[e1 + e2 + shift * k] += scale * x * y
         bound = max(bounds.values())
         if not packing.holds(bound):
+            # the derivative groups hold multiples of the parts' ints, so
+            # they are taken anew from the repacked parts
             packing, parts = _fit(packing, parts, bound)
-            derivs.clear()
-        while len(derivs) <= j:
-            values = parts[len(derivs)][0]
-            derivs.append(
-                {
-                    k: {
-                        e: [(smaller, values[code] * m) for smaller, code, m in group]
-                        for e, group in grouped.items()
-                    }
-                    for k, grouped in moves[len(derivs)][0].items()
-                }
-            )
-        # every product, a gluing term lifted to it, lies in the box
+            walks = [_walk(part, moves, codes, mode, top) for part in parts]
+        # every product, a gluing term lifted to it, lies in the box; on a
+        # box with its corner at u^0 v^0, as for diagonal coefficients, the
+        # two packings share their offsets and nothing is moved
         product = packing.times(packing)
+        moved = (product.clo, product.dlo) != (packing.clo, packing.dlo)
         sums: dict = {}
         get = sums.get
         values = parts[j][0]
-        for target, factor, code in moves[j][2]:
-            lifted = product.rebase(values[code] * (glue_mult * factor), packing)
+        for target, factor, code in walks[j][2]:
+            lifted = values[code] * (glue_mult * factor)
+            if moved:
+                lifted = product.rebase(lifted, packing)
             sums[target] = get(target, 0) + lifted
         for a, b in pairs:
             mult = den // (parts[a][2] * parts[b][2])
-            for k, grouped in derivs[a].items():
-                other = derivs[b].get(k)
+            for k, grouped in walks[a][0].items():
+                other = walks[b][0].get(k)
                 if other is None:
                     continue
                 if a == b:
@@ -391,46 +455,92 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
 
 def _part(sums: dict, product: Packing, den: int, packing: Packing) -> Part:
     """The nonzero sums of ints of product over the positive int den, moved
-    into packing (see :meth:`~stablemoduli.hodge.Packing.rebase`) and over
-    one denominator, the lcm of their canonical ones, as a :data:`Part`."""
-    moved = {code: packing.rebase(x, product) for code, x in sums.items() if x}
-    digits = {code: packing.digits(x) for code, x in moved.items()}
+    into packing (see :meth:`~stablemoduli.hodge.Packing.rebase`) unless the
+    two share their offsets, and over one denominator, the lcm of their
+    canonical ones, as a :data:`Part`."""
+    if (product.clo, product.dlo) != (packing.clo, packing.dlo):
+        sums = {code: packing.rebase(x, product) for code, x in sums.items()}
+    digits = {code: packing.digits(x) for code, x in sums.items() if x}
     g = gcd(den, *(c for d in digits.values() for c in d))
     norms = {code: sum(map(abs, d)) // g for code, d in digits.items()}
-    return {code: x // g for code, x in moved.items()}, norms, den // g
+    return {code: sums[code] // g for code in digits}, norms, den // g
 
 
-def _moves(norms: dict, codes: _Codes, mode: GluingMode, top: int) -> tuple[dict, dict, list]:
-    """One pass over the terms of a part, given as {code: l1 norm}: where
-    d/dp_k of each term lands, {k: {e: [(code less unit(k), code, m)]}} for
-    the m parts of the term equal to k; the l1 norm of each such group,
-    {k: {e: norm}}, the norms times m; and the terms of the gluing
-    operator, [(target code, factor, code)], as :func:`_glued` has them."""
-    shift = 1 if mode is GluingMode.LITERAL else 0
-    emask = codes.emask
-    index: dict = {}
-    dnorms: dict = {}
+def _walk(
+    part: Part, moves: dict, codes: _Codes, mode: GluingMode, top: int
+) -> tuple[dict, dict, list]:
+    """One pass over the terms of a part: its derivatives d/dp_k packed,
+    {k: {e: [(code less unit(k), m x)]}} for each term x with m parts equal
+    to k; the l1 norm of each such group, {k: {e: norm}}, the norms times
+    m; and the terms of the gluing operator, [(target code, factor, code)],
+    as :func:`_glued` has them.  What each code's term does is read once per
+    run, by :func:`_moves`, into the run's dict moves."""
+    values, norms, _ = part
+    derivs: dict = {}  # (k, e) -> [(code less unit(k), m x)]
+    dnorms: dict = {}  # (k, e) -> l1 norm
     glued = []
-    for code, norm in norms.items():
-        e = code & emask
-        for k, m, unit in codes.parts(code):
-            index.setdefault(k, {}).setdefault(e, []).append((code - unit, code, m))
-            group = dnorms.setdefault(k, {})
-            group[e] = group.get(e, 0) + norm * m
-            if m > 1 and e + shift * 2 * k <= top:
-                glued.append((code - 2 * unit + shift * 2 * k, k * m * (m - 1) // 2, code))
-            if k % 2 == 0 and e + shift * k <= top:
-                glued.append((code - unit + shift * k, m, code))
-    return index, dnorms, glued
+    for code, x in values.items():
+        found = moves.get(code)
+        if found is None:
+            found = moves[code] = _moves(code, codes, mode, top)
+        diffs, glue = found
+        norm = norms[code]
+        for group, smaller, m in diffs:
+            terms = derivs.get(group)
+            if terms is None:
+                derivs[group] = [(smaller, x * m)]
+                dnorms[group] = norm * m
+            else:
+                terms.append((smaller, x * m))
+                dnorms[group] += norm * m
+        glued += glue
+    return _by_k(derivs), _by_k(dnorms), glued
+
+
+def _moves(code: int, codes: _Codes, mode: GluingMode, top: int) -> tuple[list, list]:
+    """Where d/dp_k of the term with the code lands, [((k, e), code less
+    unit(k), m)] for its m parts equal to k, and the terms of the gluing
+    operator on it, [(target code, factor, code)].  Every term lies at
+    lambda^1 or above, so a derivative whose product with one at lambda^1
+    lands past the lambda bound top is left out: no product of it is
+    kept."""
+    shift = 1 if mode is GluingMode.LITERAL else 0
+    e = code & codes.emask
+    diffs = []
+    glue = []
+    for k, m, unit in codes.parts(code):
+        if e + 1 + shift * 2 * k <= top:
+            diffs.append(((k, e), code - unit, m))
+        if m > 1 and e + shift * 2 * k <= top:
+            glue.append((code - 2 * unit + shift * 2 * k, k * m * (m - 1) // 2, code))
+        if k % 2 == 0 and e + shift * k <= top:
+            glue.append((code - unit + shift * k, m, code))
+    return diffs, glue
+
+
+def _by_k(groups: dict) -> dict:
+    """{(k, e): value} as {k: {e: value}}."""
+    out: dict = {}
+    for (k, e), value in groups.items():
+        out.setdefault(k, {})[e] = value
+    return out
 
 
 def _fit(packing: Packing, parts: list[Part], bound: int) -> tuple[Packing, list[Part]]:
     """The packing and the parts, repacked in a wider packing of the same
     layout if that one does not hold bound; PreconditionError if the wider
-    one is past MAX_PRODUCT_BITS."""
+    one is past MAX_PRODUCT_BITS.
+
+    The wider packing has digits of twice the bits bound needs, unless
+    that is past MAX_PRODUCT_BITS where the least width is not: the
+    recursion's digits grow over its first steps and then level off, so
+    the room saves a repack of every part (on the shipped table at L = 7,
+    one widening instead of two)."""
     if packing.holds(bound):
         return packing, parts
-    wider = _sized(packing.widened(bound))
+    wider = packing.widened(1 << 2 * bound.bit_length())
+    if _product_bits(wider) > MAX_PRODUCT_BITS:
+        wider = _sized(packing.widened(bound))
     return wider, [
         ({code: wider.repack(x, packing) for code, x in values.items()}, norms, den)
         for values, norms, den in parts

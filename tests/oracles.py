@@ -6,9 +6,10 @@ dicts mapping exponent -> integer coefficient, and polynomials in u, v
 plain dicts mapping (i, j) -> Fraction, so a disagreement with the package
 cannot share a root cause with it.  The Jacobi-Trudi Schur reference
 expands its determinant here and only wraps the result in a series.  The
-exp/log and gluing references reuse the package's series arithmetic but not
-its exp/log recurrences or its one-pass gluing operator.  The graded-piece
-helpers read series and polynomials only through their public ``items``.
+exp/log, gluing and Adams-sum references reuse the package's series
+arithmetic but not its exp/log recurrences, its one-pass gluing operator
+or its one-pass Adams sum.  The graded-piece helpers read series and
+polynomials only through their public ``items``.
 """
 
 from __future__ import annotations
@@ -364,6 +365,18 @@ def log_by_powers(g: SymSeries) -> SymSeries:
         sign = 1 if m % 2 else -1
         total = total + power * Fraction(sign, m)
         m += 1
+
+
+def adams_sum_by_series(f: SymSeries) -> SymSeries:
+    """Sum over k of psi_k(f)/k, one whole-series Adams operation, scaling
+    and sum per k, up to the larger of the lambda bound and the weight cap
+    at lambda^0: past it every image of a nonconstant term truncates away,
+    and a constant term is summed once per k."""
+    trunc = f.trunc
+    total = SymSeries.zero(trunc)
+    for k in range(1, max(trunc.lambda_max, trunc.cap(0), 1) + 1):
+        total = total + f.adams(k) * Fraction(1, k)
+    return total
 
 
 # -- graded pieces read through the public protocol ------------------------------------

@@ -250,9 +250,12 @@ def random_tables(draw):
     return ModuliTable({key: entry(key[1], val) for key, val in rows.items()})
 
 
-@given(random_tables(), st.integers(1, 3), st.sampled_from(GluingMode))
+@given(random_tables(), st.integers(1, 5), st.sampled_from(GluingMode))
 @settings(max_examples=40, deadline=None)
 def test_closed_series_is_the_reference_on_random_tables(table, lam, mode):
+    # Rows within lambda^3 in truncations up to 5: the Moebius-Adams sum
+    # then moves lambda^2 terms by psi_2 and lambda^1 terms by psi_5, on
+    # off-diagonal coefficients too.
     phi = open_moduli_series(table, Truncation.standard(lam))
     closed = closed_moduli_series(phi, mode)
     reference = reference_route(phi, mode)
@@ -328,6 +331,30 @@ def test_off_diagonal_report():
     assert "off-diagonal term at (1, 0)" in report.render_text()
     with pytest.raises(OffDiagonalError):
         report.to_json_obj()
+
+
+def test_slot_json_writes_a_fraction_as_a_string():
+    # (1/2 + q) p_1 at lambda^1: the s_1 coefficient and the rank are both
+    # 1/2 + q, past the integral path
+    coeff = HodgePoly({(0, 0): Fraction(1, 2), (1, 1): 1})
+    closed = SymSeries(Truncation.standard(1), {(1, (1,)): coeff})
+    obj = build_slot_report(closed, 1, 1).to_json_obj()
+    assert obj["schur"] == [{"partition": [1], "coeff_q": ["1/2", 1]}]
+    assert obj["rank_q"] == ["1/2", 1]
+
+
+@pytest.mark.parametrize("c", [1, Fraction(1, 2)], ids=["integral", "fractional"])
+def test_slot_json_refuses_an_off_diagonal_schur_coefficient(c):
+    # p_1^2 + c u p_2 at lambda^2: the rank 2 is diagonal, but the
+    # coefficients of s_2 and s_11 are 1 + c u and 1 - c u
+    closed = SymSeries(
+        Truncation.standard(2), {(2, (1, 1)): 1, (2, (2,)): c * HodgePoly.u()}
+    )
+    report = build_slot_report(closed, 1, 2)
+    assert report.off_diagonal is None and report.rank == 2
+    with pytest.raises(OffDiagonalError) as caught:
+        report.to_json_obj()
+    assert caught.value.exponents == (1, 0)
 
 
 def test_literal_mode_misplaces_boundary():

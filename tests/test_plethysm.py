@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablemoduli.cli import MAX_TRUNCATION
@@ -12,10 +12,11 @@ from stablemoduli.plethysm import (
     GluingMode,
     _Codes,
     adams_sum,
+    closed_series,
     exp_gluing,
-    glued_log,
     gluing_flow,
     gluing_operator,
+    mobius_adams_sum,
     plethystic_exp,
     plethystic_log,
 )
@@ -27,8 +28,8 @@ from stablemoduli.series import (
     schur,
 )
 
-from oracles import gluing_by_derivatives, lambda_component
-from strategies import FLAT_33, STD_3, hodge_polys, series, small_fractions, wide_polys
+from oracles import adams_sum_by_series, gluing_by_derivatives, lambda_component
+from strategies import FLAT_08, FLAT_33, STD_3, hodge_polys, series, small_fractions, wide_polys
 
 HALF = Fraction(1, 2)
 
@@ -60,6 +61,29 @@ def test_exp_of_lambda_p1_lists_homogeneous_functions():
             else lift(complete_homogeneous(k, trunc), trunc, k)
         )
         assert lambda_component(e, k) == lambda_component(expected, k)
+
+
+@given(
+    st.sampled_from([STD_3, FLAT_33, FLAT_08]).flatmap(
+        lambda trunc: series(trunc, coeffs=hodge_polys(max_exp=2))
+    )
+)
+@example(
+    SymSeries(
+        FLAT_33,
+        {
+            (0, ()): HodgePoly({(1, 0): 2}),
+            (0, (1,)): HodgePoly({(0, 1): HALF, (1, 1): -1}),
+            (1, (2, 1)): HodgePoly({(2, 0): Fraction(-1, 3)}),
+            (1, (1,)): HodgePoly({(0, 2): 1}),
+        },
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_adams_sum_is_the_sum_of_series_adams_operations(f):
+    # terms at lambda^0 (the constant included), off-diagonal coefficients,
+    # and images that land on one key from different k
+    assert adams_sum(f) == adams_sum_by_series(f)
 
 
 @given(series(STD_3, min_lambda=1, coeffs=small_fractions))
@@ -158,11 +182,27 @@ def test_exp_gluing_agrees_with_series_definition(f):
 # -- the gluing recursion ------------------------------------------------------------
 
 
+def flow_sum(f, mode=GluingMode.GRADED):
+    """W, the sum of the parts of the gluing recursion on adams_sum(f)."""
+    total = SymSeries.zero(f.trunc)
+    for part in gluing_flow(adams_sum(f), mode):
+        total = total + part
+    return total
+
+
+def assert_recursion_is_the_reference(f, mode):
+    """The recursion's W is log(exp(Delta) Exp f), and closed_series, its
+    Moebius-Adams sum formed on packed ints, is Log exp(Delta) Exp f."""
+    log = log_series(exp_gluing(plethystic_exp(f), mode))
+    assert flow_sum(f, mode) == log
+    assert closed_series(f, mode) == mobius_adams_sum(log)
+
+
 @given(series(STD_3, min_lambda=1, coeffs=hodge_polys(max_exp=2)))
 @settings(max_examples=60, deadline=None)
 def test_gluing_recursion_is_the_log_of_the_glued_exp(f):
     for mode in GluingMode:
-        assert glued_log(f, mode) == log_series(exp_gluing(plethystic_exp(f), mode))
+        assert_recursion_is_the_reference(f, mode)
 
 
 @given(series(STD_3, min_lambda=1, coeffs=wide_polys(max_exp=2)))
@@ -170,7 +210,7 @@ def test_gluing_recursion_is_the_log_of_the_glued_exp(f):
 def test_gluing_recursion_on_wide_coefficients(f):
     # off-diagonal both ways, numerators up to 2^64, denominators up to 2^20
     for mode in GluingMode:
-        assert glued_log(f, mode) == log_series(exp_gluing(plethystic_exp(f), mode))
+        assert_recursion_is_the_reference(f, mode)
 
 
 def test_gluing_recursion_widens_and_repacks(monkeypatch):
@@ -192,7 +232,7 @@ def test_gluing_recursion_widens_and_repacks(monkeypatch):
     )
     for mode in GluingMode:
         widened.clear()
-        assert glued_log(f, mode) == log_series(exp_gluing(plethystic_exp(f), mode))
+        assert_recursion_is_the_reference(f, mode)
         # the parts outgrow the width they start at, and every part is
         # repacked each time
         assert widened and all(bits <= need for bits, need in widened)
@@ -218,16 +258,32 @@ def test_gluing_flow_refuses_terms_past_the_3e_rule():
     with pytest.raises(PreconditionError):
         gluing_flow(SymSeries(Truncation.flat(2, 4), {(1, (1,)): 1}))
     with pytest.raises(PreconditionError):
-        glued_log(SymSeries.constant(STD_3, 1))
+        closed_series(SymSeries.constant(STD_3, 1))
+
+
+@pytest.mark.parametrize(
+    "top,terms",
+    [
+        (4, {(2, ()): {(1, 1): Fraction(1, 3)}, (1, ()): {(1, 0): Fraction(-2, 3)}}),
+        (6, {(1, ()): {(1, 0): Fraction(-1, 3)}, (3, ()): {(0, 1): 2, (0, 2): -1}}),
+    ],
+)
+def test_closed_series_widens_for_the_moebius_sum(top, terms):
+    # With no power sums nothing glues, so Log exp(Delta) Exp f = f.  The
+    # terms of W = adams_sum(f) fit in a few bits, but psi_k of the
+    # lambda^1 term lands on another term, over lcm(2, 3, ...) times W's
+    # denominator, and that sum needs wider digits.
+    f = SymSeries(Truncation.standard(top), {key: HodgePoly(c) for key, c in terms.items()})
+    for mode in GluingMode:
+        assert closed_series(f, mode) == f
+        assert_recursion_is_the_reference(f, mode)
 
 
 @given(series(STD_3, min_lambda=1, coeffs=small_fractions))
 @settings(max_examples=30, deadline=None)
 def test_gluing_flow_parts_sum_to_the_glued_log(f):
-    total = SymSeries.zero(STD_3)
-    for part in gluing_flow(adams_sum(f)):
-        total = total + part
-    assert total == glued_log(f)
+    # the packed Moebius-Adams sum of the parts is the series one
+    assert closed_series(f) == mobius_adams_sum(flow_sum(f))
 
 
 # -- the codes of the recursion's terms -------------------------------------------
@@ -265,4 +321,4 @@ def test_gluing_recursion_fills_a_multiplicity_field():
         },
     )
     for mode in GluingMode:
-        assert glued_log(f, mode) == log_series(exp_gluing(plethystic_exp(f), mode))
+        assert_recursion_is_the_reference(f, mode)

@@ -4,13 +4,15 @@ between source trees.
     python3 tools/stage_times.py --src ../parent/src --src src --truncations 5,7,10,12 --runs 10
 
 Runs the table pipeline stage by stage, graded mode, on the shipped table:
-parse_table (the dataset text), open_moduli_series, glued_log, the
-Moebius-Adams sum, the slot reports and the JSON text.  Each run is a fresh
-interpreter that imports the package from one --src and times every
-truncation once, in the order given, so the first parse is cold as in a
-fresh process.  The runs alternate between the trees, each round starting
-with the tree the last one ended with, so that a drift of the host's load
-falls on every tree alike.
+parse_table (the dataset text), open_moduli_series, closed_moduli_series
+(the closed series as the command line computes it), the slot reports and
+the JSON text.  Each run is a fresh interpreter that imports the package
+from one --src and times every truncation once, in the order given, so the
+first parse is cold as in a fresh process.  The runs alternate between
+the trees, each round starting with the tree the last one ended with, so
+that a drift of the host's load falls on every tree alike.  The tool clears
+the package's two per-process caches (characters and partitions) before
+each truncation.
 
 Each run also times ``import stablemoduli, stablemoduli.cli`` once, before
 its first truncation and after the tool's own imports (argparse, json,
@@ -41,8 +43,12 @@ def one_run(truncation: int) -> tuple[dict[str, float], str]:
     from stablemoduli import characters, partitions
     from stablemoduli.dataset import dataset_text
     from stablemoduli.exprlang import parse_table
-    from stablemoduli.pipeline import build_slot_report, open_moduli_series, stable_slots
-    from stablemoduli.plethysm import glued_log, mobius_adams_sum
+    from stablemoduli.pipeline import (
+        build_slot_report,
+        closed_moduli_series,
+        open_moduli_series,
+        stable_slots,
+    )
     from stablemoduli.series import Truncation
 
     characters._character.cache_clear()
@@ -55,11 +61,8 @@ def one_run(truncation: int) -> tuple[dict[str, float], str]:
     f = open_moduli_series(table, Truncation.standard(truncation))
     times["open_moduli_series"] = perf_counter() - start
     start = perf_counter()
-    w = glued_log(f)
-    times["glued_log"] = perf_counter() - start
-    start = perf_counter()
-    closed = mobius_adams_sum(w)
-    times["mobius_adams_sum"] = perf_counter() - start
+    closed = closed_moduli_series(f)
+    times["closed_moduli_series"] = perf_counter() - start
     start = perf_counter()
     reports = [build_slot_report(closed, g, n) for g, n in stable_slots(truncation)]
     times["slot_reports"] = perf_counter() - start
