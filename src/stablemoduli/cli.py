@@ -40,9 +40,9 @@ from .series import SymSeries, Truncation
 
 # The largest --truncation that compute, table and verify accept.  On the
 # shipped table `table --truncation L --format json` takes, end to end,
-# 0.16 s at L = 8, 0.19 s at 9, 0.26 s at 10, 0.38 s at 11 and 0.56 s at 12
+# 0.15 s at L = 8, 0.17 s at 9, 0.23 s at 10, 0.31 s at 11 and 0.48 s at 12
 # (medians of five runs, 2-core host shared with other work, Python 3.11;
-# BENCH_17.json); past 12 the work keeps growing by about 1.5 times per
+# BENCH_18.json); past 12 the work keeps growing by about 1.5 times per
 # step.
 MAX_TRUNCATION = 12
 

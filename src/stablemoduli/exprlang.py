@@ -33,10 +33,13 @@ from .series import (
 )
 
 # The largest weight ``evaluate`` and a table row take on.  Work grows with
-# the number of partitions of the weight: on a 2-core host with Python 3.11,
-# evaluating s[30] takes about 0.07 s, s[35] about 0.2 s, s[40] about 0.7 s
-# and s[5]^16 (weight 80) about 4.5 s; ``expr 's[30]'`` takes about 0.25 s
-# end to end, the rest of it start-up and printing.
+# the number of partitions of the weight: on a 2-core host shared with
+# other work, Python 3.11, evaluating s[30] takes about 0.1 s, as do
+# s[10,10,10] and the staircase s[7,6,5,4,3,2,1] with two more rows,
+# s[7,6,5,4,3,2,1,1,1] (0.07-0.12 s); s[35] about 0.25-0.35 s, s[40]
+# about 0.85 s and s[5]^16 (weight 80, its products, not its characters)
+# 6-9 s.  ``expr 's[30]'`` takes about 0.27 s end to end, the rest of it
+# start-up and printing.
 MAX_EXPR_WEIGHT = 30
 
 # The most monomials u^i*v^j a coefficient may hold, by the bound

@@ -39,6 +39,8 @@ def test_s4_table():
     classes = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
     for mu, row in S4_TABLE.items():
         assert [character(mu, rho) for rho in classes] == row
+    # a class is a multiset of cycle lengths, given in any order
+    assert character((3, 1), (1, 2, 1)) == character((3, 1), (2, 1, 1)) == 1
 
 
 def test_trivial_and_sign_characters():
@@ -88,7 +90,7 @@ def test_characters_match_jacobi_trudi_coefficients():
 
 
 def test_orthogonality_of_columns():
-    for n in range(1, 10):
+    for n in range(1, 14):
         classes = partitions_of(n)
         table = {mu: [character(mu, rho) for rho in classes] for mu in classes}
         for i, rho in enumerate(classes):

@@ -303,7 +303,16 @@ def test_schur_routes_agree():
             assert schur(mu, T8) == schur_jacobi_trudi(mu, T8)
 
 
-@pytest.mark.parametrize("mu, conj", [((1,) * 20, (20,)), ((2,) * 15, (15, 15))])
+@pytest.mark.parametrize(
+    "mu, conj",
+    [
+        ((1,) * 20, (20,)),
+        ((2,) * 15, (15, 15)),
+        ((7, 6, 5, 4, 3, 2, 1, 1, 1), (9, 6, 5, 4, 3, 2, 1)),
+        ((10, 10, 10), (3,) * 10),
+        ((8, 7, 6, 5, 3, 1), (6, 5, 5, 4, 4, 3, 2, 1)),
+    ],
+)
 def test_tall_shapes_against_their_conjugates(mu, conj):
     # omega(s_mu) = s_mu' and omega(p_rho) = (-1)^(|rho| - l(rho)) p_rho
     n = sum(mu)
@@ -313,6 +322,33 @@ def test_tall_shapes_against_their_conjugates(mu, conj):
     assert s_conj.rank(0, n) == hook_length_count(conj)
     signed = {(0, rho): (-1) ** (n - len(rho)) * c for (_, rho), c in s_mu.items()}
     assert s_conj == SymSeries(trunc, signed)
+
+
+_extras = st.one_of(st.just(HodgePoly.zero()), hodge_polys())
+
+
+def _weight_and_extras(n):
+    count = len(partitions_of(n))
+    return st.tuples(st.just(n), st.lists(_extras, min_size=count, max_size=count))
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 6).flatmap(_weight_and_extras), hodge_polys(), st.integers(0, 1))
+def test_schur_coefficients_read_back_a_jacobi_trudi_sum(drawn, base, e):
+    # c_mu = base * f^mu + extra_mu.  With every extra zero the sum is
+    # base * p_1^n, so every other p_rho is absent; the extras bring
+    # fractions, off-diagonal monomials and zeros.  A term at the other
+    # lambda exponent must not leak into the read-off.
+    n, extras = drawn
+    trunc = Truncation.flat(1, n)
+    total = SymSeries(trunc, {(1 - e, (1,) * n): HodgePoly.q()})
+    expected = []
+    for mu, extra in zip(partitions_of(n), extras):
+        c = base * hook_length_count(mu) + extra
+        total = total + schur_jacobi_trudi(mu, trunc).scale(c).with_truncation(trunc, e)
+        if c:
+            expected.append((mu, c))
+    assert total.schur_coefficients(e, n) == expected
 
 
 def test_schur_round_trip():

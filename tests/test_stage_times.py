@@ -17,5 +17,9 @@ def test_stage_times_runs_on_this_tree():
     ]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    stages = json.loads(done.stdout)["L=3"]["src"]["median_s"]
+    entry = json.loads(done.stdout)["L=3"]["src"]
+    stages = entry["median_s"]
     assert "closed_moduli_series" in stages
+    # collector passes per stage and generation, beside the times
+    assert entry["gc_passes"].keys() == stages.keys()
+    assert all(len(gens) == 3 for gens in entry["gc_passes"].values())

@@ -10,9 +10,9 @@ the JSON text.  Each run is a fresh interpreter that imports the package
 from one --src and times every truncation once, in the order given, so the
 first parse is cold as in a fresh process.  The runs alternate between
 the trees, each round starting with the tree the last one ended with, so
-that a drift of the host's load falls on every tree alike.  The tool clears
-the package's two per-process caches (characters and partitions) before
-each truncation.
+that a drift of the host's load falls on every tree alike.  Before each
+truncation the tool clears every ``lru_cache`` it finds in the package's
+characters and partitions modules, whatever their names in that tree.
 
 Each run also times ``import stablemoduli, stablemoduli.cli`` once, before
 its first truncation and after the tool's own imports (argparse, json,
@@ -22,14 +22,18 @@ the row existed.  As in perfbench, the runs may write bytecode, so after a
 tree's first run the import reads it from the cache.
 
 Prints one JSON object: each tree's median import seconds; for each
-truncation, each tree's median seconds per stage and the sha256 of its JSON
-text; and, with more than one --src, the ratio of each later tree's medians to
-the first's.  Exits 1 if the sha256 differs between trees at any truncation.
+truncation, each tree's median seconds per stage, its median number of
+garbage-collector passes per stage and generation (``gc.get_stats()``
+deltas, so a pass that moves from one stage to another shows beside the
+times it moves) and the sha256 of its JSON text; and, with more than one
+--src, the ratio of each later tree's median seconds to the first's.  Exits 1
+if the sha256 differs between trees at any truncation.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -39,8 +43,23 @@ from statistics import median
 from time import perf_counter
 
 
-def one_run(truncation: int) -> tuple[dict[str, float], str]:
+def clear_caches() -> None:
+    """Clear every ``lru_cache`` of the package's characters and partitions
+    modules, found by attribute rather than by name."""
     from stablemoduli import characters, partitions
+
+    for module in (characters, partitions):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def collections() -> list[int]:
+    """The garbage collector's passes so far, per generation."""
+    return [gen["collections"] for gen in gc.get_stats()]
+
+
+def one_run(truncation: int) -> tuple[dict[str, float], str, dict[str, list[int]]]:
     from stablemoduli.dataset import dataset_text
     from stablemoduli.exprlang import parse_table
     from stablemoduli.pipeline import (
@@ -51,31 +70,39 @@ def one_run(truncation: int) -> tuple[dict[str, float], str]:
     )
     from stablemoduli.series import Truncation
 
-    characters._character.cache_clear()
-    partitions.partitions_of.cache_clear()
-    times = {}
-    start = perf_counter()
-    table = parse_table(dataset_text())
-    times["parse_table"] = perf_counter() - start
-    start = perf_counter()
-    f = open_moduli_series(table, Truncation.standard(truncation))
-    times["open_moduli_series"] = perf_counter() - start
-    start = perf_counter()
-    closed = closed_moduli_series(f)
-    times["closed_moduli_series"] = perf_counter() - start
-    start = perf_counter()
-    reports = [build_slot_report(closed, g, n) for g, n in stable_slots(truncation)]
-    times["slot_reports"] = perf_counter() - start
-    start = perf_counter()
-    text = json.dumps([r.to_json_obj() for r in reports], indent=2) + "\n"
-    times["json"] = perf_counter() - start
+    clear_caches()
+    times: dict[str, float] = {}
+    passes: dict[str, list[int]] = {}
+
+    def stage(name: str, work):
+        before = collections()
+        start = perf_counter()
+        result = work()
+        times[name] = perf_counter() - start
+        passes[name] = [b - a for a, b in zip(before, collections())]
+        return result
+
+    table = stage("parse_table", lambda: parse_table(dataset_text()))
+    f = stage(
+        "open_moduli_series",
+        lambda: open_moduli_series(table, Truncation.standard(truncation)),
+    )
+    closed = stage("closed_moduli_series", lambda: closed_moduli_series(f))
+    reports = stage(
+        "slot_reports",
+        lambda: [build_slot_report(closed, g, n) for g, n in stable_slots(truncation)],
+    )
+    text = stage(
+        "json", lambda: json.dumps([r.to_json_obj() for r in reports], indent=2) + "\n"
+    )
     times["total"] = sum(times.values())
-    return times, hashlib.sha256(text.encode()).hexdigest()
+    passes["total"] = [sum(gen) for gen in zip(*passes.values())]
+    return times, hashlib.sha256(text.encode()).hexdigest(), passes
 
 
 def spawn(src: str, truncations: str) -> dict:
     """One fresh interpreter's run of every truncation from the tree src:
-    {"import": seconds, "L=..": [times, sha256]}."""
+    {"import": seconds, "L=..": [times, sha256, gc passes]}."""
     argv = [sys.executable, __file__, "--one", "--src", src, "--truncations", truncations]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     return json.loads(
@@ -121,8 +148,12 @@ def main() -> int:
             runs = [run[key] for run in results[src]]
             stages = runs[0][0]
             entry[src] = {
-                "median_s": {s: round(median(t[s] for t, _ in runs), 4) for s in stages},
-                "sha256": sorted({sha for _, sha in runs}),
+                "median_s": {s: round(median(t[s] for t, _, _ in runs), 4) for s in stages},
+                "gc_passes": {
+                    s: [median(gens) for gens in zip(*(p[s] for _, _, p in runs))]
+                    for s in stages
+                },
+                "sha256": sorted({sha for _, sha, _ in runs}),
             }
         shas = {sha for src in trees for sha in entry[src]["sha256"]}
         same = same and len(shas) == 1
