@@ -4,6 +4,16 @@ Subcommands: compute (one slot), table (all slots within truncation),
 verify (the built-in check suite), expr (evaluate an expression), inputs
 (which open-moduli entries a slot depends on).
 
+The command line is read by ``parse_args`` from one table, ``COMMANDS``,
+which also gives the text of ``-h``/``--help`` (at the top or after a
+command; printed to stdout, exit 0).  An option is written ``--name value``
+or ``--name=value``, with its name in full (``--trunc`` is not read as
+``--truncation``); the last of a repeated option wins, and ``--`` ends the
+options.  As with argparse, a token that starts with ``-`` is an option
+unless it is ``-`` alone, a negative integer (``--g -1``) or holds a space,
+so an expression such as ``-q*s[1]`` goes after ``--``.  Every usage error
+prints ``error: ...`` on stderr and exits 2.
+
 Exit codes: 0 ok, 2 usage, 3 parse error in an expression or table
 document, 4 violated operation precondition, 5 verification failure.  A
 reader that closes stdout early (``stablemoduli table | head``) ends the
@@ -12,11 +22,11 @@ run with exit 0 and nothing on stderr.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .dataset import dataset_text
 from .errors import ExprParseError, PreconditionError, TableFormatError
@@ -40,81 +50,24 @@ from .series import SymSeries, Truncation
 
 # The largest --truncation that compute, table and verify accept.  On the
 # shipped table `table --truncation L --format json` takes, end to end,
-# 0.15 s at L = 8, 0.17 s at 9, 0.23 s at 10, 0.31 s at 11 and 0.48 s at 12
-# (medians of five runs, 2-core host shared with other work, Python 3.11;
-# BENCH_18.json); past 12 the work keeps growing by about 1.5 times per
-# step.
+# 0.12 s at L = 8, 0.15 s at 9, 0.19 s at 10, 0.27 s at 11 and 0.31 s at 12
+# (medians of nine runs, 2-core host shared with other work, Python 3.11;
+# BENCH_19.json, whose first pass on the same host read up to a third
+# more); past 12 the work keeps growing by about 1.2-1.4 times per step.
 MAX_TRUNCATION = 12
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stablemoduli",
-        description=(
-            "Exact equivariant Serre polynomials of moduli spaces of stable "
-            "curves, computed from those of the open strata."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, slot: bool) -> None:
-        if slot:
-            p.add_argument("--g", type=int, required=True, help="genus")
-            p.add_argument("--n", type=int, required=True, help="marked points")
-        p.add_argument("--input", dest="input_path", help="dataset file override")
-        p.add_argument(
-            "--truncation", type=int, default=5, help="lambda-exponent bound (default 5)"
-        )
-        p.add_argument(
-            "--delta-mode",
-            choices=["graded", "literal"],
-            default="graded",
-            help="gluing-operator grading convention",
-        )
-
-    p_compute = sub.add_parser("compute", help="one (g, n) slot report")
-    p_compute.set_defaults(run=run_compute)
-    common(p_compute, slot=True)
-    p_compute.add_argument("--format", dest="fmt", choices=["text", "json", "latex"], default="text")
-    p_compute.add_argument(
-        "--withhold", metavar="G,N", help="zero out one table entry, e.g. 3,1"
-    )
-
-    p_table = sub.add_parser("table", help="reports for all slots within truncation")
-    p_table.set_defaults(run=run_table)
-    common(p_table, slot=False)
-    p_table.add_argument("--format", dest="fmt", choices=["text", "json", "latex"], default="text")
-    p_table.add_argument("--withhold", metavar="G,N", help="zero out one table entry")
-
-    p_verify = sub.add_parser("verify", help="run the built-in check suite")
-    p_verify.set_defaults(run=run_verify)
-    common(p_verify, slot=False)
-
-    p_expr = sub.add_parser("expr", help="evaluate an expression to a power-sum series")
-    p_expr.set_defaults(run=run_expr)
-    p_expr.add_argument("expression", help="e.g. 'q*s[4] - s[2,2]'")
-    p_expr.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-
-    p_inputs = sub.add_parser("inputs", help="open-moduli entries a slot depends on")
-    p_inputs.set_defaults(run=run_inputs)
-    p_inputs.add_argument("--g", type=int, required=True)
-    p_inputs.add_argument("--n", type=int, required=True)
-    p_inputs.add_argument("--input", dest="input_path", help="dataset file override")
-
-    return parser
-
-
 class UsageError(Exception):
-    """Usage problem detected after argparse (maps to exit code 2)."""
+    """A usage problem of the command line (maps to exit code 2)."""
 
 
-def check_options(ns: argparse.Namespace) -> None:
+def check_options(ns: SimpleNamespace) -> None:
     """Refuse a malformed --withhold or an out-of-range --truncation before
     any work is done, and turn --withhold into a (g, n) pair."""
     raw = getattr(ns, "withhold", None)
     if raw is not None:
         pieces = raw.split(",")
-        if len(pieces) != 2 or not all(p.strip().isdigit() for p in pieces):
+        if len(pieces) != 2 or not all(p.strip().isdecimal() for p in pieces):
             raise UsageError(f"--withhold expects 'g,n', got {raw!r}")
         ns.withhold = (int(pieces[0]), int(pieces[1]))
     truncation = getattr(ns, "truncation", 0)
@@ -126,7 +79,7 @@ def check_options(ns: argparse.Namespace) -> None:
         )
 
 
-def load_table(ns: argparse.Namespace) -> ModuliTable:
+def load_table(ns: SimpleNamespace) -> ModuliTable:
     if ns.input_path is None:
         text = dataset_text()
     else:
@@ -143,7 +96,7 @@ def load_table(ns: argparse.Namespace) -> ModuliTable:
     return table if withhold is None else table.withhold(*withhold)
 
 
-def _closed_series(ns: argparse.Namespace, table: ModuliTable) -> SymSeries:
+def _closed_series(ns: SimpleNamespace, table: ModuliTable) -> SymSeries:
     trunc = Truncation.standard(ns.truncation)
     return closed_moduli_series(open_moduli_series(table, trunc), GluingMode(ns.delta_mode))
 
@@ -169,7 +122,7 @@ def _emit_reports(reports: list[SlotReport], fmt: str, one: bool = False) -> str
     return "\n\n".join(r.render_text() for r in reports)
 
 
-def run_compute(ns: argparse.Namespace) -> int:
+def run_compute(ns: SimpleNamespace) -> int:
     lam = lambda_exponent(ns.g, ns.n)
     if ns.truncation < lam:
         raise PreconditionError(
@@ -182,7 +135,7 @@ def run_compute(ns: argparse.Namespace) -> int:
     return 0
 
 
-def run_table(ns: argparse.Namespace) -> int:
+def run_table(ns: SimpleNamespace) -> int:
     table = load_table(ns)
     slots = stable_slots(ns.truncation)
     _warn_missing(table, slots)
@@ -191,7 +144,7 @@ def run_table(ns: argparse.Namespace) -> int:
     return 0
 
 
-def run_expr(ns: argparse.Namespace) -> int:
+def run_expr(ns: SimpleNamespace) -> int:
     value = evaluate(ns.expression)
     if ns.fmt == "json":
         print(json.dumps(value.to_json_obj(), indent=2))
@@ -200,7 +153,7 @@ def run_expr(ns: argparse.Namespace) -> int:
     return 0
 
 
-def run_inputs(ns: argparse.Namespace) -> int:
+def run_inputs(ns: SimpleNamespace) -> int:
     needed = required_inputs(ns.g, ns.n)
     table = load_table(ns)
     for (h, m) in needed:
@@ -227,7 +180,7 @@ def _rank_text(closed: SymSeries, g: int, n: int) -> str:
     return render_coefficient(check_printable(rank, f"the rank of M[{g},{n}]"))
 
 
-def run_verify(ns: argparse.Namespace) -> int:
+def run_verify(ns: SimpleNamespace) -> int:
     table = load_table(ns)
     closed = _closed_series(ns, table)
     if ns.delta_mode == "literal":
@@ -319,10 +272,174 @@ def run_verify(ns: argparse.Namespace) -> int:
     return 0
 
 
+# -- the option table ------------------------------------------------------------
+
+# One entry per command: (its run function, its one-line help, its one
+# positional argument as (attribute, help) or None, its options).  An option
+# is (flag, the attribute of the namespace the run function reads, int or a
+# tuple of choices or the name of a text value, default or REQUIRED, help).
+# Plain tuples: a NamedTuple class costs about 0.4 ms of every run to build.
+
+REQUIRED = object()
+HELP = ("-h", "--help")
+
+_G = ("--g", "g", int, REQUIRED, "genus")
+_N = ("--n", "n", int, REQUIRED, "marked points")
+_INPUT = ("--input", "input_path", "PATH", None, "dataset file override")
+_TRUNCATION = (
+    "--truncation", "truncation", int, 5, f"lambda-exponent bound, at most {MAX_TRUNCATION}"
+)
+_DELTA_MODE = (
+    "--delta-mode", "delta_mode", ("graded", "literal"), "graded",
+    "gluing-operator grading convention",
+)
+_FORMAT = ("--format", "fmt", ("text", "json", "latex"), "text", "output format")
+_WITHHOLD = ("--withhold", "withhold", "G,N", None, "zero out one table entry, e.g. 3,1")
+
+COMMANDS = {
+    "compute": (
+        run_compute, "one (g, n) slot report", None,
+        (_G, _N, _INPUT, _TRUNCATION, _DELTA_MODE, _FORMAT, _WITHHOLD),
+    ),
+    "table": (
+        run_table, "reports for all slots within truncation", None,
+        (_INPUT, _TRUNCATION, _DELTA_MODE, _FORMAT, _WITHHOLD),
+    ),
+    "verify": (
+        run_verify, "run the built-in check suite", None, (_INPUT, _TRUNCATION, _DELTA_MODE)
+    ),
+    "expr": (
+        run_expr, "evaluate an expression to a power-sum series",
+        ("expression", "e.g. 'q*s[4] - s[2,2]'"),
+        (("--format", "fmt", ("text", "json"), "text", "output format"),),
+    ),
+    "inputs": (run_inputs, "open-moduli entries a slot depends on", None, (_G, _N, _INPUT)),
+}
+
+_SYNTAX = (
+    "Option names are given in full, as '--name value' or '--name=value';\n"
+    "'--' ends the options."
+)
+
+
+def usage(name: str | None = None) -> str:
+    """The help text of the command line, or of the command name."""
+    if name is None:
+        width = max(map(len, COMMANDS))
+        return "\n".join(
+            [
+                "usage: stablemoduli <command> [options]",
+                "",
+                "Exact equivariant Serre polynomials of moduli spaces of stable curves,",
+                "computed from those of the open strata.",
+                "",
+                "commands:",
+                *(f"  {n:<{width}}  {c[1]}" for n, c in COMMANDS.items()),
+                "",
+                "'stablemoduli <command> --help' lists the options of a command.",
+                _SYNTAX,
+            ]
+        )
+    _, summary, positional, options = COMMANDS[name]
+    head = f"usage: stablemoduli {name} [options]"
+    rows = []
+    if positional is not None:
+        attr, text = positional
+        head += f" [--] {attr.upper()}"
+        rows.append((attr.upper(), text))
+    for flag, _, kind, default, text in options:
+        if isinstance(kind, tuple):
+            value = "{" + ",".join(kind) + "}"
+        else:
+            value = "INT" if kind is int else kind
+        if default is REQUIRED:
+            text += " (required)"
+        elif default is not None:
+            text += f" (default {default})"
+        rows.append((f"{flag} {value}", text))
+    rows.append((", ".join(HELP), "show this help"))
+    width = max(len(left) for left, _ in rows)
+    lines = [head, "", summary, "", "arguments:"]
+    lines += [f"  {left:<{width}}  {text}" for left, text in rows]
+    return "\n".join([*lines, "", _SYNTAX])
+
+
+def run_help(ns: SimpleNamespace) -> int:
+    print(ns.text)
+    return 0
+
+
+def _is_option(token: str) -> bool:
+    """argparse's rule: a token that starts with '-' names an option, unless
+    it is '-' alone, a negative integer or holds a space (as an expression
+    such as '-q + s[1]' does)."""
+    return token[:1] == "-" and not token[1:].isdecimal() and " " not in token and token != "-"
+
+
+def _value(option: tuple, text: str) -> object:
+    flag, _, kind, _, _ = option
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"{flag} expects an integer, got {text!r}") from None
+    if isinstance(kind, tuple) and text not in kind:
+        raise UsageError(f"{flag} expects one of {', '.join(kind)}, got {text!r}")
+    return text
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv by COMMANDS into the namespace its command's run function
+    takes; -h or --help gives one whose run prints the usage instead."""
+    names = ", ".join(COMMANDS)
+    if not argv:
+        raise UsageError(f"no command given; the commands are {names}")
+    if argv[0] in HELP:
+        return SimpleNamespace(run=run_help, text=usage())
+    name, rest = argv[0], argv[1:]
+    if name not in COMMANDS:
+        raise UsageError(f"unknown command {name!r}; the commands are {names}")
+    run, _, positional, options = COMMANDS[name]
+    by_flag = {option[0]: option for option in options}
+    ns = SimpleNamespace(run=run, **{attr: default for _, attr, _, default, _ in options})
+    arguments = []
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if token == "--":
+            arguments += rest[i:]
+            break
+        if not _is_option(token):
+            arguments.append(token)
+            continue
+        if token in HELP:
+            return SimpleNamespace(run=run_help, text=usage(name))
+        flag, eq, text = token.partition("=")
+        if flag not in by_flag:
+            raise UsageError(f"{name} has no option {flag}")
+        if not eq:
+            if i == len(rest) or _is_option(rest[i]):
+                raise UsageError(f"{flag} expects a value")
+            text = rest[i]
+            i += 1
+        setattr(ns, by_flag[flag][1], _value(by_flag[flag], text))
+    missing = [flag for flag, attr, *_ in options if getattr(ns, attr) is REQUIRED]
+    if missing:
+        raise UsageError(f"{name} needs {', '.join(missing)}")
+    if positional is None:
+        if arguments:
+            raise UsageError(f"{name} takes no argument {arguments[0]!r}")
+    elif len(arguments) != 1:
+        raise UsageError(f"{name} takes one {positional[0]}, got {len(arguments)} arguments")
+    else:
+        setattr(ns, positional[0], arguments[0])
+    return ns
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = parse_args(sys.argv[1:] if argv is None else argv)
         check_options(ns)
         code = ns.run(ns)
         # Write out what is buffered here, so a closed pipe raises below.

@@ -236,13 +236,88 @@ def test_input_equals_embedded_dataset(tmp_path, capsys):
     assert out1 == out2
 
 
+# -- option syntax and help ------------------------------------------------------------
+
+
+def test_help_names_every_command(capsys):
+    for flag in ("--help", "-h"):
+        rc, out, err = run(capsys, flag)
+        assert rc == 0 and err == ""
+        assert out.startswith("usage: stablemoduli <command>")
+        for command in ("compute", "table", "verify", "expr", "inputs"):
+            assert f"\n  {command} " in out
+
+
+def test_command_help_names_each_option_with_its_default_and_choices(capsys):
+    rc, out, err = run(capsys, "table", "--help")
+    assert rc == 0 and err == ""
+    assert out.startswith("usage: stablemoduli table ")
+    assert run(capsys, "table", "--truncation", "3", "-h")[:2] == (0, out)
+    lines = out.splitlines()
+
+    def line_of(flag):
+        (line,) = [line for line in lines if line.startswith(f"  {flag} ")]
+        return line
+
+    assert "(default 5)" in line_of("--truncation")
+    assert "{graded,literal}" in line_of("--delta-mode")
+    assert "(default graded)" in line_of("--delta-mode")
+    assert "{text,json,latex}" in line_of("--format")
+    assert "(default text)" in line_of("--format")
+    assert line_of("--input") and line_of("--withhold")
+    rc, out, _ = run(capsys, "compute", "-h")
+    assert rc == 0
+    assert "(required)" in [line for line in out.splitlines() if "--g INT" in line][0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "no command given"),
+        (["nosuch"], "unknown command 'nosuch'"),
+        (["compute", "--g", "3"], "compute needs --n"),
+        (["expr"], "expr takes one expression, got 0"),
+        (["expr", "s[1]", "s[2]"], "expr takes one expression, got 2"),
+        (["table", "--truncation"], "--truncation expects a value"),
+        (["table", "--truncation", "--format", "json"], "--truncation expects a value"),
+        (["table", "--truncation", "five"], "--truncation expects an integer"),
+        (["table", "--format", "xml"], "--format expects one of text, json, latex"),
+        (["table", "--trunc", "3"], "table has no option --trunc"),
+        (["table", "3"], "table takes no argument '3'"),
+    ],
+)
+def test_usage_errors_return_2(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_option_syntax(capsys):
+    _, spaced, _ = run(capsys, "compute", "--g", "1", "--n", "1", "--format", "json")
+    # --name=value, and the last of a repeated option wins
+    rc, joined, _ = run(capsys, "compute", "--g=1", "--n=1", "--format=latex", "--format=json")
+    assert rc == 0 and joined == spaced
+    # a negative integer is a value, not an option
+    rc, _, err = run(capsys, "inputs", "--g", "-1", "--n", "3")
+    assert rc == 4 and "(-1, 3) is not a stable slot" in err
+    # -- ends the options; an expression with a space is an argument as it is
+    for argv in (["--", "-q*s[1]"], ["--format", "text", "--", "-q*s[1]"], ["-q * s[1]"]):
+        rc, out, _ = run(capsys, "expr", *argv)
+        assert (rc, out) == (0, "λ^0 * (-q) * p[1]\n")
+    rc, out, _ = run(capsys, "expr", "--", "--help")
+    assert rc == 3 and out == ""
+
+
 # -- failure modes -------------------------------------------------------------------
 
 
 def test_bad_withhold_is_usage_error(capsys):
-    rc, _, err = run(capsys, "compute", "--g", "1", "--n", "1", "--withhold", "3")
-    assert rc == 2
-    assert "--withhold expects 'g,n'" in err
+    # A superscript two is a digit to str.isdigit, but not to int.
+    for withhold in ("3", "²,1"):
+        rc, _, err = run(capsys, "compute", "--g", "1", "--n", "1", "--withhold", withhold)
+        assert rc == 2
+        assert "--withhold expects 'g,n'" in err
 
 
 @pytest.mark.parametrize(
@@ -349,6 +424,25 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     added = modules_added_by_import()
     assert "stablemoduli.exprlang" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_command_line_loads_no_argparse_gettext_or_locale():
+    # argparse imports gettext, and its first message imports locale: about
+    # 3 ms of every run before any argument is read.  Without -S, a .pth file
+    # of the site packages may load these first, and the test could not fail.
+    assert not modules_added_by_import("-S") & {"argparse", "gettext"}
+    code = (
+        "import sys; before = set(sys.modules); from stablemoduli.cli import main; "
+        "main(['inputs', '--g', '0', '--n', '3']); print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=cli_env(""),
+        timeout=60, check=True,
+    )
+    first, added = proc.stdout.splitlines()
+    assert first == "M[0,3]"
+    assert "stablemoduli.cli" in added.split()
+    assert not set(added.split()) & {"argparse", "gettext", "locale"}
 
 
 def test_import_loads_no_resource_or_archive_modules():
@@ -670,7 +764,7 @@ def _exprs_of(atoms):
 _exprs_text = _exprs_of(_atoms)
 _options = {
     "--truncation": ["-1", "0", "1", "2", "3", "5", "40", "x"],
-    "--withhold": ["0,3", "1,1", "3,1", "a,b"],
+    "--withhold": ["0,3", "1,1", "3,1", "a,b", "²,1"],
     "--delta-mode": ["graded", "literal", "literal", "other"],
     "--format": ["text", "json", "json", "latex", "xml"],
 }
@@ -685,16 +779,26 @@ _accepts = {
 
 @st.composite
 def _argvs(draw):
-    """argv for one command, and the table document it reads (or None)."""
+    """argv for one command, and the table document it reads (or None); the
+    test puts --input and the document's path right after the command."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([[], ["--help"], ["-h"], ["--"], ["nosuch"]])), None
     command = draw(st.sampled_from(list(_accepts)))
     options = []
     names = []
     if _accepts[command]:
         names = draw(st.lists(st.sampled_from(_accepts[command]), max_size=2))
     if draw(st.integers(0, 9)) == 0:
-        names.append("--bogus")
+        # unknown, a prefix of a known one, or help
+        names.append(draw(st.sampled_from(["--bogus", "--trunc", "--form", "--help", "-h"])))
     for name in names:
-        options += [name, draw(st.sampled_from(_options.get(name, ["1"])))]
+        value = draw(st.sampled_from(_options.get(name, ["1"])))
+        options += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    if draw(st.integers(0, 9)) == 0:
+        options.insert(draw(st.integers(0, len(options))), "--")
+    if draw(st.integers(0, 9)) == 0:
+        # an option with no value at the end
+        options.append(draw(st.sampled_from(_accepts[command] or ["--g"])))
     if command == "expr":
         return ["expr", draw(_exprs_text), *options], None
     # A row of weight 1 in the Schur basis with a fuzzed coefficient, or a
@@ -719,19 +823,21 @@ def _argvs(draw):
 @example((["verify"], "M[0,3] = s[3]\nM[1,1] = (q+999999999^31+0^999999999 -(u^31)-0)*p[1]\n"))
 # A row within the digit limit glues into a rank of M[3,1] past it.
 @example((["table"], "M[0,3] = s[3]\nM[1,1] = (q+q+q+(1000000000000000000000000000000^31)^2)*s[1]\n"))
+@example(([], None))
+@example((["table", "--help"], None))
+@example((["expr", "--", "-q*s[1]"], None))
+@example((["table", "--trunc", "3"], None))
+@example((["compute", "--g=3", "--n=1", "--truncation"], None))
 def test_fuzzed_command_lines_end_in_a_documented_exit_code(argv_doc):
     argv, doc = argv_doc
     with tempfile.TemporaryDirectory() as tmp:
         if doc is not None:
             path = Path(tmp) / "fuzz.dat"
             path.write_text(doc, encoding="utf-8")
-            argv = argv + ["--input", str(path)]
+            argv = [argv[0], "--input", str(path), *argv[1:]]
         start = perf_counter()
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse refuses a usage error this way
-                rc = exc.code
+            rc = main(argv)
         elapsed = perf_counter() - start
     assert rc in {0, 2, 3, 4, 5}, argv
     if rc == 4:

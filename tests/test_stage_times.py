@@ -20,6 +20,10 @@ def test_stage_times_runs_on_this_tree():
     entry = json.loads(done.stdout)["L=3"]["src"]
     stages = entry["median_s"]
     assert "closed_moduli_series" in stages
+    # the command line's own route, timed apart from the stages and their
+    # total; its output has the stages' sha256, or the tool exits 1
+    assert "main" in stages
+    assert len(entry["sha256"]) == 1
     # collector passes per stage and generation, beside the times
     assert entry["gc_passes"].keys() == stages.keys()
     assert all(len(gens) == 3 for gens in entry["gc_passes"].values())

@@ -14,12 +14,22 @@ that a drift of the host's load falls on every tree alike.  Before each
 truncation the tool clears every ``lru_cache`` it finds in the package's
 characters and partitions modules, whatever their names in that tree.
 
+After a truncation's stages, and after clearing those caches once more,
+the run times ``cli.main(["table", "--truncation", L, "--format", "json"])``
+with its output captured: the "main" row, the command line's own route,
+argument parsing included.  It is kept out of the "total", which sums the
+stages.
+
 Each run also times ``import stablemoduli, stablemoduli.cli`` once, before
-its first truncation and after the tool's own imports (argparse, json,
-subprocess): the "import" row, the counterpart of perfbench's setup_s.  It is
-kept out of every "total", so totals stay comparable with those taken before
-the row existed.  As in perfbench, the runs may write bytecode, so after a
-tree's first run the import reads it from the cache.
+its first truncation: the "import" row, the counterpart of perfbench's
+setup_s.  It is kept out of every "total", so totals stay comparable with
+those taken before the row existed.  The fresh interpreter reads its own
+arguments from sys.argv and imports only gc, hashlib, io, json and sys
+before the package, so the "import" and "main" rows pay for every module
+the package and its command line load (argparse, subprocess and statistics
+load locale, re and fractions, and are imported by the comparing process
+alone).  As in perfbench, the runs may write bytecode, so after a tree's
+first run the import reads it from the cache.
 
 Prints one JSON object: each tree's median import seconds; for each
 truncation, each tree's median seconds per stage, its median number of
@@ -32,14 +42,12 @@ if the sha256 differs between trees at any truncation.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import hashlib
+import io
 import json
 import os
-import subprocess
 import sys
-from statistics import median
 from time import perf_counter
 
 
@@ -59,7 +67,24 @@ def collections() -> list[int]:
     return [gen["collections"] for gen in gc.get_stats()]
 
 
-def one_run(truncation: int) -> tuple[dict[str, float], str, dict[str, list[int]]]:
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_main(argv: list[str]) -> str:
+    """The stdout of cli.main(argv); its stderr is dropped."""
+    from stablemoduli.cli import main
+
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        main(argv)
+        return sys.stdout.getvalue()
+    finally:
+        sys.stdout, sys.stderr = saved
+
+
+def one_run(truncation: int) -> tuple[dict[str, float], list[str], dict[str, list[int]]]:
     from stablemoduli.dataset import dataset_text
     from stablemoduli.exprlang import parse_table
     from stablemoduli.pipeline import (
@@ -97,12 +122,29 @@ def one_run(truncation: int) -> tuple[dict[str, float], str, dict[str, list[int]
     )
     times["total"] = sum(times.values())
     passes["total"] = [sum(gen) for gen in zip(*passes.values())]
-    return times, hashlib.sha256(text.encode()).hexdigest(), passes
+    clear_caches()
+    argv = ["table", "--truncation", str(truncation), "--format", "json"]
+    out = stage("main", lambda: run_main(argv))
+    return times, [sha256(text), sha256(out)], passes
+
+
+def one(src: str, truncations: str) -> int:
+    """The run of a fresh interpreter: print {"import": seconds, "L=..":
+    [times, [sha256 of the JSON text, of cli.main's output], gc passes]}."""
+    sys.path.insert(0, src)
+    start = perf_counter()
+    import stablemoduli.cli  # noqa: F401  (imports stablemoduli first)
+
+    runs: dict = {"import": perf_counter() - start}
+    runs.update((f"L={t}", one_run(t)) for t in map(int, truncations.split(",")))
+    print(json.dumps(runs))
+    return 0
 
 
 def spawn(src: str, truncations: str) -> dict:
-    """One fresh interpreter's run of every truncation from the tree src:
-    {"import": seconds, "L=..": [times, sha256, gc passes]}."""
+    """One fresh interpreter's run of every truncation from the tree src."""
+    import subprocess
+
     argv = [sys.executable, __file__, "--one", "--src", src, "--truncations", truncations]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     return json.loads(
@@ -111,22 +153,18 @@ def spawn(src: str, truncations: str) -> dict:
 
 
 def main() -> int:
+    # spawn's argv, read before argparse (and what it loads) is imported
+    if sys.argv[1:2] == ["--one"]:
+        return one(sys.argv[3], sys.argv[5])
+    import argparse
+    from statistics import median
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", help="a source tree; give it once per tree")
     parser.add_argument("--truncations", default="5,7,10,12")
     parser.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
-    parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     trees = args.src or ["src"]
-    if args.one:
-        sys.path.insert(0, trees[0])
-        start = perf_counter()
-        import stablemoduli.cli  # noqa: F401  (imports stablemoduli first)
-
-        runs: dict = {"import": perf_counter() - start}
-        runs.update((f"L={t}", one_run(t)) for t in map(int, args.truncations.split(",")))
-        print(json.dumps(runs))
-        return 0
     results: dict[str, list[dict]] = {src: [] for src in trees}
     order = list(trees)
     for _ in range(args.runs):
@@ -153,7 +191,7 @@ def main() -> int:
                     s: [median(gens) for gens in zip(*(p[s] for _, _, p in runs))]
                     for s in stages
                 },
-                "sha256": sorted({sha for _, sha, _ in runs}),
+                "sha256": sorted({sha for _, shas, _ in runs for sha in shas}),
             }
         shas = {sha for src in trees for sha in entry[src]["sha256"]}
         same = same and len(shas) == 1
@@ -166,7 +204,10 @@ def main() -> int:
         out[key] = entry
     print(json.dumps(out, indent=2))
     if not same:
-        print("error: the JSON text differs between trees", file=sys.stderr)
+        print(
+            "error: the JSON text differs between trees or from cli.main's output",
+            file=sys.stderr,
+        )
         return 1
     return 0
 
