@@ -37,6 +37,7 @@ from .pipeline import (
     ModuliTable,
     SlotReport,
     build_slot_report,
+    check_stable,
     closed_moduli_series,
     lambda_exponent,
     open_moduli_series,
@@ -50,10 +51,11 @@ from .series import SymSeries, Truncation
 
 # The largest --truncation that compute, table and verify accept.  On the
 # shipped table `table --truncation L --format json` takes, end to end,
-# 0.12 s at L = 8, 0.15 s at 9, 0.19 s at 10, 0.27 s at 11 and 0.31 s at 12
+# 0.15 s at L = 8, 0.18 s at 9, 0.23 s at 10, 0.32 s at 11 and 0.48 s at 12
 # (medians of nine runs, 2-core host shared with other work, Python 3.11;
-# BENCH_19.json, whose first pass on the same host read up to a third
-# more); past 12 the work keeps growing by about 1.2-1.4 times per step.
+# BENCH_20.json, in a spell when the host ran about 1.5 times slower than
+# for BENCH_19.json); past 12 the work keeps growing by about 1.2-1.5 times
+# per step.
 MAX_TRUNCATION = 12
 
 
@@ -154,9 +156,16 @@ def run_expr(ns: SimpleNamespace) -> int:
 
 
 def run_inputs(ns: SimpleNamespace) -> int:
-    needed = required_inputs(ns.g, ns.n)
+    check_stable(ns.g, ns.n)
     table = load_table(ns)
-    for (h, m) in needed:
+    # the list grows as the square of the genus, so a slot that no
+    # --truncation reaches is refused before any of it is made
+    lam = lambda_exponent(ns.g, ns.n)
+    if lam > MAX_TRUNCATION:
+        raise PreconditionError(
+            f"slot ({ns.g}, {ns.n}) sits at lambda^{lam}, past the cap {MAX_TRUNCATION}"
+        )
+    for (h, m) in required_inputs(ns.g, ns.n):
         suffix = "" if (h, m) in table.entries else "  (missing from dataset)"
         print(f"M[{h},{m}]{suffix}")
     return 0

@@ -21,11 +21,12 @@ product of two polynomials is one int multiply and a sum of products one
 multiply-add per pair.  It serves the products of two polynomials of
 several terms, the gluing recursion and the Schur read-off; callers keep
 their sums of packed ints in a dict and turn them into polynomials with
-:meth:`Packing.polys`.  Every width is derived, not guessed: the box of a
-product is the sum of the boxes of its factors, a digit of a sum of
-products is at most the sum of the products of the factors' l1 norms
-(||ab||_1 <= ||a||_1 ||b||_1), and callers size the packing from those
-bounds before they add anything.  Each finished sum is unpacked and
+:meth:`Packing.polys`, or read the digits of each once
+(:meth:`Packing.digits`, :meth:`Packing.poly_of`, :meth:`Packing.diagonal`).
+Every width is derived, not guessed: the box of a product is the sum of
+the boxes of its factors, a digit of a sum of products is at most the sum
+of the products of the factors' l1 norms (||ab||_1 <= ||a||_1 ||b||_1),
+and callers size the packing from those bounds before they add anything.  Each finished sum is unpacked and
 reduced once.  A product with a single monomial c*u^k*v^l packs nothing: it
 shifts the other factor's keys by (k, l) and scales its numerators by c.
 
@@ -334,15 +335,25 @@ def check_printable(poly: HodgePoly, what: str) -> HodgePoly:
     """poly, or PreconditionError if a numerator or the denominator may have
     more digits than the interpreter's limit for int-to-str conversion: a
     coefficient past it cannot be printed in full."""
-    limit = sys.get_int_max_str_digits()
     bits = max(c.bit_length() for c in (poly._den, *poly._terms.values()))
-    digits = int(bits * log10(2)) + 1
-    if limit and digits > limit:
+    if not printable(bits):
         raise PreconditionError(
-            f"{what} may run to {digits} digits, past the {limit}-digit limit "
-            "for printing an integer"
+            f"{what} may run to {_digits(bits)} digits, past the "
+            f"{sys.get_int_max_str_digits()}-digit limit for printing an integer"
         )
     return poly
+
+
+def printable(bits: int) -> bool:
+    """Whether every int of at most the bits is within the interpreter's
+    limit of digits for int-to-str conversion."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or _digits(bits) <= limit
+
+
+def _digits(bits: int) -> int:
+    """A bound on the decimal digits of an int of the bits."""
+    return int(bits * log10(2)) + 1
 
 
 def join_signed(pieces: list[tuple[str, str]], sep: str = " ") -> str:
@@ -529,19 +540,38 @@ class Packing:
     def poly(self, x: int, den: int) -> HodgePoly:
         """The canonical polynomial of the packed numerators x over the
         positive int den."""
-        digits = self.digits(x)
-        g = gcd(den, *digits)
+        return self.poly_of(*reduced_digits(self.digits(x), den))
+
+    def poly_of(self, digits: list[int], den: int) -> HodgePoly:
+        """The polynomial of the signed digits of an int of this packing,
+        lowest first, over the positive int den; canonical when den and the
+        digits have no common factor (see :func:`reduced_digits`)."""
         span, clo, dlo = self.span, self.clo, self.dlo
-        if len(digits) == 1:  # the lowest cell: column clo, band dlo
-            key = (clo, clo + dlo) if self.swapped else (clo + dlo, clo)
-            return _wrap({key: digits[0] // g}, den // g)
+        if self.bands == 1 and not dlo:  # one band, the diagonal
+            return _wrap({(clo + k, clo + k): c for k, c in enumerate(digits) if c}, den)
         terms = {}
         for k, c in enumerate(digits):
             if c:
                 band, col = divmod(k, span)
                 j = clo + col
-                terms[(j, j + dlo + band) if self.swapped else (j + dlo + band, j)] = c // g
-        return _wrap(terms, den // g)
+                terms[(j, j + dlo + band) if self.swapped else (j + dlo + band, j)] = c
+        return _wrap(terms, den)
+
+    def diagonal(self, digits: list[int]) -> tuple[list[int] | None, tuple[int, int] | None]:
+        """The dense q-coefficients [c_0, ..., c_m] of signed digits of an
+        int of this packing, up to the highest nonzero one, and None; or,
+        if a digit off the diagonal u^k v^k is nonzero, None and the least
+        (i, j) with i != j of such a digit."""
+        span, clo = self.span, self.clo
+        lo = -self.dlo * span  # the first index of the band i - j = 0
+        if not lo and self.bands == 1:
+            return ([0] * clo + digits if clo and digits else digits), None
+        if any(c and not lo <= k < lo + span for k, c in enumerate(digits)):
+            return None, self.poly_of(digits, 1).off_diagonal_witness()
+        band = digits[lo : lo + span] if lo >= 0 else []  # lo < 0: no such band
+        while band and not band[-1]:
+            band.pop()
+        return ([0] * clo + band if band else []), None
 
     def polys(self, sums: dict, den: int) -> dict:
         """Each nonzero packed int of sums over the positive int den as a
@@ -587,6 +617,14 @@ class Packing:
             f"Packing(span={self.span}, clo={self.clo}, dlo={self.dlo}, "
             f"bands={self.bands}, bits={self.bits}, swapped={self.swapped})"
         )
+
+
+def reduced_digits(digits: list[int], den: int) -> tuple[list[int], int]:
+    """The digits and the positive int den divided by their common factor."""
+    g = gcd(den, *digits)
+    if g == 1:
+        return digits, den
+    return [c // g for c in digits], den // g
 
 
 def product_packings(a: Box, b: Box, bound: int) -> tuple[Packing, Packing, Packing]:

@@ -15,9 +15,10 @@ F = sum over k of psi_k(f)/k, the ordinary logarithm W = log(exp(Delta)
 exp(F)) is solved directly by the gluing recursion of
 :func:`~stablemoduli.plethysm.gluing_flow`, which stays on connected
 series, and the closed series is sum over k of mu(k)/k psi_k(W), formed on
-the recursion's packed ints and decoded once
-(:func:`~stablemoduli.plethysm.closed_series`).  The tests keep the
-composition Log exp(Delta) Exp as the reference it equals.
+the recursion's packed ints (:func:`~stablemoduli.plethysm.closed_series`).
+It stays packed: a slot report reads its Schur coefficients straight from
+those ints, and each printed coefficient is unpacked once.  The tests keep
+the composition Log exp(Delta) Exp as the reference it equals.
 
 A slot (g, n) at lambda^e has weight n = e + 2 - 2g, so within a lambda
 bound L every slot has weight at most L + 2.  The closed series, a sum over
@@ -28,10 +29,18 @@ it cancel in the final Adams sum.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import NamedTuple
 
 from .errors import OffDiagonalError, PreconditionError
-from .hodge import HodgePoly, check_printable, join_signed
+from .hodge import (
+    HodgePoly,
+    Packing,
+    check_printable,
+    join_signed,
+    printable,
+    reduced_digits,
+)
 from .partitions import Partition, format_partition, weight
 from .plethysm import GluingMode, closed_series
 # The composition the recursion equals; perfbench/tracer.py looks these
@@ -52,6 +61,12 @@ def moduli_dim(g: int, n: int) -> int:
 
 def is_stable(g: int, n: int) -> bool:
     return g >= 0 and n >= 1 and lambda_exponent(g, n) > 0
+
+
+def check_stable(g: int, n: int) -> None:
+    """PreconditionError unless (g, n) is a stable slot."""
+    if not is_stable(g, n):
+        raise PreconditionError(f"({g}, {n}) is not a stable slot")
 
 
 class ModuliTable:
@@ -122,22 +137,26 @@ def closed_moduli_series(
 
 def slot_schur(closed: SymSeries, g: int, n: int) -> SchurList:
     """Schur decomposition of the (g, n) slot of the closed-moduli series."""
-    if not is_stable(g, n):
-        raise PreconditionError(f"({g}, {n}) is not a stable slot")
+    return closed.schur_coefficients(_slot_exponent(closed, g, n), n)
+
+
+def _slot_exponent(closed: SymSeries, g: int, n: int) -> int:
+    """The lambda exponent of the slot (g, n), or PreconditionError if the
+    slot is not stable or lies past the series' truncation."""
+    check_stable(g, n)
     e = lambda_exponent(g, n)
     if e > closed.trunc.lambda_max:
         raise PreconditionError(
             f"slot ({g}, {n}) sits at lambda^{e}, beyond truncation "
             f"{closed.trunc.lambda_max}"
         )
-    return closed.schur_coefficients(e, n)
+    return e
 
 
 def required_inputs(g: int, n: int) -> list[tuple[int, int]]:
     """All stable (h, m) whose open-moduli polynomial can contribute to the
     (g, n) slot: h <= g and 2h + m <= 2g + n."""
-    if not is_stable(g, n):
-        raise PreconditionError(f"({g}, {n}) is not a stable slot")
+    check_stable(g, n)
     out = []
     for h in range(g + 1):
         for m in range(1, 2 * g + n - 2 * h + 1):
@@ -171,7 +190,13 @@ def stable_slots(lambda_max: int) -> list[tuple[int, int]]:
 
 
 class SlotReport(NamedTuple):
-    """Everything the pipeline knows about one (g, n) answer."""
+    """Everything the pipeline knows about one (g, n) answer.
+
+    ``coeff_q`` holds the published q-coefficients of each Schur
+    coefficient, in the order of ``equivariant``, and ``rank_q`` those of
+    the rank, as :func:`_json_q` writes them; None for a polynomial off the
+    diagonal.
+    """
 
     g: int
     n: int
@@ -182,24 +207,25 @@ class SlotReport(NamedTuple):
     hodge_diagonal: list[Fraction] | None
     off_diagonal: tuple[int, int] | None
     duality_ok: bool
+    coeff_q: list[list[int | str] | None]
+    rank_q: list[int | str] | None
 
     def to_json_obj(self) -> dict:
         """The published slot schema; defined only for diagonal slots."""
         if self.off_diagonal is not None:
             raise OffDiagonalError(*self.off_diagonal)
+        schur = []
+        for (mu, coeff), q in zip(self.equivariant, self.coeff_q):
+            if q is None:
+                raise OffDiagonalError(*coeff.off_diagonal_witness())
+            schur.append({"partition": list(mu), "coeff_q": q})
         return {
             "g": self.g,
             "n": self.n,
             "lambda": self.lam,
             "dim": self.dim,
-            "schur": [
-                {
-                    "partition": list(mu),
-                    "coeff_q": _json_coeffs(coeff),
-                }
-                for mu, coeff in self.equivariant
-            ],
-            "rank_q": _json_coeffs(self.rank),
+            "schur": schur,
+            "rank_q": self.rank_q,
             "duality": self.duality_ok,
         }
 
@@ -228,24 +254,70 @@ class SlotReport(NamedTuple):
 
 
 def build_slot_report(closed: SymSeries, g: int, n: int) -> SlotReport:
-    equivariant = slot_schur(closed, g, n)
-    e = lambda_exponent(g, n)
-    rank = check_printable(closed.rank(e, n), f"the rank of M[{g},{n}]")
-    for mu, coeff in equivariant:
-        check_printable(coeff, f"the coefficient of s{format_partition(mu)} in M[{g},{n}]")
-    witness = rank.off_diagonal_witness()
-    diagonal = rank.q_coefficient_list() if witness is None else None
+    """The report of the slot (g, n), from the packed Schur read-off of its
+    component (:meth:`~stablemoduli.series.SymSeries.packed_schur`).  Each
+    Schur sum, and the p_1^n coefficient for the rank, is unpacked once; its
+    digits give the polynomial and, for one on the diagonal, the
+    q-coefficients and the duality verdict.  Every digit is below the
+    packing's width, so the print-size check looks at each polynomial only
+    when that width, times n! for the rank, could pass the limit."""
+    e = _slot_exponent(closed, g, n)
+    dim = moduli_dim(g, n)
+    packing, den, packed, sums = closed.packed_schur(e, n)
+    scale = factorial(n)  # the rank is n! times the p_1^n coefficient
+    rank, diagonal, witness = _unpacked(
+        packing, [scale * c for c in packing.digits(packed[-1])], den
+    )
+    equivariant = []
+    coeff_q = []
+    duality_ok = True
+    for mu, x in sums.items():
+        if x:
+            coeff, q, _ = _unpacked(packing, packing.digits(x), den)
+            equivariant.append((mu, coeff))
+            coeff_q.append(None if q is None else _json_q(q, coeff._den))
+            if duality_ok:
+                duality_ok = (
+                    satisfies_duality([(mu, coeff)], dim) if q is None else _self_dual(q, dim)
+                )
+    if not printable(max(packing.bits + scale.bit_length(), den.bit_length())):
+        check_printable(rank, f"the rank of M[{g},{n}]")
+        for mu, coeff in equivariant:
+            check_printable(coeff, f"the coefficient of s{format_partition(mu)} in M[{g},{n}]")
     return SlotReport(
         g=g,
         n=n,
         lam=e,
-        dim=moduli_dim(g, n),
+        dim=dim,
         equivariant=equivariant,
         rank=rank,
-        hodge_diagonal=diagonal,
+        hodge_diagonal=None if diagonal is None else [Fraction(c, rank._den) for c in diagonal],
         off_diagonal=witness,
-        duality_ok=satisfies_duality(equivariant, moduli_dim(g, n)),
+        duality_ok=duality_ok,
+        coeff_q=coeff_q,
+        rank_q=None if diagonal is None else _json_q(diagonal, rank._den),
     )
+
+
+def _unpacked(
+    packing: Packing, digits: list[int], den: int
+) -> tuple[HodgePoly, list[int] | None, tuple[int, int] | None]:
+    """The canonical polynomial of the signed digits of an int of packing
+    over the positive int den; then its dense q-numerators, over its own
+    denominator, and None, or None and the least (i, j) off the diagonal
+    (``Packing.diagonal``)."""
+    digits, den = reduced_digits(digits, den)
+    return (packing.poly_of(digits, den), *packing.diagonal(digits))
+
+
+def _self_dual(q: list[int], d: int) -> bool:
+    """Whether the diagonal polynomial with the dense q-coefficients q is
+    fixed by the duality flip at dimension d: degree at most d, and
+    c_k = c_(d-k)."""
+    if len(q) > d + 1:
+        return False
+    q = q + [0] * (d + 1 - len(q))
+    return q == q[::-1]
 
 
 def render_coefficient(coeff: HodgePoly) -> str:
@@ -253,20 +325,13 @@ def render_coefficient(coeff: HodgePoly) -> str:
     return coeff.render_q() if coeff.is_diagonal() else coeff.render()
 
 
-def _json_coeffs(coeff: HodgePoly) -> list[int | str]:
-    """The dense q-coefficients of a diagonal polynomial, each an int or,
-    past a denominator of 1, the string of its fraction; OffDiagonalError
-    for a term off the diagonal.  An integral polynomial's numerators are
-    written as they are."""
-    if not coeff.is_integral():
-        return [int(c) if c.denominator == 1 else str(c) for c in coeff.q_coefficient_list()]
-    witness = coeff.off_diagonal_witness()
-    if witness is not None:
-        raise OffDiagonalError(*witness)
-    out = [0] * (max((i for i, _ in coeff._terms), default=-1) + 1)
-    for (i, _), c in coeff._terms.items():
-        out[i] = c
-    return out
+def _json_q(q: list[int], den: int) -> list[int | str]:
+    """The published form of the dense q-numerators q over the positive int
+    den: the numerators themselves over a denominator of 1, else each as an
+    int or the string of its fraction."""
+    if den == 1:
+        return q
+    return [c // den if not c % den else str(Fraction(c, den)) for c in q]
 
 
 # -- paper-style LaTeX rendering ------------------------------------------------

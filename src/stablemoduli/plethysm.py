@@ -23,7 +23,9 @@ one-pointed genus-one space lands in the wrong slot.
 its glued image: ``gluing_flow`` solves for W = log(exp(Delta) Exp f) as a
 sum of connected parts, one per number of gluings, by a recursion in the
 derivatives d/dp_k, and the sum over k of mu(k)/k psi_k(W) is formed on
-the packed sum of the parts, which is decoded once.
+the packed sum of the parts.  It stays packed (:class:`ClosedSeries`): a
+Schur read-off takes its ints as they are, and the p-basis terms are
+decoded only if something reads them.
 """
 
 from __future__ import annotations
@@ -34,13 +36,15 @@ from math import gcd, lcm
 
 from .errors import PreconditionError
 from .hodge import HodgePoly, Packing, _reduced, magnitude
-from .partitions import mobius, multiplicities, weight
+from .partitions import mobius, multiplicities, partitions_of, weight
 from .series import (
     SymSeries,
+    Truncation,
     _measure,
     _wrap,
     exp_series,
     log_series,
+    schur_sums,
 )
 
 
@@ -154,7 +158,7 @@ def closed_series(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeri
     ``gluing_flow(adams_sum(f), mode)``.  It equals
     ``plethystic_log(exp_gluing(plethystic_exp(f), mode))``.
 
-    Nothing leaves the packing until the end.  The parts are summed over
+    Nothing leaves the packing.  The parts are summed over
     the lcm of their denominators, in a packing widened first if the sum
     of their l1 norms needs it.  For k >= 2 only the terms at lambda^e
     with k e <= L move: psi_k re-keys lambda^e p_rho to lambda^(ke)
@@ -162,8 +166,9 @@ def closed_series(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeri
     the packing by its slope bound (see :func:`_flow`).  The terms such a
     move reaches are summed over the denominator times the lcm of those k,
     in a packing wide enough for the sum of the l1 norms that land there;
-    every other term is W's own.  Each code is decoded once, and terms
-    that cancel drop out.
+    every other term is W's own, brought over the same denominator.  Terms
+    that cancel drop out, and the rest are handed over packed, each with
+    the bound on its l1 norm, as a :class:`ClosedSeries`.
     """
     if f.constant_term():
         raise PreconditionError("plethystic exp needs a zero constant term")
@@ -190,24 +195,82 @@ def closed_series(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeri
                 if k * e > top:
                     break
                 images.setdefault(codes.adams(code, k), []).append((k, code))
-    bound = max(
-        (
-            mult * norms.get(target, 0) + sum(mult // k * norms[code] for k, code in group)
-            for target, group in images.items()
-        ),
-        default=0,
-    )
+    bounds = {code: mult * norms[code] for code in sums}
+    for target, group in images.items():
+        bounds[target] = mult * norms.get(target, 0) + sum(
+            mult // k * norms[code] for k, code in group
+        )
+    bound = max(bounds.values(), default=0)
     wide = packing if packing.holds(bound) else _sized(packing.widened(bound))
-    mixed = {}
+    values = {}
+    for code, x in sums.items():
+        if x and code not in images:
+            values[code] = mult * (x if wide is packing else wide.repack(x, packing))
     for target, group in images.items():
         x = sums.get(target)
         y = mult * wide.repack(x, packing) if x else 0
         for k, code in group:
             y += mobius(k) * (mult // k) * wide.adams(sums[code], k, packing)
-        mixed[target] = y
-    closed = packing.polys({code: x for code, x in sums.items() if code not in mixed}, den)
-    closed.update(wide.polys(mixed, den * mult))
-    return _wrap(f.trunc, {codes.decode(code): c for code, c in closed.items()})
+        if y:
+            values[target] = y
+    return ClosedSeries(
+        f.trunc, codes, wide, den * mult, values, {code: bounds[code] for code in values}
+    )
+
+
+class ClosedSeries(SymSeries):
+    """The closed series as :func:`closed_series` leaves it: each term's
+    numerators packed in one int of one packing over one denominator, keyed
+    by its code (:class:`_Codes`), with a bound on their l1 norm.
+
+    It is the series of those terms, decoded to the p-basis once, on the
+    first read of ``_terms`` (``__getattr__`` runs only while that slot is
+    unset).  :meth:`packed_schur` reads a component straight from the
+    packed ints, so a Schur read-off or a slot report decodes nothing.
+    """
+
+    __slots__ = ("_codes", "_packing", "_den", "_values", "_norms", "_fields")
+
+    def __init__(
+        self, trunc: Truncation, codes: _Codes, packing: Packing, den: int, values: dict,
+        norms: dict,
+    ):
+        self.trunc = trunc
+        self._codes, self._packing, self._den = codes, packing, den
+        self._values, self._norms = values, norms
+        self._fields: dict = {}  # n -> the codes at lambda^0 of partitions_of(n)
+
+    def __getattr__(self, name: str):
+        if name != "_terms":
+            raise AttributeError(name)
+        decode, poly, den = self._codes.decode, self._packing.poly, self._den
+        self._terms = {decode(code): poly(x, den) for code, x in self._values.items()}
+        return self._terms
+
+    def packed_schur(self, e: int, n: int) -> tuple[Packing, int, list[int], dict]:
+        """As :meth:`SymSeries.packed_schur`, from the packed ints: the
+        packing is widened, and the component's ints repacked, only if the
+        read-off's bound needs it."""
+        if self.trunc.admits(e, n):
+            fields = self._fields.get(n)
+            if fields is None:
+                unit = self._codes.unit
+                fields = self._fields[n] = [sum(map(unit, rho)) for rho in partitions_of(n)]
+            codes = [e + field for field in fields]
+        else:
+            # no term is kept there, and a code could overflow its fields
+            codes = [None] * len(partitions_of(n))
+        values, norms, packing = self._values, self._norms, self._packing
+        ints = [values.get(code, 0) for code in codes]
+
+        def pack(bound: int) -> tuple[Packing, list[int]]:
+            if packing.holds(bound):
+                return packing, ints
+            wide = packing.widened(bound)
+            return wide, [wide.repack(x, packing) for x in ints]
+
+        wide, packed, sums = schur_sums(n, [norms.get(code, 0) for code in codes], pack)
+        return wide, self._den, packed, sums
 
 
 def gluing_flow(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[SymSeries]:

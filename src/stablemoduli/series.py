@@ -16,6 +16,7 @@ their truncations agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
 from typing import Iterator, Mapping, Union
@@ -292,30 +293,35 @@ class SymSeries:
 
         Returns (partition, coefficient) pairs in reverse-lexicographic
         order, zero coefficients dropped.  The coefficient of s_mu is
-        sum over rho of chi^mu(rho) times the p_rho coefficient.
+        sum over rho of chi^mu(rho) times the p_rho coefficient; each is
+        unpacked once from :meth:`packed_schur`.
+        """
+        packing, den, _, sums = self.packed_schur(e, n)
+        return list(packing.polys(sums, den).items())
+
+    def packed_schur(self, e: int, n: int) -> tuple[Packing, int, list[int], dict]:
+        """The (e, n) component packed, and its Schur read-off
+        (:func:`schur_sums`): the packing, the denominator, the packed p_rho
+        coefficients aligned with ``partitions_of(n)`` (0 for an absent
+        rho, so p_1^n is last) and {mu: packed s_mu coefficient}.
 
         The p_rho coefficients are packed once, over their common
         denominator, in a :class:`~stablemoduli.hodge.Packing` of the box of
-        their monomials, whose width holds the largest sum over rho of
-        |chi^mu(rho)| times the l1 norm of the p_rho numerators, which
-        bounds every digit of every Schur coefficient.  The norms and the
-        packed ints are lists aligned with ``partitions_of(n)``, 0 for an
-        absent rho, so each s_mu is one sum of int multiples over the
-        character row of mu.
+        their monomials, as wide as the read-off needs.
         """
         shapes = partitions_of(n)
         terms = {rho: c for rho in shapes if (c := self._terms.get((e, rho))) is not None}
         den, box, norms = _measure(terms)
-        norms = [norms.get(rho, 0) for rho in shapes]
-        rows = [(mu, character_row(mu)) for mu in shapes]
-        bound = max(sum(map(mul, map(abs, row), norms)) for _, row in rows)
-        packing = Packing.holding(box, bound)
-        packed = [
-            packing.pack(c, den // c._den) if (c := terms.get(rho)) is not None else 0
-            for rho in shapes
-        ]
-        sums = {mu: sum(map(mul, row, packed)) for mu, row in rows}
-        return list(packing.polys(sums, den).items())
+
+        def pack(bound: int) -> tuple[Packing, list[int]]:
+            packing = Packing.holding(box, bound)
+            return packing, [
+                packing.pack(c, den // c._den) if (c := terms.get(rho)) is not None else 0
+                for rho in shapes
+            ]
+
+        packing, packed, sums = schur_sums(n, [norms.get(rho, 0) for rho in shapes], pack)
+        return packing, den, packed, sums
 
     # -- text and JSON forms ---------------------------------------------------------
 
@@ -356,6 +362,34 @@ def _constant(terms: dict[Key, HodgePoly]) -> HodgePoly | None:
 
 def _revlex(rho: Partition) -> tuple[int, ...]:
     return tuple(-part for part in rho) + (1,)
+
+
+def schur_sums(n: int, norms: list[int], pack) -> tuple[Packing, list[int], dict]:
+    """The Schur read-off of a weight-n component on packed ints: the
+    packing, the packed p_rho coefficients and {mu: sum over rho of
+    chi^mu(rho) times the packed p_rho coefficient}, by the character row
+    of each mu in ``partitions_of(n)``.
+
+    norms bounds the l1 norm of the numerators of each p_rho coefficient,
+    in a list aligned with ``partitions_of(n)``, 0 for an absent rho.  The
+    largest sum over rho of |chi^mu(rho)| times those norms bounds every
+    digit of every sum, and pack(bound) gives a packing whose digits hold
+    it and the p_rho coefficients packed in it, aligned as norms.
+    """
+    table = _character_table(n)
+    bound = max(sum(map(mul, magnitudes, norms)) for _, _, magnitudes in table)
+    packing, packed = pack(bound)
+    return packing, packed, {mu: sum(map(mul, row, packed)) for mu, row, _ in table}
+
+
+@lru_cache(maxsize=None)
+def _character_table(n: int) -> tuple[tuple[Partition, tuple[int, ...], tuple[int, ...]], ...]:
+    """(mu, its character row, the row's absolute values) for each mu in
+    ``partitions_of(n)``, read once per n for the run: the slots of a
+    table share their weights."""
+    return tuple(
+        (mu, row, tuple(map(abs, row))) for mu in partitions_of(n) for row in (character_row(mu),)
+    )
 
 
 def _measure(terms: dict) -> tuple[int, Box | None, dict]:

@@ -204,6 +204,23 @@ def test_inputs(capsys):
     assert "(missing from dataset)" not in out
 
 
+@pytest.mark.parametrize("g, n", [(99999, 1), (0, 99999999), (6, 3), (0, 15)])
+def test_inputs_refuses_a_slot_past_the_truncation_cap(capsys, g, n):
+    # the list of inputs grows as g^2; it would not end for g = 99999
+    start = perf_counter()
+    rc, out, err = run(capsys, "inputs", "--g", str(g), "--n", str(n))
+    assert perf_counter() - start < 5
+    assert rc == 4 and out == ""
+    lam = 2 * g - 2 + n
+    assert err == f"error: slot ({g}, {n}) sits at lambda^{lam}, past the cap {MAX_TRUNCATION}\n"
+
+
+def test_inputs_lists_a_slot_at_the_truncation_cap(capsys):
+    rc, out, err = run(capsys, "inputs", "--g", "5", "--n", "3")
+    assert rc == 0 and err == ""
+    assert out.startswith("M[0,3]") and out.count("M[") == 46
+
+
 def test_inputs_missing_annotation(tmp_path, capsys):
     doc = tmp_path / "tiny.dat"
     doc.write_text("M[0,3] = s[3]\n", encoding="utf-8")
@@ -828,6 +845,8 @@ def _argvs(draw):
 @example((["expr", "--", "-q*s[1]"], None))
 @example((["table", "--trunc", "3"], None))
 @example((["compute", "--g=3", "--n=1", "--truncation"], None))
+# a slot past the truncation cap: its list of inputs would not end
+@example((["inputs", "--g", "99999", "--n", "1"], None))
 def test_fuzzed_command_lines_end_in_a_documented_exit_code(argv_doc):
     argv, doc = argv_doc
     with tempfile.TemporaryDirectory() as tmp:

@@ -3,16 +3,21 @@ between source trees.
 
     python3 tools/stage_times.py --src ../parent/src --src src --truncations 5,7,10,12 --runs 10
 
-Runs the table pipeline stage by stage, graded mode, on the shipped table:
-parse_table (the dataset text), open_moduli_series, closed_moduli_series
-(the closed series as the command line computes it), the slot reports and
-the JSON text.  Each run is a fresh interpreter that imports the package
-from one --src and times every truncation once, in the order given, so the
-first parse is cold as in a fresh process.  The runs alternate between
+Runs the table pipeline stage by stage, graded mode, on the shipped table,
+by the functions ``cli.main`` calls: parse_table (the dataset text),
+open_moduli_series, closed_moduli_series (the closed series as the command
+line computes it; on a tree whose closed series stays packed, that leaves
+its decode out), the slot reports (``build_slot_report`` on that series,
+so on such a tree they read the packed ints) and the JSON text
+(``cli._emit_reports``, the command line's own writer).  Each run is a
+fresh interpreter that imports the package from one --src and times every
+truncation once, in the order given, so the first parse is cold as in a
+fresh process.  The runs alternate between
 the trees, each round starting with the tree the last one ended with, so
 that a drift of the host's load falls on every tree alike.  Before each
 truncation the tool clears every ``lru_cache`` it finds in the package's
-characters and partitions modules, whatever their names in that tree.
+characters, partitions and series modules, whatever their names in that
+tree.
 
 After a truncation's stages, and after clearing those caches once more,
 the run times ``cli.main(["table", "--truncation", L, "--format", "json"])``
@@ -52,11 +57,11 @@ from time import perf_counter
 
 
 def clear_caches() -> None:
-    """Clear every ``lru_cache`` of the package's characters and partitions
-    modules, found by attribute rather than by name."""
-    from stablemoduli import characters, partitions
+    """Clear every ``lru_cache`` of the package's characters, partitions and
+    series modules, found by attribute rather than by name."""
+    from stablemoduli import characters, partitions, series
 
-    for module in (characters, partitions):
+    for module in (characters, partitions, series):
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
@@ -85,6 +90,7 @@ def run_main(argv: list[str]) -> str:
 
 
 def one_run(truncation: int) -> tuple[dict[str, float], list[str], dict[str, list[int]]]:
+    from stablemoduli.cli import _emit_reports
     from stablemoduli.dataset import dataset_text
     from stablemoduli.exprlang import parse_table
     from stablemoduli.pipeline import (
@@ -93,6 +99,7 @@ def one_run(truncation: int) -> tuple[dict[str, float], list[str], dict[str, lis
         open_moduli_series,
         stable_slots,
     )
+    from stablemoduli.plethysm import GluingMode
     from stablemoduli.series import Truncation
 
     clear_caches()
@@ -112,14 +119,13 @@ def one_run(truncation: int) -> tuple[dict[str, float], list[str], dict[str, lis
         "open_moduli_series",
         lambda: open_moduli_series(table, Truncation.standard(truncation)),
     )
-    closed = stage("closed_moduli_series", lambda: closed_moduli_series(f))
+    closed = stage("closed_moduli_series", lambda: closed_moduli_series(f, GluingMode.GRADED))
     reports = stage(
         "slot_reports",
         lambda: [build_slot_report(closed, g, n) for g, n in stable_slots(truncation)],
     )
-    text = stage(
-        "json", lambda: json.dumps([r.to_json_obj() for r in reports], indent=2) + "\n"
-    )
+    # what run_table prints: the writer's text and a newline
+    text = stage("json", lambda: _emit_reports(reports, "json") + "\n")
     times["total"] = sum(times.values())
     passes["total"] = [sum(gen) for gen in zip(*passes.values())]
     clear_caches()
