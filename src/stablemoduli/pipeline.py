@@ -12,11 +12,11 @@ but never share a weight there.
 
 The pipeline never builds the disconnected series Exp(f).  With
 F = sum over k of psi_k(f)/k, the ordinary logarithm W = log(exp(Delta)
-exp(F)) is solved directly by the gluing recursion of
-:func:`~stablemoduli.plethysm.gluing_flow`, which stays on connected
+exp(F)) is solved directly by a gluing recursion that stays on connected
 series, and the closed series is sum over k of mu(k)/k psi_k(W), formed on
-the recursion's packed ints (:func:`~stablemoduli.plethysm.closed_series`).
-It stays packed: a slot report reads its Schur coefficients straight from
+the recursion's packed ints (:func:`~stablemoduli.plethysm.closed_moduli_series`,
+which this module re-exports).  It stays packed, and a slot report is the
+one way to read it: the report takes its Schur coefficients straight from
 those ints, and each printed coefficient is unpacked once.  The tests keep
 the composition Log exp(Delta) Exp as the reference it equals.
 
@@ -42,7 +42,7 @@ from .hodge import (
     reduced_digits,
 )
 from .partitions import Partition, format_partition, weight
-from .plethysm import GluingMode, closed_series
+from .plethysm import ClosedSeries, closed_moduli_series  # noqa: F401  (re-exported)
 # The composition the recursion equals; perfbench/tracer.py looks these
 # stage names up here.
 from .plethysm import exp_gluing, plethystic_exp, plethystic_log  # noqa: F401
@@ -124,23 +124,13 @@ def open_moduli_series(table: ModuliTable, trunc: Truncation) -> SymSeries:
     return total
 
 
-def closed_moduli_series(
-    open_series: SymSeries, mode: GluingMode = GluingMode.GRADED
-) -> SymSeries:
-    """The full pipeline: Log exp(Delta) Exp of the open series, computed as
-    sum over k of mu(k)/k psi_k(W) with W = log(exp(Delta) Exp f) from the
-    gluing recursion (:func:`~stablemoduli.plethysm.closed_series`), which
-    needs the open series in a truncation like ``Truncation.standard``.  The
-    result is in the truncation of the open series."""
-    return closed_series(open_series, mode)
-
-
-def slot_schur(closed: SymSeries, g: int, n: int) -> SchurList:
+def slot_schur(closed: ClosedSeries | SymSeries, g: int, n: int) -> SchurList:
     """Schur decomposition of the (g, n) slot of the closed-moduli series."""
-    return closed.schur_coefficients(_slot_exponent(closed, g, n), n)
+    packing, den, _, sums = closed.packed_schur(_slot_exponent(closed, g, n), n)
+    return list(packing.polys(sums, den).items())
 
 
-def _slot_exponent(closed: SymSeries, g: int, n: int) -> int:
+def _slot_exponent(closed: ClosedSeries | SymSeries, g: int, n: int) -> int:
     """The lambda exponent of the slot (g, n), or PreconditionError if the
     slot is not stable or lies past the series' truncation."""
     check_stable(g, n)
@@ -204,7 +194,6 @@ class SlotReport(NamedTuple):
     dim: int
     equivariant: SchurList
     rank: HodgePoly
-    hodge_diagonal: list[Fraction] | None
     off_diagonal: tuple[int, int] | None
     duality_ok: bool
     coeff_q: list[list[int | str] | None]
@@ -237,8 +226,8 @@ class SlotReport(NamedTuple):
         else:
             lines.append("schur: 0")
         lines.append(f"rank: {render_coefficient(self.rank)}")
-        if self.hodge_diagonal is not None:
-            values = ", ".join(str(c) for c in self.hodge_diagonal) or "0"
+        if self.rank_q is not None:
+            values = ", ".join(map(str, self.rank_q)) or "0"
             lines.append(f"hodge: h^{{k,k}} = {values}")
         else:
             i, j = self.off_diagonal
@@ -253,9 +242,10 @@ class SlotReport(NamedTuple):
         )
 
 
-def build_slot_report(closed: SymSeries, g: int, n: int) -> SlotReport:
+def build_slot_report(closed: ClosedSeries | SymSeries, g: int, n: int) -> SlotReport:
     """The report of the slot (g, n), from the packed Schur read-off of its
-    component (:meth:`~stablemoduli.series.SymSeries.packed_schur`).  Each
+    component (:meth:`~stablemoduli.plethysm.ClosedSeries.packed_schur`, or
+    :meth:`~stablemoduli.series.SymSeries.packed_schur` on a series).  Each
     Schur sum, and the p_1^n coefficient for the rank, is unpacked once; its
     digits give the polynomial and, for one on the diagonal, the
     q-coefficients and the duality verdict.  Every digit is below the
@@ -291,7 +281,6 @@ def build_slot_report(closed: SymSeries, g: int, n: int) -> SlotReport:
         dim=dim,
         equivariant=equivariant,
         rank=rank,
-        hodge_diagonal=None if diagonal is None else [Fraction(c, rank._den) for c in diagonal],
         off_diagonal=witness,
         duality_ok=duality_ok,
         coeff_q=coeff_q,

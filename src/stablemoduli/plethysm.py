@@ -19,13 +19,13 @@ instead; it belongs to a lambda^{2g-2} grading and is kept only so the
 mismatch is demonstrable: under it the boundary contribution of the
 one-pointed genus-one space lands in the wrong slot.
 
-``closed_series`` gives Log exp(Delta) Exp f without building Exp f or
-its glued image: ``gluing_flow`` solves for W = log(exp(Delta) Exp f) as a
-sum of connected parts, one per number of gluings, by a recursion in the
-derivatives d/dp_k, and the sum over k of mu(k)/k psi_k(W) is formed on
-the packed sum of the parts.  It stays packed (:class:`ClosedSeries`): a
-Schur read-off takes its ints as they are, and the p-basis terms are
-decoded only if something reads them.
+``closed_moduli_series`` gives Log exp(Delta) Exp f without building Exp f
+or its glued image: the gluing recursion (:func:`_flow`) solves for
+W = log(exp(Delta) Exp f) as a sum of connected parts, one per number of
+gluings, by a recursion in the derivatives d/dp_k, and the sum over k of
+mu(k)/k psi_k(W) is formed on the packed sum of the parts.  It stays packed
+(:class:`ClosedSeries`): a slot report reads its Schur sums off those ints,
+and nothing in the package turns them back into p-basis terms.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def adams_sum(f: SymSeries) -> SymSeries:
 
 def mobius_adams_sum(g: SymSeries) -> SymSeries:
     """Sum over k >= 1 of mu(k)/k psi_k(g), the inverse of ``adams_sum``;
-    the last step of ``plethystic_log``.  :func:`closed_series` forms the
-    same sum on packed ints."""
+    the last step of ``plethystic_log``.  :func:`closed_moduli_series`
+    forms the same sum on packed ints."""
     total = SymSeries.zero(g.trunc)
     for k in range(1, _adams_bound(g) + 1):
         m = mobius(k)
@@ -151,12 +151,12 @@ def exp_gluing(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
     return total
 
 
-def closed_series(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
-    """Log exp(Delta) Exp f, for f with zero constant term under the
-    conditions stated in :func:`gluing_flow`: the sum over k of mu(k)/k
-    psi_k(W), with W = log(exp(Delta) Exp f) the sum of the parts of
-    ``gluing_flow(adams_sum(f), mode)``.  It equals
-    ``plethystic_log(exp_gluing(plethystic_exp(f), mode))``.
+def closed_moduli_series(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> ClosedSeries:
+    """The full pipeline: Log exp(Delta) Exp f, for f with zero constant
+    term in a truncation like ``Truncation.standard`` (see :func:`_flow`),
+    as the sum over k of mu(k)/k psi_k(W), with W = log(exp(Delta) Exp f)
+    the sum of the parts of the gluing recursion on ``adams_sum(f)``.  The
+    result is in the truncation of f.
 
     Nothing leaves the packing.  The parts are summed over
     the lcm of their denominators, in a packing widened first if the sum
@@ -218,18 +218,14 @@ def closed_series(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeri
     )
 
 
-class ClosedSeries(SymSeries):
-    """The closed series as :func:`closed_series` leaves it: each term's
-    numerators packed in one int of one packing over one denominator, keyed
-    by its code (:class:`_Codes`), with a bound on their l1 norm.
+class ClosedSeries:
+    """The closed series as :func:`closed_moduli_series` leaves it: each
+    term's numerators packed in one int of one packing over one
+    denominator, keyed by its code (:class:`_Codes`), with a bound on their
+    l1 norm.  It is read only through :meth:`packed_schur`, which takes a
+    component straight from the packed ints."""
 
-    It is the series of those terms, decoded to the p-basis once, on the
-    first read of ``_terms`` (``__getattr__`` runs only while that slot is
-    unset).  :meth:`packed_schur` reads a component straight from the
-    packed ints, so a Schur read-off or a slot report decodes nothing.
-    """
-
-    __slots__ = ("_codes", "_packing", "_den", "_values", "_norms", "_fields")
+    __slots__ = ("trunc", "_codes", "_packing", "_den", "_values", "_norms", "_fields")
 
     def __init__(
         self, trunc: Truncation, codes: _Codes, packing: Packing, den: int, values: dict,
@@ -239,13 +235,6 @@ class ClosedSeries(SymSeries):
         self._codes, self._packing, self._den = codes, packing, den
         self._values, self._norms = values, norms
         self._fields: dict = {}  # n -> the codes at lambda^0 of partitions_of(n)
-
-    def __getattr__(self, name: str):
-        if name != "_terms":
-            raise AttributeError(name)
-        decode, poly, den = self._codes.decode, self._packing.poly, self._den
-        self._terms = {decode(code): poly(x, den) for code, x in self._values.items()}
-        return self._terms
 
     def packed_schur(self, e: int, n: int) -> tuple[Packing, int, list[int], dict]:
         """As :meth:`SymSeries.packed_schur`, from the packed ints: the
@@ -273,54 +262,12 @@ class ClosedSeries(SymSeries):
         return wide, self._den, packed, sums
 
 
-def gluing_flow(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[SymSeries]:
-    """The parts W_0 = w0, W_1, W_2, ... of W(t) = log(exp(t Delta) exp(w0)).
-
-    Since exp(-W) Delta exp(W) = Delta W + sum over k of (k/2) (dW/dp_k)^2,
-    W solves dW/dt = Delta W + sum_k (k/2) (dW/dp_k)^2, so
-
-        W_{j+1} = (Delta W_j + sum_k (k/2) sum_{a+b=j} d_k W_a d_k W_b) / (j+1),
-
-    with d_k = d/dp_k.  In LITERAL mode the k-th quadratic summand carries
-    lambda^{2k}, as the d^2/dp_k^2 summand of the gluing operator does.
-
-    Needs w0 to obey the 3e rule of ``Truncation.standard`` (no term of
-    weight above 3e at lambda^e) in a truncation whose caps are at least
-    3e; then the recursion is exact below the lambda bound.  The true W_j
-    obeys the rule too: exp(w0) does (the rule is closed under products),
-    Delta only lowers weight, and log is a series in products.  Every
-    summand of the recursion obeys it as well: d_k W_a d_k W_b has weight
-    at most 3(e_a + e_b) - 2k at lambda^(e_a + e_b), and the LITERAL shift
-    only raises the lambda exponent.  So the caps drop nothing, and since
-    lambda exponents only add, what lies past the lambda bound never feeds
-    a term below it.  Each gluing lowers weight by 2, so W_j has weight at
-    most 3e - 2j; the list stops at j = 3 lambda_max / 2, past which every
-    part is zero.
-
-    The parts are computed packed, one int per term in a
-    :class:`~stablemoduli.hodge.Packing`, each part over one denominator
-    (the lcm of its coefficients' own), so that a product of two terms is
-    one multiply-add; :func:`_flow` says how the layout is bounded.  Each
-    term is keyed by one int code (:class:`_Codes`): e in the low bits of
-    the lambda bound L, and above them a field of (3L).bit_length() bits
-    for the multiplicity of each part.  By the 3e rule every term and every
-    product kept has e <= L and weight at most 3e <= 3L, so no field
-    overflows: the code of a product is the sum of its factors' codes, with
-    no carry.  The codes are decoded once, when the parts are handed out.
-    """
-    codes, packing, parts = _flow(w0, mode)
-    return [w0] + [
-        _wrap(w0.trunc, {codes.decode(code): packing.poly(x, den) for code, x in values.items()})
-        for values, _, den in parts[1:]
-    ]
-
-
 class _Codes:
     """The keys of the gluing recursion within the lambda bound L: the term
     lambda^e p_rho as the int e + sum over the parts k of rho of
     m_k(rho) unit(k), with unit(k) = 2^(ebits + (k - 1) fbits), ebits =
     L.bit_length() and fbits = (3L).bit_length().  While e <= L and every
-    multiplicity is below 2^fbits, as :func:`gluing_flow` shows for the
+    multiplicity is below 2^fbits, as :func:`_flow` shows for the
     recursion, the code of a product is the sum of the codes, d/dp_k
     subtracts unit(k) and raising lambda by c adds c.  ``parts`` reads the
     parts of a code once per partition for the run.
@@ -339,10 +286,6 @@ class _Codes:
 
     def encode(self, e: int, rho) -> int:
         return e + sum(m * self.unit(k) for k, m in multiplicities(rho).items())
-
-    def decode(self, code: int) -> tuple[int, tuple[int, ...]]:
-        rho = tuple(k for k, m, _ in reversed(self.parts(code)) for _ in range(m))
-        return code & self.emask, rho
 
     def adams(self, code: int, k: int) -> int:
         """The code of psi_k of the term: lambda^(ke) p_(k rho) for
@@ -400,17 +343,31 @@ def _sized(packing: Packing) -> Packing:
 
 
 def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]:
-    """The parts of :func:`gluing_flow` packed and keyed by their codes, the
-    codes and the packing; part 0 is w0 without its constant term, which no
-    gluing or derivative reaches.
+    """The parts W_0, W_1, W_2, ... of W(t) = log(exp(t Delta) exp(w0)),
+    each one int per term over one denominator (so that a product of two
+    terms is one multiply-add) and keyed by its code, with the codes and
+    the packing; part 0 is w0 less its constant term, which no gluing or
+    derivative reaches.
 
-    The codes (:class:`_Codes`) hold every key of the run.  Every term of a
-    part has e <= L and, by the 3e rule, weight at most 3e <= 3L, and so
-    does every product of two derivative terms that lands at lambda^e <= L:
-    its fields, the sums of its factors', stay below 2^fbits > 3L.  So a
-    product's code is one int add, with no carry, and its weight needs no
-    check; products past the lambda bound are left out before they are
-    formed.
+    Since exp(-W) Delta exp(W) = Delta W + sum over k of (k/2) (dW/dp_k)^2,
+
+        W_{j+1} = (Delta W_j + sum_k (k/2) sum_{a+b=j} d_k W_a d_k W_b) / (j+1),
+
+    with d_k = d/dp_k; in LITERAL mode the k-th quadratic summand carries
+    lambda^{2k}, as the d^2/dp_k^2 summand of the gluing operator does.
+
+    The recursion is exact below the lambda bound L when w0 obeys the 3e
+    rule of ``Truncation.standard`` (no term of weight above 3e at
+    lambda^e) in caps of at least 3e.  The true W_j obeys it: exp(w0) does,
+    Delta only lowers weight, and log is a series in products.  So does
+    every summand: d_k W_a d_k W_b has weight at most 3(e_a + e_b) - 2k at
+    lambda^(e_a + e_b), and the LITERAL shift only raises lambda.  So the
+    caps drop nothing, and as lambda exponents only add, nothing past L
+    feeds a term below it.  Each gluing lowers weight by 2, so every part
+    past j = 3L/2 is zero.  By the same rule every term and product kept
+    has multiplicities below 2^fbits > 3L, so a product's code
+    (:class:`_Codes`) is one int add, with no carry, and its weight needs
+    no check; products past L are left out before they are formed.
 
     The layout comes from a slope bound.  Every term of w0 but the constant
     has lambda exponent e >= 1, so let s_u, s_v and s_b be the largest

@@ -1,7 +1,8 @@
 """Independent test-only oracles.
 
-Apart from the series references, the expression syntax tree and the
-package's parse-error type, nothing here imports the package under test.  Polynomials in q are plain
+Apart from the series references, the decoding of the packed closed series,
+the expression syntax tree and the package's parse-error type, nothing here
+imports the package under test.  Polynomials in q are plain
 dicts mapping exponent -> integer coefficient, and polynomials in u, v
 plain dicts mapping (i, j) -> Fraction, so a disagreement with the package
 cannot share a root cause with it.  The Jacobi-Trudi Schur reference
@@ -9,7 +10,11 @@ expands its determinant here and only wraps the result in a series.  The
 exp/log, gluing and Adams-sum references reuse the package's series
 arithmetic but not its exp/log recurrences, its one-pass gluing operator
 or its one-pass Adams sum.  The graded-piece helpers read series and
-polynomials only through their public ``items``.
+polynomials only through their public ``items``.  ``decoded`` and
+``flow_parts`` turn the packed ints of the gluing recursion back into
+p-basis series, which the package itself never does, so that the tests
+can compare them with the reference route.  The geometric counts (Keel's
+recursion, the divisor classes) use nothing of the package.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import count, permutations
+from math import comb
 
-from stablemoduli import exprlang
+from stablemoduli import exprlang, plethysm
 from stablemoduli.errors import ExprParseError
 from stablemoduli.hodge import HodgePoly
-from stablemoduli.plethysm import GluingMode
-from stablemoduli.series import SymSeries, complete_homogeneous, power_sum, schur
+from stablemoduli.plethysm import ClosedSeries, GluingMode
+from stablemoduli.series import SymSeries, _wrap, complete_homogeneous, power_sum, schur
 
 QPoly = dict[int, int]
 UVPoly = dict[tuple[int, int], Fraction]
@@ -231,6 +237,63 @@ def closed_1_1_rank() -> QPoly:
     elliptic curves (the affine j-line, Serre polynomial q) and the single
     nodal rational curve (a point)."""
     return {1: 1, 0: 1}
+
+
+def keel_poincare(n: int) -> QPoly:
+    """The Poincare polynomial in q of the space of stable n-pointed genus-0
+    curves by Keel's recursion: P_3 = 1 and P_(m+1) = (1 + q) P_m +
+    (q/2) sum over j = 2 .. m-2 of C(m, j) P_(j+1) P_(m-j+1)."""
+    if n < 3:
+        raise ValueError("need at least 3 points")
+    polys = {3: qp_const(1)}
+    for m in range(3, n):
+        pairs: QPoly = {}
+        for j in range(2, m - 1):
+            pairs = qp_add(pairs, qp_mul(qp_const(comb(m, j)), qp_mul(polys[j + 1], polys[m - j + 1])))
+        assert all(c % 2 == 0 for c in pairs.values())
+        half_q = {k + 1: c // 2 for k, c in pairs.items()}
+        polys[m + 1] = qp_add(qp_mul({0: 1, 1: 1}, polys[m]), half_q)
+    return polys[n]
+
+
+def _two_row_sum(n: int, rows: range) -> dict[tuple[int, ...], int]:
+    """Sum of s[n-j, j] over j in rows, as {partition: multiplicity}."""
+    return {tuple(part for part in (n - j, j) if part): 1 for j in rows}
+
+
+def h2_divisor_classes(g: int, n: int) -> dict[tuple[int, ...], int]:
+    """H^2 of the space of stable n-pointed genus-g curves, g >= 1, as an
+    S_n-representation {partition: multiplicity}, from its basis of
+    divisor classes (Arbarello-Cornalba): lambda for g >= 3, delta_irr, the
+    psi_i for g >= 2, and every delta_(a,A), an unordered pair
+    {(a, A), (g-a, A^c)} of stable sides (2a - 1 + |A| > 0).  In genus 1
+    the delta_(0,S) with |S| >= 2 are the only ones of that last kind.
+
+    lambda and delta_irr span s[n], the psi_i span h_1 h_(n-1), the
+    divisors of type {(a, k), (g-a, n-k)} span h_k h_(n-k) = sum over
+    j <= min(k, n-k) of s[n-j, j], and when the two sides have the same
+    type, h_2[h_(n/2)] = sum over even j <= n/2 of s[n-j, j]."""
+    if g < 1:
+        raise ValueError("the divisor-class basis needs genus at least 1")
+    out: dict[tuple[int, ...], int] = {}
+
+    def add(rep: dict) -> None:
+        for mu, m in rep.items():
+            out[mu] = out.get(mu, 0) + m
+
+    add({(n,): 1 + (g >= 3)})
+    if g >= 2:
+        add(_two_row_sum(n, range(min(1, n - 1) + 1)))
+    for a in range(g + 1):
+        for k in range(n + 1):
+            side, other = (a, k), (g - a, n - k)
+            if side > other or 2 * a - 1 + k <= 0 or 2 * (g - a) - 1 + n - k <= 0:
+                continue
+            if side == other:
+                add(_two_row_sum(n, range(0, k + 1, 2)))
+            else:
+                add(_two_row_sum(n, range(min(k, n - k) + 1)))
+    return out
 
 
 # -- partitions and tableaux ---------------------------------------------------------
@@ -445,3 +508,33 @@ def eval_as_series(expr: exprlang.Expr, trunc) -> SymSeries:
     if isinstance(expr, exprlang.Sub):
         return a - b
     return a * b
+
+
+# -- the packed closed series and the gluing recursion read back ------------------------
+
+
+def code_key(codes: plethysm._Codes, code: int) -> tuple[int, tuple[int, ...]]:
+    """The key (e, rho) of a code of the gluing recursion, read through
+    ``_Codes.parts``."""
+    rho = tuple(k for k, m, _ in reversed(codes.parts(code)) for _ in range(m))
+    return code & codes.emask, rho
+
+
+def decoded(closed: ClosedSeries) -> SymSeries:
+    """The closed series as a series in the p-basis: every packed term
+    decoded, in the truncation of the closed series."""
+    poly, den = closed._packing.poly, closed._den
+    return _wrap(
+        closed.trunc,
+        {code_key(closed._codes, code): poly(x, den) for code, x in closed._values.items()},
+    )
+
+
+def flow_parts(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[SymSeries]:
+    """The parts W_0 = w0, W_1, W_2, ... of log(exp(t Delta) exp(w0)) from
+    the package's gluing recursion, each decoded to a series."""
+    codes, packing, parts = plethysm._flow(w0, mode)
+    return [w0] + [
+        _wrap(w0.trunc, {code_key(codes, code): packing.poly(x, den) for code, x in values.items()})
+        for values, _, den in parts[1:]
+    ]

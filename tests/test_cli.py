@@ -177,6 +177,94 @@ def test_verify_still_fails_a_broken_row_of_a_complete_slot(tmp_path, capsys):
     assert len(failing) == 1 and "M[0,4]" in failing[0] and failing[0].endswith("-> FAIL")
 
 
+def _verify_lines(ranks, schur04, scan, verdict):
+    """verify's check lines on the shipped shape: the five ranks, the
+    withheld correction if given, the M[0,4] line, the scan and the round
+    trip, then the verdict."""
+    lines = [
+        f"check rank M[{g},{n}]: expected {expected}; actual {actual} -> "
+        + ("pass" if expected == actual else "FAIL")
+        for (g, n, expected), actual in zip(
+            [
+                (1, 1, "q + 1"),
+                (0, 4, "q + 1"),
+                (0, 5, "q^2 + 5q + 1"),
+                (0, 6, "q^3 + 16q^2 + 16q + 1"),
+                (3, 1, HEADLINE),
+            ],
+            ranks,
+        )
+    ]
+    return lines + [
+        f"check schur M[0,4]: expected s[4] * (q + 1); actual {schur04} -> FAIL",
+        "check functional equation, integrality and positivity on all slots: "
+        f"expected all slots pass; actual {scan}",
+        "check table render/parse round trip: expected fixed point; actual fixed point -> pass",
+        verdict,
+    ]
+
+
+def test_verify_of_an_empty_table_reads_every_rank_as_zero(capsys):
+    rc, out, err = run(capsys, "verify", "--input", os.devnull)
+    assert rc == 5 and err == ""
+    slots = "M[0,3], M[1,1], M[0,4], M[1,2], M[0,5], M[1,3], M[2,1], M[0,6], M[1,4], M[2,2], M[0,7], M[1,5], M[2,3], M[3,1]"
+    assert out.splitlines() == [
+        f"note: {slots} lack table rows they need and are left out of the "
+        "functional-equation check",
+        *_verify_lines(["0"] * 5, "0", "all slots pass -> pass", "6 of 8 checks failed"),
+    ]
+
+
+def test_verify_names_the_slots_of_a_self_dual_but_negative_row(tmp_path, capsys):
+    # The s[3,1] term is self-dual at dimension 1, so only positivity fails,
+    # in every slot that the M[0,4] row reaches.
+    doc = tmp_path / "negative.dat"
+    doc.write_text(
+        dataset_text().replace(
+            "M[0,4] = q*s[4] - s[2,2]", "M[0,4] = q*s[4] - s[2,2] - (q + 1)*s[3,1]"
+        ),
+        encoding="utf-8",
+    )
+    rc, out, err = run(capsys, "verify", "--input", str(doc))
+    assert rc == 5 and err == ""
+    lines = _verify_lines(
+        [
+            "q + 1",
+            "-2q - 2",
+            "q^2 - 25q - 29",
+            "q^3 + 46q^2 - 59q - 104",
+            "q^7 + 5q^6 + 14q^5 + 14q^4 - 12q^3 - 18q^2 + 13q + 11",
+        ],
+        "s[4] * (q + 1); s[3,1] * (-q - 1)",
+        "failing: M[0,4], M[1,2], M[0,5], M[1,3], M[2,1], M[0,6], M[1,4], M[2,2], "
+        "M[0,7], M[1,5], M[2,3], M[3,1] -> FAIL",
+        "7 of 9 checks failed",
+    )
+    lines.insert(
+        5,
+        "check boundary correction M[3,1] with its entry withheld: expected "
+        "3q^6 + 15q^5 + 29q^4 + 29q^3 + 16q^2 + 4q; actual "
+        "3q^6 + 13q^5 + 14q^4 - 12q^3 - 18q^2 + 12q + 10 -> FAIL",
+    )
+    assert out.splitlines() == lines
+
+
+@pytest.mark.parametrize(
+    "rows, witness",
+    [
+        ("M[0,3] = s[3]\nM[1,1] = (q + u)*s[1]\n", "u^1*v^0"),
+        ("M[0,3] = s[3]\nM[1,1] = q*s[1]\nM[2,1] = (q^4 + v^2*q)*s[1]\n", "u^1*v^3"),
+    ],
+)
+def test_verify_of_an_off_diagonal_table_is_refused(tmp_path, capsys, rows, witness):
+    doc = tmp_path / "skew.dat"
+    doc.write_text(rows, encoding="utf-8")
+    rc, out, err = run(capsys, "verify", "--input", str(doc))
+    assert rc == 4
+    assert out.startswith("note: ") and "check " not in out
+    assert err == f"error: off-diagonal term {witness}\n"
+
+
 # -- expr and inputs ---------------------------------------------------------------
 
 

@@ -12,9 +12,8 @@ from stablemoduli.plethysm import (
     GluingMode,
     _Codes,
     adams_sum,
-    closed_series,
+    closed_moduli_series,
     exp_gluing,
-    gluing_flow,
     gluing_operator,
     mobius_adams_sum,
     plethystic_exp,
@@ -28,7 +27,14 @@ from stablemoduli.series import (
     schur,
 )
 
-from oracles import adams_sum_by_series, gluing_by_derivatives, lambda_component
+from oracles import (
+    adams_sum_by_series,
+    code_key,
+    decoded,
+    flow_parts,
+    gluing_by_derivatives,
+    lambda_component,
+)
 from strategies import FLAT_08, FLAT_33, STD_3, hodge_polys, series, small_fractions, wide_polys
 
 HALF = Fraction(1, 2)
@@ -185,17 +191,17 @@ def test_exp_gluing_agrees_with_series_definition(f):
 def flow_sum(f, mode=GluingMode.GRADED):
     """W, the sum of the parts of the gluing recursion on adams_sum(f)."""
     total = SymSeries.zero(f.trunc)
-    for part in gluing_flow(adams_sum(f), mode):
+    for part in flow_parts(adams_sum(f), mode):
         total = total + part
     return total
 
 
 def assert_recursion_is_the_reference(f, mode):
-    """The recursion's W is log(exp(Delta) Exp f), and closed_series, its
-    Moebius-Adams sum formed on packed ints, is Log exp(Delta) Exp f."""
+    """The recursion's W is log(exp(Delta) Exp f), and the closed series,
+    its Moebius-Adams sum formed on packed ints, is Log exp(Delta) Exp f."""
     log = log_series(exp_gluing(plethystic_exp(f), mode))
     assert flow_sum(f, mode) == log
-    assert closed_series(f, mode) == mobius_adams_sum(log)
+    assert decoded(closed_moduli_series(f, mode)) == mobius_adams_sum(log)
 
 
 @given(series(STD_3, min_lambda=1, coeffs=hodge_polys(max_exp=2)))
@@ -244,7 +250,7 @@ def test_gluing_flow_on_the_three_point_class():
     # past the bound, and Delta p_1 = 0, so nothing follows.
     trunc = Truncation.standard(1)
     f = lift(schur((3,), Truncation.flat(0, 3)), trunc, 1)
-    parts = gluing_flow(f)
+    parts = flow_parts(f)
     assert parts[0] == f
     assert parts[1] == SymSeries(trunc, {(1, (1,)): 1})
     assert not any(parts[2:])
@@ -253,12 +259,12 @@ def test_gluing_flow_on_the_three_point_class():
 def test_gluing_flow_refuses_terms_past_the_3e_rule():
     # a term of weight 4 at lambda^1
     with pytest.raises(PreconditionError):
-        gluing_flow(SymSeries(Truncation.flat(2, 6), {(1, (2, 2)): 1}))
+        flow_parts(SymSeries(Truncation.flat(2, 6), {(1, (2, 2)): 1}))
     # a weight cap below 3e
     with pytest.raises(PreconditionError):
-        gluing_flow(SymSeries(Truncation.flat(2, 4), {(1, (1,)): 1}))
+        flow_parts(SymSeries(Truncation.flat(2, 4), {(1, (1,)): 1}))
     with pytest.raises(PreconditionError):
-        closed_series(SymSeries.constant(STD_3, 1))
+        closed_moduli_series(SymSeries.constant(STD_3, 1))
 
 
 @pytest.mark.parametrize(
@@ -275,7 +281,7 @@ def test_closed_series_widens_for_the_moebius_sum(top, terms):
     # denominator, and that sum needs wider digits.
     f = SymSeries(Truncation.standard(top), {key: HodgePoly(c) for key, c in terms.items()})
     for mode in GluingMode:
-        assert closed_series(f, mode) == f
+        assert decoded(closed_moduli_series(f, mode)) == f
         assert_recursion_is_the_reference(f, mode)
 
 
@@ -283,7 +289,7 @@ def test_closed_series_widens_for_the_moebius_sum(top, terms):
 @settings(max_examples=30, deadline=None)
 def test_gluing_flow_parts_sum_to_the_glued_log(f):
     # the packed Moebius-Adams sum of the parts is the series one
-    assert closed_series(f) == mobius_adams_sum(flow_sum(f))
+    assert decoded(closed_moduli_series(f)) == mobius_adams_sum(flow_sum(f))
 
 
 # -- the codes of the recursion's terms -------------------------------------------
@@ -300,7 +306,7 @@ def test_codes_round_trip_every_partition_within_the_largest_truncation():
     for w in range(3 * top + 1):
         for rho in partitions_of(w):
             e = i % (top + 1)
-            assert codes.decode(codes.encode(e, rho)) == (e, rho)
+            assert code_key(codes, codes.encode(e, rho)) == (e, rho)
             i += 1
     assert i == count_partitions_up_to(3 * top) == 99133
 
