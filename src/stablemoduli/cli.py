@@ -22,9 +22,9 @@ run with exit 0 and nothing on stderr.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -111,13 +111,45 @@ def _warn_missing(table: ModuliTable, needed: list[tuple[int, int]]) -> None:
             )
 
 
+def _json_text(x: object, indent: str = "\n") -> str:
+    """The text ``json.dumps(x, indent=2)`` gives for a value built of dicts
+    with str keys, lists, strs, ints, bools and None, written directly:
+    ``json`` takes its slower pure-Python encoder whenever it indents.  Any
+    other type, a subclass of one of these included, raises TypeError."""
+    kind = type(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is int:
+        return int.__repr__(x)
+    inner = indent + "  "
+    if kind is list:
+        if not x:
+            return "[]"
+        # the lists of q-coefficients are mostly ints: write those inline
+        items = [int.__repr__(v) if type(v) is int else _json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not x:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    raise TypeError(f"cannot write a {kind.__name__} as JSON")
+
+
 def _emit_reports(reports: list[SlotReport], fmt: str, one: bool = False) -> str:
     """The format rule of compute and table: JSON (one object for one slot,
     an array for a table), LaTeX one line per slot, or text blocks apart by
     a blank line."""
     if fmt == "json":
         objs = [r.to_json_obj() for r in reports]
-        return json.dumps(objs[0] if one else objs, indent=2)
+        return _json_text(objs[0] if one else objs)
     if fmt == "latex":
         return "\n".join(r.render_latex() for r in reports)
     return "\n\n".join(r.render_text() for r in reports)
@@ -148,7 +180,7 @@ def run_table(ns: SimpleNamespace) -> int:
 def run_expr(ns: SimpleNamespace) -> int:
     value = evaluate(ns.expression)
     if ns.fmt == "json":
-        print(json.dumps(value.to_json_obj(), indent=2))
+        print(_json_text(value.to_json_obj()))
     else:
         print(value.render())
     return 0
@@ -244,11 +276,16 @@ def run_verify(ns: SimpleNamespace) -> int:
         )
         if not ok:
             bad_slots.append(f"M[{g},{n}]")
+    if bad_slots:
+        scan = "failing: " + ", ".join(bad_slots)
+    else:
+        # a scan of no slot shows nothing, so it does not pass
+        scan = "all slots pass" if reports else "no slot checked"
     checks.append(
         (
             "functional equation, integrality and positivity on all slots",
             "all slots pass",
-            "all slots pass" if not bad_slots else "failing: " + ", ".join(bad_slots),
+            scan,
         )
     )
 

@@ -13,11 +13,14 @@ class PreconditionError(ValueError):
 
 
 class OffDiagonalError(PreconditionError):
-    """A polynomial expected to live on the u = v diagonal has a stray term."""
+    """A polynomial expected to live on the u = v diagonal has a stray term;
+    row, if given, names where it was found (such as "M[1,1]")."""
 
-    def __init__(self, i: int, j: int):
-        super().__init__(f"off-diagonal term u^{i}*v^{j}")
+    def __init__(self, i: int, j: int, row: str | None = None):
+        prefix = "" if row is None else f"{row}: "
+        super().__init__(f"{prefix}off-diagonal term u^{i}*v^{j}")
         self.exponents = (i, j)
+        self.row = row
 
 
 class ExprParseError(ValueError):

@@ -20,7 +20,7 @@ import sys
 from math import lgamma, log, log10
 from typing import NamedTuple, Union
 
-from .errors import ExprParseError, PreconditionError, TableFormatError
+from .errors import ExprParseError, OffDiagonalError, PreconditionError, TableFormatError
 from .hodge import MAX_CELLS, HodgePoly, _wrap, join_signed, magnitude
 from .partitions import Partition, count_partitions_up_to, format_partition, weight
 from .pipeline import ModuliTable, is_stable
@@ -655,8 +655,13 @@ def render_entry(entry: SymSeries, n: int) -> str:
 
 
 def render_table(table: ModuliTable) -> str:
-    """Canonical document form; parsing it back yields an equal table."""
+    """Canonical document form; parsing it back yields an equal table.
+    An off-diagonal entry raises OffDiagonalError naming its row."""
     lines = [TABLE_HEADER]
     for (g, n) in table.keys():
-        lines.append(f"M[{g},{n}] = {render_entry(table.entries[(g, n)], n)}")
+        try:
+            body = render_entry(table.entries[(g, n)], n)
+        except OffDiagonalError as exc:
+            raise OffDiagonalError(*exc.exponents, row=f"M[{g},{n}]") from None
+        lines.append(f"M[{g},{n}] = {body}")
     return "\n".join(lines) + "\n"

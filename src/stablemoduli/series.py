@@ -392,6 +392,12 @@ def _character_table(n: int) -> tuple[tuple[Partition, tuple[int, ...], tuple[in
     )
 
 
+@lru_cache(maxsize=None)
+def _z_factors(n: int) -> tuple[int, ...]:
+    """The centralizer order z_rho of each rho in ``partitions_of(n)``."""
+    return tuple(map(z_factor, partitions_of(n)))
+
+
 def _measure(terms: dict) -> tuple[int, Box | None, dict]:
     """The common denominator of the coefficients of a term map, the box
     of their monomials, and each one's l1 norm over that denominator, by
@@ -534,11 +540,15 @@ def complete_homogeneous(n: int, trunc: Truncation) -> SymSeries:
 
 def schur(mu, trunc: Truncation) -> SymSeries:
     """The Schur function s_mu in the p-basis (at lambda^0): the sum over
-    cycle types rho of chi^mu(rho) p_rho / z_rho."""
+    cycle types rho of chi^mu(rho) p_rho / z_rho, each coefficient built
+    reduced, so the series needs no normalising pass."""
     mu = check_partition(mu)
-    terms = {
-        (0, rho): Fraction(chi, z_factor(rho))
-        for rho, chi in zip(partitions_of(weight(mu)), character_row(mu))
-        if chi
-    }
-    return SymSeries(trunc, terms)
+    n = weight(mu)
+    terms = {}
+    if trunc.admits(0, n):
+        terms = {
+            (0, rho): _reduced({(0, 0): chi}, z)
+            for rho, chi, z in zip(partitions_of(n), character_row(mu), _z_factors(n))
+            if chi
+        }
+    return _wrap(trunc, terms)

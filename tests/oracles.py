@@ -356,7 +356,26 @@ def homogeneous_p_expansion(n: int) -> dict[tuple[int, ...], Fraction]:
 
 def schur_jacobi_trudi(mu: tuple[int, ...], trunc) -> SymSeries:
     """s_mu as the Jacobi-Trudi determinant det(h_{mu_i - i + j}), expanded
-    over permutations with each h from ``homogeneous_p_expansion``."""
+    over permutations with each h from ``homogeneous_p_expansion``.
+
+    A shape with more rows than columns is expanded by its conjugate mu':
+    s_mu = omega(s_mu'), and the involution omega multiplies p_rho by
+    (-1)^(|rho| - len(rho)).  So no determinant has more rows than the
+    shape has columns, and every shape of weight 10 takes at most 5! terms.
+    """
+    mu = tuple(mu)
+    if len(mu) <= (mu[0] if mu else 0):
+        total = _jacobi_trudi(mu)
+    else:
+        conjugate = tuple(sum(part > i for part in mu) for i in range(mu[0]))
+        total = {
+            rho: c * (-1) ** (sum(rho) - len(rho))
+            for rho, c in _jacobi_trudi(conjugate).items()
+        }
+    return SymSeries(trunc, {(0, rho): c for rho, c in total.items() if c})
+
+
+def _jacobi_trudi(mu: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
     rows = len(mu)
     total: dict[tuple[int, ...], Fraction] = {}
     for perm in permutations(range(rows)):
@@ -369,7 +388,7 @@ def schur_jacobi_trudi(mu: tuple[int, ...], trunc) -> SymSeries:
             product = _p_product(product, homogeneous_p_expansion(m))
         for rho, c in product.items():
             total[rho] = total.get(rho, Fraction(0)) + c
-    return SymSeries(trunc, {(0, rho): c for rho, c in total.items() if c})
+    return total
 
 
 def _p_product(

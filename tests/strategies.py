@@ -62,3 +62,26 @@ def series(
 FLAT_33 = Truncation.flat(3, 3)
 FLAT_08 = Truncation.flat(0, 8)
 STD_3 = Truncation.standard(3)
+
+
+# Strings a JSON writer must escape: quotes, backslashes, control characters
+# and non-ASCII text, beside whatever hypothesis draws.
+json_strings = st.text() | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\n\t", "λ^0 é ☃ 𝔐"])
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | json_strings
+)
+
+
+def json_values(max_leaves: int = 40) -> st.SearchStrategy:
+    """Nested dicts (str keys) and lists of ints, bools, None and strings,
+    empty containers included."""
+    return st.recursive(
+        json_scalars,
+        lambda children: st.lists(children, max_size=5)
+        | st.dictionaries(json_strings, children, max_size=5),
+        max_leaves=max_leaves,
+    )

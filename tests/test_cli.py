@@ -19,9 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stablemoduli
-from stablemoduli.cli import MAX_TRUNCATION, main
+from stablemoduli.cli import MAX_TRUNCATION, _json_text, main
 from stablemoduli.dataset import dataset_text
 from stablemoduli.exprlang import MAX_EXPR_WEIGHT, MAX_MONOMIALS, MAX_NESTING, MAX_SIZE
+
+from strategies import json_values
 
 HEADLINE = "q^7 + 5q^6 + 16q^5 + 29q^4 + 29q^3 + 16q^2 + 5q + 1"
 
@@ -211,7 +213,7 @@ def test_verify_of_an_empty_table_reads_every_rank_as_zero(capsys):
     assert out.splitlines() == [
         f"note: {slots} lack table rows they need and are left out of the "
         "functional-equation check",
-        *_verify_lines(["0"] * 5, "0", "all slots pass -> pass", "6 of 8 checks failed"),
+        *_verify_lines(["0"] * 5, "0", "no slot checked -> FAIL", "7 of 8 checks failed"),
     ]
 
 
@@ -262,7 +264,9 @@ def test_verify_of_an_off_diagonal_table_is_refused(tmp_path, capsys, rows, witn
     rc, out, err = run(capsys, "verify", "--input", str(doc))
     assert rc == 4
     assert out.startswith("note: ") and "check " not in out
-    assert err == f"error: off-diagonal term {witness}\n"
+    # the message names the refused row, the last of each document
+    row = rows.splitlines()[-1].split(" = ")[0]
+    assert err == f"error: {row}: off-diagonal term {witness}\n"
 
 
 # -- expr and inputs ---------------------------------------------------------------
@@ -315,6 +319,48 @@ def test_inputs_missing_annotation(tmp_path, capsys):
     rc, out, _ = run(capsys, "inputs", "--g", "1", "--n", "1", "--input", str(doc))
     assert rc == 0
     assert out == "M[0,3]\nM[1,1]  (missing from dataset)\n"
+
+
+# -- the JSON writer -----------------------------------------------------------------
+
+
+@given(json_values())
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [1, 2.0], {"k": (1, 2)}, {1: 2}, b"x", {"k": {1, 2}}])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def _is_json_dumps_text(out: str) -> bool:
+    """The stdout of a JSON command is json.dumps(indent=2) of the value it
+    holds, with print's newline."""
+    return out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["graded", "literal"])
+@pytest.mark.parametrize("truncation", range(8))
+def test_table_json_is_byte_identical_to_json_dumps(capsys, truncation, mode):
+    rc, out, _ = run(
+        capsys, "table", "--truncation", str(truncation), "--format", "json", "--delta-mode", mode
+    )
+    assert rc == 0 and _is_json_dumps_text(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--g", "3", "--n", "1", "--format", "json"],
+        ["expr", "q*s[2,1]", "--format", "json"],
+    ],
+)
+def test_compute_and_expr_json_are_byte_identical_to_json_dumps(capsys, argv):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and _is_json_dumps_text(out)
 
 
 # -- alternate input files -----------------------------------------------------------

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablemoduli.errors import ExprParseError, PreconditionError, TableFormatError
+from stablemoduli.errors import (
+    ExprParseError,
+    OffDiagonalError,
+    PreconditionError,
+    TableFormatError,
+)
 from stablemoduli.exprlang import (
     Add,
     HomAtom,
@@ -433,6 +438,14 @@ def test_render_entry_rejects_non_integral():
     entry = schur((2,), t).scale(HodgePoly.const(Fraction(1, 2)))
     with pytest.raises(PreconditionError):
         render_entry(entry, 2)
+
+
+def test_render_table_names_the_off_diagonal_row():
+    table = parse_table("M[0,3] = s[3]\nM[1,1] = q*s[1]\nM[2,1] = (q^4 + v^2*q)*s[1]\n")
+    with pytest.raises(OffDiagonalError) as raised:
+        render_table(table)
+    assert str(raised.value) == "M[2,1]: off-diagonal term u^1*v^3"
+    assert raised.value.exponents == (1, 3) and raised.value.row == "M[2,1]"
 
 
 def test_table_round_trip():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -297,10 +298,37 @@ def test_schur_examples():
     assert s21 == Fraction(1, 3) * (P((1, 1, 1)) - P((3,)))
 
 
+T10 = Truncation.flat(0, 10)
+
+
 def test_schur_routes_agree():
-    for n in range(0, 8):
+    # equality of series compares numerators and denominators as stored, so
+    # this also pins the canonical form of every coefficient schur builds
+    for n in range(0, 11):
         for mu in partitions_of(n):
-            assert schur(mu, T8) == schur_jacobi_trudi(mu, T8)
+            assert schur(mu, T10) == schur_jacobi_trudi(mu, T10), mu
+
+
+def test_schur_coefficients_are_reduced_over_a_positive_denominator():
+    for n in range(0, 11):
+        for mu in partitions_of(n):
+            for (e, rho), c in schur(mu, T10)._terms.items():
+                assert e == 0 and sum(rho) == n and c
+                assert list(c._terms) == [(0, 0)]
+                assert c._den > 0 and gcd(c._den, c._terms[(0, 0)]) == 1, (mu, rho)
+
+
+@pytest.mark.parametrize("mu", [(1,), (2, 1), (3, 3), (4, 1, 1, 1)])
+def test_schur_past_a_flat_cap_is_zero(mu):
+    for cap in range(sum(mu)):
+        trunc = Truncation.flat(2, cap)
+        assert schur(mu, trunc) == SymSeries.zero(trunc)
+    assert schur(mu, Truncation.flat(2, sum(mu)))
+
+
+def test_h_equals_the_one_row_schur_function():
+    for n in range(1, 11):
+        assert complete_homogeneous(n, T10) == schur((n,), T10)
 
 
 @pytest.mark.parametrize(
