@@ -18,12 +18,12 @@ from __future__ import annotations
 import re
 import sys
 from math import lgamma, log, log10
-from typing import NamedTuple, Union
+from typing import Union
 
 from .errors import ExprParseError, OffDiagonalError, PreconditionError, TableFormatError
 from .hodge import MAX_CELLS, HodgePoly, _wrap, join_signed, magnitude
 from .partitions import Partition, count_partitions_up_to, format_partition, weight
-from .pipeline import ModuliTable, is_stable
+from .pipeline import ModuliTable, _Record, is_stable
 from .series import (
     SymSeries,
     Truncation,
@@ -193,11 +193,15 @@ def _unchain(expr: Add | Sub | Mul) -> tuple[Expr, list[Add | Sub | Mul]]:
 # -- tokenizer --------------------------------------------------------------------
 
 
-class _Token(NamedTuple):
+class _Token(_Record):
+    __slots__ = ()
     kind: str  # "int", "name", a punctuation character, or "eof"
     text: str
     line: int
     col: int
+
+    def __new__(cls, kind, text, line, col):
+        return tuple.__new__(cls, (kind, text, line, col))
 
 
 _PUNCT = set("[](),^*+-")
@@ -368,10 +372,11 @@ def parse_expression(text: str, line: int = 1, col: int = 1) -> Expr:
     return node
 
 
-class Bounds(NamedTuple):
+class Bounds(_Record):
     """Syntactic upper bounds on the value of an expression, read off the
     syntax tree by :func:`bounds` without evaluating anything."""
 
+    __slots__ = ()
     weight: int  # p-weight of any term
     du: int  # power of u in any coefficient
     dv: int  # power of v in any coefficient
@@ -381,6 +386,9 @@ class Bounds(NamedTuple):
     thi: int
     norm: float  # log10 of the l1 norm, the sum of |coefficient| over all terms
     den: float  # log10 of a common multiple of the denominators
+
+    def __new__(cls, weight, du, dv, lo, hi, tlo, thi, norm, den):
+        return tuple.__new__(cls, (weight, du, dv, lo, hi, tlo, thi, norm, den))
 
     @property
     def digits(self) -> float:
@@ -458,8 +466,9 @@ def bounds(expr: Expr) -> Bounds:
         base = bounds(expr.base)
         k = expr.exponent
         if k == 0:
-            return base._replace(
-                lo=min(base.lo, 0), hi=max(base.hi, 0), tlo=min(base.tlo, 0), thi=max(base.thi, 0)
+            return Bounds(
+                *base[:3], min(base.lo, 0), max(base.hi, 0), min(base.tlo, 0), max(base.thi, 0),
+                base.norm, base.den,
             )
         # A float cap keeps a huge exponent from overflowing the
         # conversion; the sizes then read inf.
@@ -642,12 +651,11 @@ def render_entry(entry: SymSeries, n: int) -> str:
             raise PreconditionError(
                 f"table rendering needs integer coefficients, got {coeff.render()}"
             )
-        q_terms = coeff.q_coefficients()
-        negative = q_terms[-1][1] < 0
+        negative = coeff._terms[max(coeff._terms)] < 0  # the sign of the top term
         magnitude = -coeff if negative else coeff
         schur_text = f"s{format_partition(mu)}"
         q_text = magnitude.render_q(explicit_mul=True)
-        if len(q_terms) > 1:
+        if len(coeff) > 1:
             q_text = f"({q_text})"
         body = schur_text if magnitude == 1 else f"{q_text}*{schur_text}"
         pieces.append(("-" if negative else "+", body))

@@ -10,9 +10,11 @@ denominator: ``_terms`` maps exponent pairs ``(i, j)`` (the powers of u and
 v) to nonzero ints and ``_den`` divides them all.  The form is canonical:
 the gcd of ``_den`` and all numerators is 1, and the zero polynomial has
 ``_den == 1``.  Equal values therefore have equal representations.  The
-arithmetic works on ints and reduces each result once by that gcd; the
-public accessors (``items``, ``coefficient``, ``q_coefficients``) hand out
-``Fraction`` coefficients.
+arithmetic works on ints and reduces each result once by that gcd; the text
+forms read the ints too.  Fractions appear only at the public boundary, and
+``fractions`` is imported only where one is built: the accessors (``items``,
+``coefficient``, ``q_coefficients``) hand them out, and a caller may pass one
+as a scalar.
 
 A :class:`Packing` holds the numerators in a packed form (Kronecker
 substitution): it lays the monomials u^i v^j of a box out as the digits of
@@ -37,14 +39,16 @@ form, and ``items`` iterates in ascending ``(i, j)`` order.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from math import gcd, lcm, log10
 from operator import add
-from typing import Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 from .errors import OffDiagonalError, PreconditionError
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Scalar = Union[int, Fraction]
 
 
 class HodgePoly:
@@ -54,20 +58,21 @@ class HodgePoly:
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        given: dict[tuple[int, int], Fraction] = {}
+        given: dict[tuple[int, int], tuple[int, int]] = {}
         if terms:
             for (i, j), c in terms.items():
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent pair ({i}, {j})")
-                c = Fraction(c)
-                if c:
-                    given[(i, j)] = c
+                ratio = _ratio(c)
+                if ratio is None:  # any other value Fraction() takes
+                    from fractions import Fraction
+                    ratio = _ratio(Fraction(c))
+                if ratio[0]:
+                    given[(i, j)] = ratio
         # Over the lcm of reduced denominators the numerators are coprime
         # to it, so this is already canonical.
-        den = lcm(*(c.denominator for c in given.values()))
-        self._terms = {
-            key: c.numerator * (den // c.denominator) for key, c in given.items()
-        }
+        den = lcm(*(d for _, d in given.values()))
+        self._terms = {key: n * (den // d) for key, (n, d) in given.items()}
         self._den = den
 
     # -- constructors ------------------------------------------------------
@@ -108,21 +113,22 @@ class HodgePoly:
 
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Terms in canonical ascending (i, j) order."""
+        from fractions import Fraction
         den = self._den
         return iter([(key, Fraction(c, den)) for key, c in sorted(self._terms.items())])
 
     def coefficient(self, i: int, j: int) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._terms.get((i, j), 0), self._den)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = HodgePoly.const(other)
-        if isinstance(other, HodgePoly):
-            return self._den == other._den and self._terms == other._terms
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self._den, frozenset(self._terms.items())))
@@ -169,7 +175,10 @@ class HodgePoly:
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "HodgePoly":
-        return _coerce(other) - self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other: "HodgePoly | Scalar") -> "HodgePoly":
         if isinstance(other, HodgePoly):
@@ -188,25 +197,22 @@ class HodgePoly:
             pa, pb, product = product_packings(box_a, box_b, max(na * nb, na, nb))
             x = pa.pack(self) * pb.pack(other)
             return product.poly(x, self._den * other._den)
-        if isinstance(other, Fraction):
-            if other.denominator != 1:
-                n = other.numerator
-                return _reduced(
-                    {key: c * n for key, c in self._terms.items()},
-                    self._den * other.denominator,
-                )
-            other = other.numerator
-        if isinstance(other, int):
-            # A nonzero scalar times a nonzero coefficient is nonzero, so
-            # only a zero scalar can leave zeros behind; and with
-            # g = gcd(den, n) the pair (den/g, n/g) is coprime, so no
-            # further reduction is needed.
-            if not other:
-                return _wrap({}, 1)
-            g = gcd(self._den, other)
-            n = other // g
-            return _wrap({key: c * n for key, c in self._terms.items()}, self._den // g)
-        return NotImplemented
+        if not isinstance(other, int):
+            ratio = _ratio(other)
+            if ratio is None:
+                return NotImplemented
+            n, d = ratio
+            if d != 1:
+                return _reduced({key: c * n for key, c in self._terms.items()}, self._den * d)
+            other = n
+        # A nonzero scalar times a nonzero coefficient is nonzero, so only a
+        # zero scalar can leave zeros behind; and with g = gcd(den, n) the
+        # pair (den/g, n/g) is coprime, so no further reduction is needed.
+        if not other:
+            return _wrap({}, 1)
+        g = gcd(self._den, other)
+        n = other // g
+        return _wrap({key: c * n for key, c in self._terms.items()}, self._den // g)
 
     __rmul__ = __mul__
 
@@ -262,6 +268,7 @@ class HodgePoly:
 
         Raises OffDiagonalError if any term has i != j.
         """
+        from fractions import Fraction
         witness = self.off_diagonal_witness()
         if witness is not None:
             raise OffDiagonalError(*witness)
@@ -270,6 +277,7 @@ class HodgePoly:
 
     def q_coefficient_list(self) -> list[Fraction]:
         """Dense [c0, c1, ..., c_deg] of q-coefficients (empty for zero)."""
+        from fractions import Fraction
         pairs = self.q_coefficients()
         if not pairs:
             return []
@@ -288,16 +296,17 @@ class HodgePoly:
 
         Examples: "0", "1 + q", "3*q^2", "1/2*u^2*v".
         """
+        den = self._den
         pieces = []
-        for (i, j), c in self.items():
+        for (i, j), c in sorted(self._terms.items()):
             mono = _render_monomial(i, j)
             mag = abs(c)
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = ratio_text(mag, den)
+            elif mag == den:
                 body = mono
             else:
-                body = f"{mag}*{mono}"
+                body = f"{ratio_text(mag, den)}*{mono}"
             pieces.append(("-" if c < 0 else "+", body))
         return join_signed(pieces)
 
@@ -308,21 +317,34 @@ class HodgePoly:
         valid in the table expression language.  Raises OffDiagonalError on
         polynomials with off-diagonal terms.
         """
+        witness = self.off_diagonal_witness()
+        if witness is not None:
+            raise OffDiagonalError(*witness)
+        den = self._den
         pieces = []
-        for k, c in reversed(self.q_coefficients()):
+        for (k, _), c in sorted(self._terms.items(), reverse=True):
             mag = abs(c)
+            text = ratio_text(mag, den)
             if k == 0:
-                body = str(mag)
+                body = text
             else:
                 qpow = "q" if k == 1 else f"q^{k}"
-                if mag == 1:
+                if mag == den:
                     body = qpow
-                elif mag.denominator == 1:
-                    body = f"{mag}*{qpow}" if explicit_mul else f"{mag}{qpow}"
+                elif not mag % den:
+                    body = f"{text}*{qpow}" if explicit_mul else f"{text}{qpow}"
                 else:
-                    body = f"{mag}*{qpow}" if explicit_mul else f"({mag}){qpow}"
+                    body = f"{text}*{qpow}" if explicit_mul else f"({text}){qpow}"
             pieces.append(("-" if c < 0 else "+", body))
         return join_signed(pieces)
+
+
+def ratio_text(n: int, d: int) -> str:
+    """The text ``str(Fraction(n, d))`` gives for ints n and d > 0, without
+    building the Fraction: n/d in lowest terms, or the int alone."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def magnitude(n: int) -> str:
@@ -370,9 +392,20 @@ def join_signed(pieces: list[tuple[str, str]], sep: str = " ") -> str:
 def _coerce(value: object) -> HodgePoly:
     if isinstance(value, HodgePoly):
         return value
-    if isinstance(value, (int, Fraction)):
-        return HodgePoly.const(value)
-    return NotImplemented
+    ratio = _ratio(value)
+    if ratio is None:
+        return NotImplemented
+    return _wrap({(0, 0): ratio[0]} if ratio[0] else {}, ratio[1])
+
+
+def _ratio(value: object) -> tuple[int, int] | None:
+    """(numerator, denominator) of an int, a bool or a Fraction, else None.
+    A Fraction exists only once ``fractions`` is loaded: looked up, not imported."""
+    if not isinstance(value, int):
+        fractions = sys.modules.get("fractions")
+        if fractions is None or not isinstance(value, fractions.Fraction):
+            return None
+    return value.numerator, value.denominator
 
 
 def _wrap(terms: dict[tuple[int, int], int], den: int) -> HodgePoly:

@@ -28,9 +28,9 @@ it cancel in the final Adams sum.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
-from typing import NamedTuple
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .errors import OffDiagonalError, PreconditionError
 from .hodge import (
@@ -39,6 +39,7 @@ from .hodge import (
     check_printable,
     join_signed,
     printable,
+    ratio_text,
     reduced_digits,
 )
 from .partitions import Partition, format_partition, weight
@@ -47,6 +48,9 @@ from .plethysm import ClosedSeries, closed_moduli_series  # noqa: F401  (re-expo
 # stage names up here.
 from .plethysm import exp_gluing, plethystic_exp, plethystic_log  # noqa: F401
 from .series import SymSeries, Truncation
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SchurList = list[tuple[Partition, HodgePoly]]
 
@@ -179,7 +183,21 @@ def stable_slots(lambda_max: int) -> list[tuple[int, int]]:
     return out
 
 
-class SlotReport(NamedTuple):
+class _Record(tuple):
+    """A tuple whose items are the fields a subclass annotates, in order, read
+    as attributes: a NamedTuple without the class it costs about 0.2 ms of
+    every run to build.  The subclass's ``__new__`` takes the fields in
+    that order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(index)))
+
+
+class SlotReport(_Record):
     """Everything the pipeline knows about one (g, n) answer.
 
     ``coeff_q`` holds the published q-coefficients of each Schur
@@ -188,6 +206,7 @@ class SlotReport(NamedTuple):
     diagonal.
     """
 
+    __slots__ = ()
     g: int
     n: int
     lam: int
@@ -198,6 +217,11 @@ class SlotReport(NamedTuple):
     duality_ok: bool
     coeff_q: list[list[int | str] | None]
     rank_q: list[int | str] | None
+
+    def __new__(cls, g, n, lam, dim, equivariant, rank, off_diagonal, duality_ok, coeff_q, rank_q):
+        return tuple.__new__(
+            cls, (g, n, lam, dim, equivariant, rank, off_diagonal, duality_ok, coeff_q, rank_q)
+        )
 
     def to_json_obj(self) -> dict:
         """The published slot schema; defined only for diagonal slots."""
@@ -320,7 +344,7 @@ def _json_q(q: list[int], den: int) -> list[int | str]:
     int or the string of its fraction."""
     if den == 1:
         return q
-    return [c // den if not c % den else str(Fraction(c, den)) for c in q]
+    return [c // den if not c % den else ratio_text(c, den) for c in q]
 
 
 # -- paper-style LaTeX rendering ------------------------------------------------

@@ -31,7 +31,6 @@ and nothing in the package turns them back into p-basis terms.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import PreconditionError
@@ -84,6 +83,7 @@ def mobius_adams_sum(g: SymSeries) -> SymSeries:
     """Sum over k >= 1 of mu(k)/k psi_k(g), the inverse of ``adams_sum``;
     the last step of ``plethystic_log``.  :func:`closed_moduli_series`
     forms the same sum on packed ints."""
+    from fractions import Fraction
     total = SymSeries.zero(g.trunc)
     for k in range(1, _adams_bound(g) + 1):
         m = mobius(k)
@@ -142,6 +142,7 @@ def exp_gluing(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> SymSeries:
     """Exponential of the gluing operator: sum over m of its m-th iterate
     divided by m!.  Terminates since each application drops p-weight by at
     least 2.  Each iterate is the previous one glued and divided by m."""
+    from fractions import Fraction
     total = term = f
     m = 1
     while term:

@@ -15,17 +15,16 @@ their truncations agree.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
-from typing import Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 # perfbench/tracer.py patches ``series.character`` by this name; the
 # package itself reads whole rows through ``character_row``.
 from .characters import character, character_row  # noqa: F401
 from .errors import PreconditionError
-from .hodge import Box, HodgePoly, Packing, _reduced, box_of
+from .hodge import Box, HodgePoly, Packing, _ratio, _reduced, box_of
 from .partitions import (
     Partition,
     check_partition,
@@ -35,8 +34,10 @@ from .partitions import (
     z_factor,
 )
 
+if TYPE_CHECKING:
+    from .hodge import Scalar
+
 Key = tuple[int, Partition]
-Scalar = Union[int, Fraction]
 
 CONSTANT_KEY: Key = (0, ())
 
@@ -188,7 +189,7 @@ class SymSeries:
         return self + (-other)
 
     def __mul__(self, other: "SymSeries | HodgePoly | Scalar") -> "SymSeries":
-        if isinstance(other, (int, Fraction, HodgePoly)):
+        if isinstance(other, HodgePoly) or _ratio(other) is not None:
             return self.scale(other)
         if not isinstance(other, SymSeries):
             return NotImplemented
@@ -484,6 +485,7 @@ def exp_series(f: SymSeries) -> SymSeries:
     that truncated arithmetic is exact in a quotient ring; that holds for
     ``Truncation.standard`` and ``Truncation.flat``.
     """
+    from fractions import Fraction
     if f.constant_term():
         raise PreconditionError("exp needs a series with zero constant term")
     trunc = f.trunc
@@ -506,6 +508,7 @@ def log_series(g: SymSeries) -> SymSeries:
     truncated power series sum (-1)^(m-1) (g-1)^m / m under the same
     condition on the truncation.
     """
+    from fractions import Fraction
     if g.constant_term() != HodgePoly.one():
         raise PreconditionError("log needs a series with constant term 1")
     trunc = g.trunc

@@ -7,6 +7,7 @@ on the nose and property tests need no tolerance.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -19,6 +20,16 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 small_ints = st.integers(min_value=-5, max_value=5)
 
 
+class Quarter(Fraction):
+    """A subclass of Fraction, which scalars may be."""
+
+
+# The scalars HodgePoly and SymSeries take in arithmetic: ints, bools and
+# Fractions, subclasses included; and some they refuse with TypeError.
+SCALARS = [0, 3, -2, True, False, Fraction(3, 2), Fraction(-4), Quarter(1, 4)]
+REFUSED_SCALARS = [0.5, Decimal("0.5"), 1j]
+
+
 def hodge_polys(max_exp: int = 3, diagonal: bool = False) -> st.SearchStrategy[HodgePoly]:
     if diagonal:
         keys = st.integers(0, max_exp).map(lambda k: (k, k))
@@ -27,11 +38,15 @@ def hodge_polys(max_exp: int = 3, diagonal: bool = False) -> st.SearchStrategy[H
     return st.dictionaries(keys, small_fractions, max_size=4).map(HodgePoly)
 
 
-def wide_polys(max_exp: int = 3) -> st.SearchStrategy[HodgePoly]:
-    """Polynomials with off-diagonal terms on both sides of the diagonal,
-    numerators up to 2^64 and denominators up to 2^20."""
+def wide_polys(max_exp: int = 3, diagonal: bool = False) -> st.SearchStrategy[HodgePoly]:
+    """Polynomials with off-diagonal terms on both sides of the diagonal
+    (only diagonal ones with diagonal), numerators up to 2^64 and
+    denominators up to 2^20."""
     coeffs = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**20))
-    keys = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
+    if diagonal:
+        keys = st.integers(0, max_exp).map(lambda k: (k, k))
+    else:
+        keys = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
     return st.dictionaries(keys, coeffs, max_size=4).map(HodgePoly)
 
 

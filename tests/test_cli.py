@@ -251,13 +251,13 @@ def test_verify_names_the_slots_of_a_self_dual_but_negative_row(tmp_path, capsys
     assert out.splitlines() == lines
 
 
-@pytest.mark.parametrize(
-    "rows, witness",
-    [
-        ("M[0,3] = s[3]\nM[1,1] = (q + u)*s[1]\n", "u^1*v^0"),
-        ("M[0,3] = s[3]\nM[1,1] = q*s[1]\nM[2,1] = (q^4 + v^2*q)*s[1]\n", "u^1*v^3"),
-    ],
-)
+OFF_DIAGONAL_TABLES = [
+    ("M[0,3] = s[3]\nM[1,1] = (q + u)*s[1]\n", "u^1*v^0"),
+    ("M[0,3] = s[3]\nM[1,1] = q*s[1]\nM[2,1] = (q^4 + v^2*q)*s[1]\n", "u^1*v^3"),
+]
+
+
+@pytest.mark.parametrize("rows, witness", OFF_DIAGONAL_TABLES)
 def test_verify_of_an_off_diagonal_table_is_refused(tmp_path, capsys, rows, witness):
     doc = tmp_path / "skew.dat"
     doc.write_text(rows, encoding="utf-8")
@@ -267,6 +267,24 @@ def test_verify_of_an_off_diagonal_table_is_refused(tmp_path, capsys, rows, witn
     # the message names the refused row, the last of each document
     row = rows.splitlines()[-1].split(" = ")[0]
     assert err == f"error: {row}: off-diagonal term {witness}\n"
+
+
+@pytest.mark.parametrize("mode", ["graded", "literal"])
+@pytest.mark.parametrize("rows, witness", OFF_DIAGONAL_TABLES)
+def test_verify_refuses_an_off_diagonal_table_before_the_pipeline(
+    tmp_path, capsys, monkeypatch, rows, witness, mode
+):
+    doc = tmp_path / "skew.dat"
+    doc.write_text(rows, encoding="utf-8")
+    argv = ["verify", "--input", str(doc), "--delta-mode", mode]
+    refused = run(capsys, *argv)
+    assert refused[0] == 4 and witness in refused[2]
+
+    def pipeline(*args):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr("stablemoduli.cli.closed_moduli_series", pipeline)
+    assert run(capsys, *argv) == refused
 
 
 # -- expr and inputs ---------------------------------------------------------------
@@ -602,6 +620,40 @@ def test_import_loads_no_resource_or_archive_modules():
     added = modules_added_by_import("-S")
     assert "stablemoduli.dataset" in added
     assert not added & {"importlib.resources", "tempfile", "shutil", "bz2", "lzma", "random"}
+
+
+def test_table_route_loads_no_fractions():
+    # fractions, with decimal and numbers behind it, was about a third of
+    # the import every op and command pays for, and the table route builds
+    # no Fraction.  Under -S no .pth file of the site packages loads them.
+    code = """if True:
+        import io, sys
+        from contextlib import redirect_stderr, redirect_stdout
+
+        def loaded():
+            return sorted({"fractions", "decimal", "_decimal", "numbers"} & set(sys.modules))
+
+        import stablemoduli, stablemoduli.cli
+        print("import", *loaded(), sep="|")
+        for argv in %r:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = stablemoduli.cli.main(argv)
+            print(*argv, code, *loaded(), sep="|")
+        stablemoduli.render_table(stablemoduli.parse_table(stablemoduli.dataset_text()))
+        print("ingest", *loaded(), sep="|")
+    """
+    argvs = [
+        ["table", "--truncation", "5", "--format", "json"],
+        ["table", "--truncation", "5"],
+        ["compute", "--g", "3", "--n", "1"],
+        ["verify", "--truncation", "5"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code % argvs], capture_output=True, text=True,
+        env=cli_env(""), timeout=120, check=True,
+    )
+    expected = ["import", *("|".join([*argv, "0"]) for argv in argvs), "ingest"]
+    assert proc.stdout.splitlines() == expected
 
 
 def test_missing_input_file_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import assume, given
@@ -10,14 +11,16 @@ from stablemoduli.hodge import (
     HodgePoly,
     Packing,
     box_of,
+    _render_monomial,
     extent,
     join_signed,
     product_packings,
+    ratio_text,
 )
 from stablemoduli.plethysm import _part
 
 import oracles
-from strategies import hodge_polys, small_fractions, wide_polys
+from strategies import REFUSED_SCALARS, SCALARS, hodge_polys, small_fractions, wide_polys
 
 Q = HodgePoly.q()
 U = HodgePoly.u()
@@ -55,6 +58,86 @@ def test_scalar_products_are_canonical():
 @given(hodge_polys(), st.one_of(st.integers(-3, 3), small_fractions))
 def test_scalar_product_matches_constant_product(p, c):
     assert p * c == p * HodgePoly.const(c) == c * p
+
+
+@pytest.mark.parametrize("c", SCALARS, ids=repr)
+def test_int_bool_and_fraction_scalars(c):
+    p = Fraction(1, 3) * U + 2 * Q - 1
+    dp, const = as_dict(p), ({(0, 0): Fraction(c)} if c else {})
+    for value, expected in [
+        (HodgePoly({(0, 0): c, (2, 1): c}), {key: Fraction(c) for key in [(0, 0), (2, 1)] if c}),
+        (HodgePoly.const(c), const),
+        (p + c, oracles.uv_add(dp, const)),
+        (c + p, oracles.uv_add(dp, const)),
+        (p - c, oracles.uv_sub(dp, const)),
+        (c - p, oracles.uv_sub(const, dp)),
+        (p * c, oracles.uv_scale(dp, Fraction(c))),
+        (c * p, oracles.uv_scale(dp, Fraction(c))),
+    ]:
+        assert_canonical(value)
+        assert as_dict(value) == expected
+    assert HodgePoly.const(c) == c and c == HodgePoly.const(c)
+    assert p != c
+
+
+@pytest.mark.parametrize("c", REFUSED_SCALARS, ids=repr)
+def test_float_decimal_and_complex_scalars_are_refused(c):
+    for op in (add, sub, mul):
+        with pytest.raises(TypeError):
+            op(1 + Q, c)
+        with pytest.raises(TypeError):
+            op(c, 1 + Q)
+    assert 1 + Q != c
+
+
+def test_accessors_return_fractions():
+    p = Fraction(1, 2) + 3 * Q
+    assert [(key, type(c)) for key, c in p.items()] == [((0, 0), Fraction), ((1, 1), Fraction)]
+    assert [type(p.coefficient(*key)) for key in [(1, 1), (2, 0)]] == [Fraction, Fraction]
+    assert p.q_coefficients() == [(0, Fraction(1, 2)), (1, 3)]
+    assert [type(c) for _, c in p.q_coefficients()] == [Fraction, Fraction]
+    assert [type(c) for c in (Q**2).q_coefficient_list()] == [Fraction] * 3
+
+
+def render_by_fractions(p):
+    """``HodgePoly.render``, written on the Fraction coefficients of items()."""
+    pieces = []
+    for (i, j), c in p.items():
+        mono, mag = _render_monomial(i, j), abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        pieces.append(("-" if c < 0 else "+", body))
+    return join_signed(pieces)
+
+
+def render_q_by_fractions(p, explicit_mul):
+    """``HodgePoly.render_q``, written on the Fractions of q_coefficients()."""
+    pieces = []
+    for k, c in reversed(p.q_coefficients()):
+        mag, qpow = abs(c), ("q" if k == 1 else f"q^{k}")
+        if k == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = qpow
+        elif explicit_mul:
+            body = f"{mag}*{qpow}"
+        else:
+            body = f"{mag}{qpow}" if mag.denominator == 1 else f"({mag}){qpow}"
+        pieces.append(("-" if c < 0 else "+", body))
+    return join_signed(pieces)
+
+
+@given(wide_polys(max_exp=4), wide_polys(max_exp=4, diagonal=True), hodge_polys(diagonal=True))
+def test_text_forms_match_a_fraction_reference(p, wide, small):
+    assert p.render() == render_by_fractions(p)
+    for d in (wide, small):
+        assert d.render() == render_by_fractions(d)
+        for explicit_mul in (False, True):
+            assert d.render_q(explicit_mul) == render_q_by_fractions(d, explicit_mul)
+
+
+@given(st.integers(-(2**70), 2**70), st.integers(1, 2**40))
+def test_ratio_text_is_the_text_of_the_fraction(n, d):
+    assert ratio_text(n, d) == str(Fraction(n, d))
 
 
 def assert_canonical(p):

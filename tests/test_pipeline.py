@@ -6,10 +6,12 @@ from hypothesis import given, settings
 
 from stablemoduli.dataset import embedded_dataset
 from stablemoduli.errors import OffDiagonalError, PreconditionError
+from stablemoduli.exprlang import Bounds, _Token
 from stablemoduli.hodge import HodgePoly, Packing
 from stablemoduli.partitions import partitions_of, weight
 from stablemoduli.pipeline import (
     ModuliTable,
+    SlotReport,
     build_slot_report,
     closed_moduli_series,
     is_stable,
@@ -292,6 +294,27 @@ def test_satisfies_duality():
     # exponents beyond the dimension violate the duality domain
     assert not satisfies_duality([((1,), Q**5)], 3)
     assert satisfies_duality([], 4)
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (SlotReport, "g n lam dim equivariant rank off_diagonal duality_ok coeff_q rank_q"),
+        (Bounds, "weight du dv lo hi tlo thi norm den"),
+        (_Token, "kind text line col"),
+    ],
+)
+def test_records_keep_their_fields_in_order(record, fields):
+    fields = tuple(fields.split())
+    assert record._fields == fields
+    values = tuple(range(len(fields)))
+    value = record(*values)
+    assert value == record(**dict(zip(fields, values))) == values
+    assert tuple(getattr(value, name) for name in fields) == values
+    assert value != record(*values[:-1], -1)
+    assert isinstance(value, tuple) and not hasattr(value, "__dict__")
+    with pytest.raises(TypeError):
+        record(*values[:-1])
 
 
 def test_slot_report_fields_and_json():

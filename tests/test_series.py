@@ -27,7 +27,16 @@ from oracles import (
     schur_jacobi_trudi,
     weights_at,
 )
-from strategies import FLAT_08, FLAT_33, STD_3, hodge_polys, series, small_fractions
+from strategies import (
+    FLAT_08,
+    FLAT_33,
+    REFUSED_SCALARS,
+    SCALARS,
+    STD_3,
+    hodge_polys,
+    series,
+    small_fractions,
+)
 
 T8 = FLAT_08
 HALF = Fraction(1, 2)
@@ -138,6 +147,31 @@ def test_int_scalar_keeps_fraction_coefficients():
         {"lambda": 0, "p": [1], "coeff": {"u^0 v^0": "3/2"}},
         {"lambda": 1, "p": [2, 1], "coeff": {"u^0 v^0": "6", "u^1 v^0": "3"}},
     ]
+
+
+@pytest.mark.parametrize("c", SCALARS, ids=repr)
+def test_int_bool_and_fraction_scalars_of_a_series(c):
+    terms = {(1, (2, 1)): {(1, 0): Fraction(1), (0, 0): Fraction(2)}, (0, (1,)): {(0, 0): HALF}}
+    s = SymSeries(FLAT_33, {key: HodgePoly(coeff) for key, coeff in terms.items()})
+    scaled = SymSeries(
+        FLAT_33,
+        {key: HodgePoly({ij: x * Fraction(c) for ij, x in coeff.items()}) for key, coeff in terms.items()},
+    )
+    assert s * c == c * s == s.scale(c) == scaled
+    assert SymSeries(FLAT_33, {(0, (1,)): c}) == SymSeries(
+        FLAT_33, {(0, (1,)): HodgePoly({(0, 0): Fraction(c)})}
+    )
+    assert SymSeries.constant(FLAT_33, c).constant_term() == c
+    assert len(s * c) == (2 if c else 0)
+
+
+@pytest.mark.parametrize("c", REFUSED_SCALARS, ids=repr)
+def test_float_decimal_and_complex_scalars_of_a_series_are_refused(c):
+    s = P((2,))
+    with pytest.raises(TypeError):
+        s * c
+    with pytest.raises(TypeError):
+        c * s
 
 
 @given(series(FLAT_33, coeffs=hodge_polys(2)), st.one_of(small_fractions, st.integers(-3, 3)))
