@@ -6,6 +6,13 @@ Multiplication is always explicit ("q*s[4]", never "qs[4]") and partitions
 must be written weakly decreasing; both rules exist to surface transcription
 errors instead of silently repairing them.
 
+Text is scanned by one compiled pattern, a token per match.  A part of an
+expression with no s, h or p atom evaluates to a polynomial in u and v; a
+sum or difference of any length is one call to ``series.linear_combination``
+with a (sign, polynomial factors, series factor) per term, a lone s or h atom
+passed as its partition and read off its character row there, so that every
+coefficient of the sum is added as ints and reduced once.
+
 A table document has one row "M[g,n] = expression" per line, with '#'
 comments and blank lines ignored.  Rendering a table produces a canonical
 form (rows sorted by (g, n), Schur terms in reverse-lexicographic partition
@@ -24,13 +31,7 @@ from .errors import ExprParseError, OffDiagonalError, PreconditionError, TableFo
 from .hodge import MAX_CELLS, HodgePoly, _wrap, join_signed, magnitude
 from .partitions import Partition, count_partitions_up_to, format_partition, weight
 from .pipeline import ModuliTable, _Record, is_stable
-from .series import (
-    SymSeries,
-    Truncation,
-    complete_homogeneous,
-    power_sum,
-    schur,
-)
+from .series import _ONE, SymSeries, Truncation, linear_combination, power_sum, schur
 
 # The largest weight ``evaluate`` and a table row take on.  Work grows with
 # the number of partitions of the weight: on a 2-core host shared with
@@ -177,10 +178,11 @@ class Pow(_Node):
 Expr = Union[IntLit, VarAtom, SchurAtom, HomAtom, PowerAtom, Neg, Add, Sub, Mul, Pow]
 
 
-def _unchain(expr: Add | Sub | Mul) -> tuple[Expr, list[Add | Sub | Mul]]:
+def _unchain(expr: Expr) -> tuple[Expr, list[Add | Sub | Mul]]:
     """Split the left-deep chain that the parser makes of a + b - c ... (or
     of a * b * c ...) into its first operand and its links in order, so a
-    walk over a long sum or product takes no stack per term."""
+    walk over a long sum or product takes no stack per term; any other node
+    is a first operand with no links."""
     kinds = Mul if isinstance(expr, Mul) else (Add, Sub)
     links = []
     while isinstance(expr, kinds):
@@ -204,49 +206,46 @@ class _Token(_Record):
         return tuple.__new__(cls, (kind, text, line, col))
 
 
-_PUNCT = set("[](),^*+-")
+# One token per match, after any spaces, tabs and carriage returns: a
+# newline, an int, a run of ASCII letters, a punctuation character, or any
+# other character, which is an error.  Trailing blanks match nothing.  It
+# is compiled on the first scan, through re's cache, so an import does not
+# pay for it.
+_SCAN = r"[ \t\r]*(?:(\n)|([0-9]+)|([A-Za-z]+)|([][(),^*+-])|([^ \t\r]))"
 _ATOM_NAMES = set("quvshp")
 
 
 def _tokenize(text: str, line: int, col: int) -> list[_Token]:
     tokens = []
-    idx = 0
-    while idx < len(text):
-        ch = text[idx]
-        if ch == "\n":
-            idx += 1
+    append, new = tokens.append, tuple.__new__
+    limit = sys.get_int_max_str_digits()
+    origin = -col  # the column of index i of text is i - origin
+    for m in re.finditer(_SCAN, text):
+        group = m.lastindex
+        word = m[group]
+        if group == 4:
+            append(new(_Token, (word, word, line, m.end() - 1 - origin)))
+            continue
+        if group == 1:
             line += 1
-            col = 1
-        elif ch in " \t\r":
-            idx += 1
-            col += 1
-        elif ch.isascii() and ch.isdigit():
-            m = re.match(r"[0-9]+", text[idx:])
-            limit = sys.get_int_max_str_digits()
-            if limit and m.end() > limit:
+            origin = m.end() - 1
+            continue
+        col = m.start(group) - origin
+        if group == 2:
+            if limit and len(word) > limit:
                 raise ExprParseError(
-                    f"integer literal of {m.end()} digits exceeds the {limit}-digit limit",
+                    f"integer literal of {len(word)} digits exceeds the {limit}-digit limit",
                     line,
                     col,
                 )
-            tokens.append(_Token("int", m.group(), line, col))
-            idx += m.end()
-            col += m.end()
-        elif ch.isascii() and ch.isalpha():
-            m = re.match(r"[A-Za-z]+", text[idx:])
-            name = m.group()
-            if len(name) != 1 or name not in _ATOM_NAMES:
-                raise ExprParseError(f"unknown symbol {name!r}", line, col)
-            tokens.append(_Token("name", name, line, col))
-            idx += 1
-            col += 1
-        elif ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            idx += 1
-            col += 1
+            append(new(_Token, ("int", word, line, col)))
+        elif group == 3:
+            if len(word) != 1 or word not in _ATOM_NAMES:
+                raise ExprParseError(f"unknown symbol {word!r}", line, col)
+            append(new(_Token, ("name", word, line, col)))
         else:
-            raise ExprParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+            raise ExprParseError(f"unexpected character {word!r}", line, col)
+    append(new(_Token, ("eof", "", line, len(text) - origin)))
     return tokens
 
 
@@ -501,46 +500,70 @@ _VARIABLES = {"q": (1, 1), "u": (1, 0), "v": (0, 1)}
 
 def eval_expression(expr: Expr, trunc: Truncation) -> SymSeries:
     """Evaluate to a series at lambda^0; q expands to u*v."""
-    return _lift(_eval(expr, trunc), trunc)
+    return _series(_eval(expr, trunc), trunc)
 
 
-def _eval(expr: Expr, trunc: Truncation) -> HodgePoly | SymSeries:
+def _eval(expr: Expr, trunc: Truncation) -> HodgePoly | SymSeries | Partition:
     """The value of expr: a polynomial where it has no s, h or p atom, else
-    a series.  A polynomial becomes a constant series only where it is added
-    to a series; times a series it scales it."""
+    a series, or the partition of a lone s or h atom, left for the sum or
+    product around it to read off.  A sum or difference is one call to
+    ``linear_combination``; a polynomial becomes a constant series only
+    there, and times a series it scales it."""
     if isinstance(expr, IntLit):
         return _wrap({(0, 0): expr.value} if expr.value else {}, 1)
     if isinstance(expr, VarAtom):
         return _wrap({_VARIABLES[expr.name]: 1}, 1)
     if isinstance(expr, SchurAtom):
-        return schur(expr.mu, trunc)
+        return expr.mu
     if isinstance(expr, HomAtom):
-        return complete_homogeneous(expr.n, trunc)
+        return (expr.n,)
     if isinstance(expr, PowerAtom):
         return power_sum(expr.n, trunc)
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, trunc)
-    if isinstance(expr, (Add, Sub, Mul)):
-        first, links = _unchain(expr)
-        a = _eval(first, trunc)
-        for link in links:
-            b = _eval(link.right, trunc)
-            if isinstance(link, Mul):
-                # a polynomial times a series is SymSeries.scale, by
-                # __rmul__ if the polynomial comes first
-                a = a * b
-                continue
-            if isinstance(a, SymSeries) or isinstance(b, SymSeries):
-                a, b = _lift(a, trunc), _lift(b, trunc)
-            a = a + b if isinstance(link, Add) else a - b
-        return a
     if isinstance(expr, Pow):
-        return _eval(expr.base, trunc) ** expr.exponent
+        base = _eval(expr.base, trunc)
+        return (base if isinstance(base, HodgePoly) else _series(base, trunc)) ** expr.exponent
+    if isinstance(expr, Mul):
+        scale, value = _term(expr, trunc)
+        return scale if value is None else linear_combination(trunc, ((1, scale, value),))
+    if isinstance(expr, (Add, Sub, Neg)):
+        first, links = _unchain(expr)
+        terms = [(1, first), *((1 if isinstance(link, Add) else -1, link.right) for link in links)]
+        items = []
+        for sign, term in terms:
+            while isinstance(term, Neg):
+                sign, term = -sign, term.operand
+            items.append((sign, *_term(term, trunc)))
+        if any(value is not None for _, _, value in items):
+            return linear_combination(trunc, items)
+        signed = [scale if sign == 1 else -scale for sign, scale, _ in items]
+        return sum(signed[1:], signed[0])
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _lift(value: HodgePoly | SymSeries, trunc: Truncation) -> SymSeries:
-    return value if isinstance(value, SymSeries) else SymSeries.constant(trunc, value)
+def _term(expr: Expr, trunc: Truncation) -> tuple[HodgePoly, SymSeries | Partition | None]:
+    """A product (or a single factor) as its polynomial factors multiplied
+    together and its series factors: the partition of a lone s or h atom,
+    the product of two or more as series, or None for none."""
+    first, links = _unchain(expr) if isinstance(expr, Mul) else (expr, [])
+    scale, series = None, []
+    for factor in [first, *(link.right for link in links)]:
+        value = _eval(factor, trunc)
+        if isinstance(value, HodgePoly):
+            scale = value if scale is None else scale * value
+        else:
+            series.append(value)
+    value = series[0] if series else None
+    for factor in series[1:]:
+        value = _series(value, trunc) * _series(factor, trunc)
+    return (_ONE if scale is None else scale), value
+
+
+def _series(value: HodgePoly | SymSeries | Partition, trunc: Truncation) -> SymSeries:
+    if isinstance(value, SymSeries):
+        return value
+    if isinstance(value, HodgePoly):
+        return SymSeries.constant(trunc, value)
+    return schur(value, trunc)
 
 
 def _check_size(expr: Expr, where: str = "") -> int:

@@ -64,9 +64,10 @@ class HodgePoly:
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent pair ({i}, {j})")
                 ratio = _ratio(c)
-                if ratio is None:  # any other value Fraction() takes
-                    from fractions import Fraction
-                    ratio = _ratio(Fraction(c))
+                if ratio is None:
+                    raise TypeError(
+                        f"a coefficient must be an int or a Fraction, not {type(c).__name__}"
+                    )
                 if ratio[0]:
                     given[(i, j)] = ratio
         # Over the lcm of reduced denominators the numerators are coprime
@@ -131,7 +132,10 @@ class HodgePoly:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._terms.items())))
+        terms = self._terms
+        if not terms.keys() - {(0, 0)}:  # a constant hashes as its int or Fraction
+            return _rational_hash(terms.get((0, 0), 0), self._den)
+        return hash((self._den, frozenset(terms.items())))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -345,6 +349,17 @@ def ratio_text(n: int, d: int) -> str:
     g = gcd(n, d)
     n, d = n // g, d // g
     return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for n/d in lowest terms with d > 0, without
+    building the Fraction: the hash of a rational number that Python
+    defines, n times the inverse of d modulo ``sys.hash_info.modulus``."""
+    modulus = sys.hash_info.modulus
+    # a d that the modulus divides has no inverse: the hash of infinity
+    h = hash(hash(abs(n)) * pow(d, -1, modulus)) if d % modulus else sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def magnitude(n: int) -> str:

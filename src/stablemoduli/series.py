@@ -394,9 +394,10 @@ def _character_table(n: int) -> tuple[tuple[Partition, tuple[int, ...], tuple[in
 
 
 @lru_cache(maxsize=None)
-def _z_factors(n: int) -> tuple[int, ...]:
-    """The centralizer order z_rho of each rho in ``partitions_of(n)``."""
-    return tuple(map(z_factor, partitions_of(n)))
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """The size n!/z_rho of the class of each cycle type rho in
+    ``partitions_of(n)``, z_rho its centralizer order."""
+    return tuple(factorial(n) // z_factor(rho) for rho in partitions_of(n))
 
 
 def _measure(terms: dict) -> tuple[int, Box | None, dict]:
@@ -541,17 +542,64 @@ def complete_homogeneous(n: int, trunc: Truncation) -> SymSeries:
     return schur((n,), trunc)
 
 
+_ONE = HodgePoly.one()
+
+
 def schur(mu, trunc: Truncation) -> SymSeries:
-    """The Schur function s_mu in the p-basis (at lambda^0): the sum over
-    cycle types rho of chi^mu(rho) p_rho / z_rho, each coefficient built
-    reduced, so the series needs no normalising pass."""
-    mu = check_partition(mu)
-    n = weight(mu)
+    """The Schur function s_mu in the p-basis (at lambda^0), read off its
+    character row by :func:`linear_combination`."""
+    return linear_combination(trunc, ((1, _ONE, check_partition(mu)),))
+
+
+def linear_combination(trunc: Truncation, items) -> SymSeries:
+    """The sum of sign * scale * value over items (sign, scale, value): sign
+    1 or -1, scale a HodgePoly, and value a series of the truncation, None
+    for the constant 1, or a partition mu for the Schur function
+    s_mu = sum over cycle types rho of chi^mu(rho) (n!/z_rho) p_rho / n!,
+    n = |mu|, read off the character row of mu.
+
+    Every numerator is brought over the lcm of the items' denominators and
+    added as an int, so each coefficient of the sum is reduced once, when
+    it is done; zeros and terms outside the truncation are left out.  A
+    series times a polynomial other than 1 is scaled first."""
+    parts = []  # (denominator, sign, scale numerators or None, terms)
+    for sign, scale, value in items:
+        if not scale:
+            continue
+        if isinstance(value, SymSeries):
+            if value.trunc != trunc:
+                raise PreconditionError("series truncations do not match")
+            terms = value._terms if scale == 1 else _scaled(value._terms, scale)
+            if terms:
+                parts.append((lcm(*(c._den for c in terms.values())), sign, None, terms))
+        elif value is None:
+            parts.append((scale._den, sign, scale._terms, ((CONSTANT_KEY, 1),)))
+        elif trunc.admits(0, n := weight(value)):
+            parts.append((scale._den * factorial(n), sign, scale._terms, _schur_weights(value)))
+    den = lcm(*(part[0] for part in parts))
+    sums: dict[Key, dict] = {}
+    for d, sign, scale, terms in parts:
+        if scale is None:  # the terms of a series, each over its own denominator
+            pairs = [(key, c._terms.items(), sign * (den // c._den)) for key, c in terms.items()]
+        else:
+            m = sign * (den // d)
+            pairs = [(key, scale.items(), m * w) for key, w in terms]
+        for key, numerators, k in pairs:
+            out = sums.setdefault(key, {})
+            for ij, x in numerators:
+                out[ij] = out.get(ij, 0) + x * k
     terms = {}
-    if trunc.admits(0, n):
-        terms = {
-            (0, rho): _reduced({(0, 0): chi}, z)
-            for rho, chi, z in zip(partitions_of(n), character_row(mu), _z_factors(n))
-            if chi
-        }
+    for key, out in sums.items():
+        nonzero = {ij: c for ij, c in out.items() if c}
+        if nonzero:
+            terms[key] = _reduced(nonzero, den)
     return _wrap(trunc, terms)
+
+
+@lru_cache(maxsize=None)
+def _schur_weights(mu: Partition) -> tuple[tuple[Key, int], ...]:
+    """((0, rho), chi^mu(rho) n!/z_rho) for each cycle type rho of n = |mu|
+    with chi^mu(rho) != 0: n! s_mu in the p-basis."""
+    n = weight(mu)
+    row = zip(partitions_of(n), character_row(mu), _class_sizes(n))
+    return tuple(((0, rho), chi * size) for rho, chi, size in row if chi)

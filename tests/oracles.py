@@ -13,13 +13,16 @@ or its one-pass Adams sum.  The graded-piece helpers read series and
 polynomials only through their public ``items``.  ``decoded`` and
 ``flow_parts`` turn the packed ints of the gluing recursion back into
 p-basis series, which the package itself never does, so that the tests
-can compare them with the reference route.  The geometric counts (Keel's
-recursion, the divisor classes) use nothing of the package.
+can compare them with the reference route.  ``tokenize_by_characters``
+reads expression text one character at a time, a reference for the
+package's one-pattern scanner.  The geometric counts (Keel's recursion,
+the divisor classes) use nothing of the package.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import count, permutations
 from math import comb
@@ -28,7 +31,7 @@ from stablemoduli import exprlang, plethysm
 from stablemoduli.errors import ExprParseError
 from stablemoduli.hodge import HodgePoly
 from stablemoduli.plethysm import ClosedSeries, GluingMode
-from stablemoduli.series import SymSeries, _wrap, complete_homogeneous, power_sum, schur
+from stablemoduli.series import SymSeries, _wrap
 
 QPoly = dict[int, int]
 UVPoly = dict[tuple[int, int], Fraction]
@@ -503,20 +506,21 @@ def gluing_by_derivatives(f: SymSeries, mode: GluingMode) -> SymSeries:
 
 def eval_as_series(expr: exprlang.Expr, trunc) -> SymSeries:
     """The value of an expression tree with every leaf a series: a number or
-    q, u, v as a constant series, an atom as its series in the p-basis.  So
-    every sum, product and power is series arithmetic, and nothing is lifted
-    from a polynomial to a series as in ``exprlang.eval_expression``."""
+    q, u, v as a constant series, an s or h atom by Jacobi-Trudi and a p
+    atom as one term.  So every sum, product and power is series arithmetic
+    one pair at a time, and nothing is lifted from a polynomial to a series
+    or summed in one pass as in ``exprlang.eval_expression``."""
     variables = {"q": HodgePoly.q(), "u": HodgePoly.u(), "v": HodgePoly.v()}
     if isinstance(expr, exprlang.IntLit):
         return SymSeries.constant(trunc, expr.value)
     if isinstance(expr, exprlang.VarAtom):
         return SymSeries.constant(trunc, variables[expr.name])
     if isinstance(expr, exprlang.SchurAtom):
-        return schur(expr.mu, trunc)
+        return schur_jacobi_trudi(expr.mu, trunc)
     if isinstance(expr, exprlang.HomAtom):
-        return complete_homogeneous(expr.n, trunc)
+        return SymSeries(trunc, {(0, rho): c for rho, c in homogeneous_p_expansion(expr.n).items()})
     if isinstance(expr, exprlang.PowerAtom):
-        return power_sum(expr.n, trunc)
+        return SymSeries(trunc, {(0, (expr.n,)): 1})
     if isinstance(expr, exprlang.Neg):
         return -eval_as_series(expr.operand, trunc)
     if isinstance(expr, exprlang.Pow):
@@ -527,6 +531,57 @@ def eval_as_series(expr: exprlang.Expr, trunc) -> SymSeries:
     if isinstance(expr, exprlang.Sub):
         return a - b
     return a * b
+
+
+# -- the expression scanner, one character at a time ------------------------------------
+
+
+def tokenize_by_characters(text: str, line: int, col: int) -> list[tuple[str, str, int, int]]:
+    """The tokens (kind, text, line, col) of expression text, read one
+    character at a time: spaces, tabs and carriage returns advance the
+    column, a newline the line; a run of ASCII digits is an int, one of
+    q, u, v, s, h, p a name, and any other run of ASCII letters, any other
+    character or an int past the interpreter's digit limit is an
+    ExprParseError at its first character.  The last token is ("eof", "")."""
+    tokens = []
+    idx = 0
+    while idx < len(text):
+        ch = text[idx]
+        if ch == "\n":
+            idx += 1
+            line += 1
+            col = 1
+        elif ch in " \t\r":
+            idx += 1
+            col += 1
+        elif ch.isascii() and ch.isdigit():
+            m = re.match(r"[0-9]+", text[idx:])
+            limit = sys.get_int_max_str_digits()
+            if limit and m.end() > limit:
+                raise ExprParseError(
+                    f"integer literal of {m.end()} digits exceeds the {limit}-digit limit",
+                    line,
+                    col,
+                )
+            tokens.append(("int", m.group(), line, col))
+            idx += m.end()
+            col += m.end()
+        elif ch.isascii() and ch.isalpha():
+            m = re.match(r"[A-Za-z]+", text[idx:])
+            name = m.group()
+            if len(name) != 1 or name not in "quvshp":
+                raise ExprParseError(f"unknown symbol {name!r}", line, col)
+            tokens.append(("name", name, line, col))
+            idx += 1
+            col += 1
+        elif ch in "[](),^*+-":
+            tokens.append((ch, ch, line, col))
+            idx += 1
+            col += 1
+        else:
+            raise ExprParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
 
 
 # -- the packed closed series and the gluing recursion read back ------------------------

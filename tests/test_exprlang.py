@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import log10
 
@@ -25,6 +26,7 @@ from stablemoduli.exprlang import (
     SchurAtom,
     Sub,
     VarAtom,
+    _tokenize,
     bounds,
     eval_expression,
     evaluate,
@@ -99,6 +101,65 @@ def test_letters_and_digits_outside_ascii_are_parse_errors(text, ch):
     with pytest.raises(ExprParseError) as err:
         parse_expression(text)
     assert f"unexpected character {ch!r}" in str(err.value)
+
+
+def _scan(scanner, text, line, col):
+    """The tokens of a scanner as plain tuples, or its error."""
+    try:
+        return [tuple(token) for token in scanner(text, line, col)]
+    except ExprParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+# Texts over the grammar's alphabet and blanks and newlines, most of them
+# valid token by token; and over those with other ASCII letters and
+# characters and characters outside ASCII (letters, digits and spaces).
+_grammar = list("quvshp0123456789[](),^*+-") + list(" \t\r\n")
+_scanner_texts = st.text(st.sampled_from(_grammar), max_size=60) | st.text(
+    st.sampled_from(_grammar + list("xQz=#.$") + list("λ²٣µé\u00a0\u2028")), max_size=40
+)
+
+
+@given(_scanner_texts, st.integers(1, 10**6), st.integers(1, 10**6))
+@settings(max_examples=300)
+def test_scanner_matches_a_character_at_a_time_reference(text, line, col):
+    assert _scan(_tokenize, text, line, col) == _scan(oracles.tokenize_by_characters, text, line, col)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("q +\n  w", "unknown symbol 'w'", 2, 3),
+        ("q*s[2] -\r\n\t qq", "unknown symbol 'qq'", 2, 3),
+        ("s[2]\n+ λ*q", "unexpected character 'λ'", 2, 3),
+        ("s[2] +\n\n", "expected a value, got end of input", 3, 1),
+        ("(q +\n   s[2,3])", "partition parts must be weakly decreasing", 2, 5),
+    ],
+)
+def test_errors_on_a_later_line_carry_its_position(text, message, line, col):
+    # a later line starts at column 1, whatever column the text starts at
+    for first_line, first_col in [(1, 1), (5, 9)]:
+        with pytest.raises(ExprParseError) as err:
+            parse_expression(text, first_line, first_col)
+        assert message in str(err.value)
+        assert (err.value.line, err.value.col) == (first_line + line - 1, col)
+
+
+def test_an_integer_past_the_digit_limit_is_a_parse_error():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse_expression("1" * 640) == IntLit(int("1" * 640))
+        for text, digits, line, col in [
+            ("q + " + "7" * 641, 641, 1, 5),
+            ("s[1] -\n  2*" + "9" * 700 + "*q", 700, 2, 5),
+        ]:
+            with pytest.raises(ExprParseError) as err:
+                parse_expression(text)
+            assert f"integer literal of {digits} digits exceeds the 640-digit limit" in str(err.value)
+            assert (err.value.line, err.value.col) == (line, col)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_exponent_rules():
@@ -303,6 +364,32 @@ def test_eval_matches_a_series_only_evaluator(expr, poly, series):
         value = eval_expression(case, T6)
         assert isinstance(value, SymSeries)
         assert value == oracles.eval_as_series(case, T6)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "s[2] + h[2] - p[2] + 3*s[1,1] - h[1]*p[1]",
+        "q*s[2,1] - s[2]*s[1] + h[2]*p[1]",
+        "q*s[2] + s[2]*q - 2*q*s[2]",
+        "(s[2] + s[1,1])*(q - 1)",
+        "(q - 1)*(s[2] + s[1,1])*u - s[2]",
+        "s[3] - h[3] + s[2,1] - s[2]*s[1] + s[1,1]*s[1]",
+        "s[7] + s[2] - h[4]*h[3] + p[7]",
+        "-s[2] - -(h[2] - q) + 1",
+        "q*-s[2] + (s[1]^2)*v - (s[1] + p[1])^2",
+        "(1 + q)^3*s[2,1] - u*v*p[2] - 7",
+    ],
+)
+def test_sums_of_atoms_match_a_series_only_evaluator(text):
+    expr = parse_expression(text)
+    assert eval_expression(expr, T6) == oracles.eval_as_series(expr, T6)
+
+
+def test_a_sum_that_cancels_is_zero_and_an_atom_past_the_truncation_drops():
+    assert not evaluate("(q + 1)*s[2,1] - s[2,1] - q*s[2,1]")
+    assert not eval_expression(parse_expression("s[4,3] + h[7] - p[7]"), T6)
+    assert eval_expression(parse_expression("s[7] + s[2]"), T6) == schur((2,), T6)
 
 
 @given(_exprs)

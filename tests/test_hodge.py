@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, mul, sub
@@ -20,7 +21,7 @@ from stablemoduli.hodge import (
 from stablemoduli.plethysm import _part
 
 import oracles
-from strategies import REFUSED_SCALARS, SCALARS, hodge_polys, small_fractions, wide_polys
+from strategies import REFUSED_SCALARS, SCALARS, Quarter, hodge_polys, small_fractions, wide_polys
 
 Q = HodgePoly.q()
 U = HodgePoly.u()
@@ -88,6 +89,47 @@ def test_float_decimal_and_complex_scalars_are_refused(c):
         with pytest.raises(TypeError):
             op(c, 1 + Q)
     assert 1 + Q != c
+
+
+@pytest.mark.parametrize("c", [*REFUSED_SCALARS, "1/3"], ids=repr)
+def test_constructors_refuse_what_arithmetic_refuses(c):
+    for build in (
+        lambda: HodgePoly({(0, 0): c}),
+        lambda: HodgePoly({(1, 1): 1, (2, 0): c}),
+        lambda: HodgePoly.const(c),
+        lambda: HodgePoly.from_q_coefficients([1, c]),
+    ):
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            build()
+
+
+# Numbers and polynomials drawn from a small range, so that equal pairs of
+# different types come up often: ints, Fractions (integral ones included),
+# constant polynomials of either, and polynomials of degree at most one.
+_numbers = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+_values = _numbers | _numbers.map(HodgePoly.const) | hodge_polys(max_exp=1)
+
+
+@given(_values, _values)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(st.fractions(max_denominator=2**70) | st.integers(-(2**80), 2**80))
+def test_a_constant_hashes_as_its_number(c):
+    assert hash(HodgePoly.const(c)) == hash(c) == hash(Fraction(c))
+    assert hash(HodgePoly.const(Quarter(c))) == hash(c)
+
+
+def test_constants_and_numbers_share_sets_and_dict_keys():
+    assert len({HodgePoly.one(), 1}) == 1 and 1 in {HodgePoly.one()}
+    assert HodgePoly.zero() in {0} and {Fraction(1, 3): "x"}[HodgePoly.const(Fraction(1, 3))] == "x"
+    # denominators the hash modulus divides hash as Fraction does
+    modulus = sys.hash_info.modulus
+    for c in (Fraction(1, modulus), Fraction(-5, 2 * modulus), Fraction(modulus + 1, modulus)):
+        assert hash(HodgePoly.const(c)) == hash(c)
+    assert len({Q, HodgePoly.q(), 1 + Q - 1}) == 1
 
 
 def test_accessors_return_fractions():

@@ -13,6 +13,7 @@ from stablemoduli.series import (
     Truncation,
     complete_homogeneous,
     exp_series,
+    linear_combination,
     log_series,
     power_sum,
     schur,
@@ -172,6 +173,14 @@ def test_float_decimal_and_complex_scalars_of_a_series_are_refused(c):
         s * c
     with pytest.raises(TypeError):
         c * s
+
+
+@pytest.mark.parametrize("c", [*REFUSED_SCALARS, "1/3"], ids=repr)
+def test_series_constructors_refuse_what_arithmetic_refuses(c):
+    with pytest.raises(TypeError):
+        SymSeries(FLAT_33, {(0, (1,)): c})
+    with pytest.raises(TypeError):
+        SymSeries.constant(FLAT_33, c)
 
 
 @given(series(FLAT_33, coeffs=hodge_polys(2)), st.one_of(small_fractions, st.integers(-3, 3)))
@@ -341,6 +350,52 @@ def test_schur_routes_agree():
     for n in range(0, 11):
         for mu in partitions_of(n):
             assert schur(mu, T10) == schur_jacobi_trudi(mu, T10), mu
+
+
+# An item of linear_combination: a sign, a scale and a value, which is a
+# series, None (the constant 1) or a partition (its Schur function).
+_items = st.tuples(
+    st.sampled_from([1, -1]),
+    hodge_polys(2),
+    st.one_of(st.none(), st.sampled_from([*partitions_of(2), *partitions_of(3), (4,), ()]),
+              series(FLAT_33, coeffs=hodge_polys(2))),
+)
+
+
+def _item_as_series(sign, scale, value):
+    if value is None:
+        value = SymSeries.constant(FLAT_33, 1)
+    elif not isinstance(value, SymSeries):
+        value = schur_jacobi_trudi(value, FLAT_33)
+    return value.scale(scale * sign)
+
+
+@given(st.lists(_items, max_size=5))
+@settings(max_examples=60)
+def test_linear_combination_is_the_sum_of_its_items(items):
+    total = SymSeries.zero(FLAT_33)
+    for item in items:
+        total = total + _item_as_series(*item)
+    assert linear_combination(FLAT_33, items) == total
+    for c in linear_combination(FLAT_33, items)._terms.values():
+        assert c and c._den > 0 and gcd(c._den, *c._terms.values()) == 1
+
+
+def test_linear_combination_cases():
+    q = HodgePoly.q()
+    s2, s11 = schur((2,), T8), schur((1, 1), T8)
+    assert linear_combination(T8, [(1, q, (2,)), (-1, q, (1, 1))]) == (s2 - s11).scale(q)
+    # a sum that cancels, and a partition past the truncation, leave nothing
+    assert not linear_combination(T8, [(1, q, (2,)), (-1, q, s2), (1, q, (9,))])
+    assert not linear_combination(T8, [(1, HodgePoly.zero(), (2,))])
+    assert linear_combination(T8, []) == SymSeries.zero(T8)
+    # the constant 1, over a denominator of its own
+    half = HodgePoly.const(HALF)
+    assert linear_combination(T8, [(1, half, None), (-1, q, None), (1, 1 + q, (1,))]) == (
+        SymSeries.constant(T8, half - q) + schur((1,), T8).scale(1 + q)
+    )
+    with pytest.raises(PreconditionError, match="truncations do not match"):
+        linear_combination(T8, [(1, q, P((1,), FLAT_33))])
 
 
 def test_schur_coefficients_are_reduced_over_a_positive_denominator():
