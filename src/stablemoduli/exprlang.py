@@ -7,8 +7,9 @@ must be written weakly decreasing; both rules exist to surface transcription
 errors instead of silently repairing them.
 
 Text is scanned by one compiled pattern, a token per match.  A part of an
-expression with no s, h or p atom evaluates to a polynomial in u and v; a
-sum or difference of any length is one call to ``series.linear_combination``
+expression with no s, h or p atom evaluates to a polynomial in u and v, held
+as a dict of int numerators keyed by (i, j); a sum or difference with a
+series term, of any length, is one call to ``series.linear_combination``
 with a (sign, polynomial factors, series factor) per term, a lone s or h atom
 passed as its partition and read off its character row there, so that every
 coefficient of the sum is added as ints and reduced once.
@@ -28,10 +29,10 @@ from math import lgamma, log, log10
 from typing import Union
 
 from .errors import ExprParseError, OffDiagonalError, PreconditionError, TableFormatError
-from .hodge import MAX_CELLS, HodgePoly, _wrap, join_signed, magnitude
+from .hodge import MAX_CELLS, _wrap, join_signed, magnitude
 from .partitions import Partition, count_partitions_up_to, format_partition, weight
 from .pipeline import ModuliTable, _Record, is_stable
-from .series import _ONE, SymSeries, Truncation, linear_combination, power_sum, schur
+from .series import SymSeries, Truncation, linear_combination, power_sum, schur
 
 # The largest weight ``evaluate`` and a table row take on.  Work grows with
 # the number of partitions of the weight: on a 2-core host shared with
@@ -183,9 +184,9 @@ def _unchain(expr: Expr) -> tuple[Expr, list[Add | Sub | Mul]]:
     of a * b * c ...) into its first operand and its links in order, so a
     walk over a long sum or product takes no stack per term; any other node
     is a first operand with no links."""
-    kinds = Mul if isinstance(expr, Mul) else (Add, Sub)
+    kinds = (Mul,) if type(expr) is Mul else (Add, Sub)
     links = []
-    while isinstance(expr, kinds):
+    while type(expr) in kinds:
         links.append(expr)
         expr = expr.left
     links.reverse()
@@ -396,13 +397,13 @@ class Bounds(_Record):
         digit limit for int-to-str conversion."""
         return self.norm + self.den
 
-    @property
-    def size(self) -> float:
+    def size(self, monomials: int) -> float:
         """The terms times the monomials times the digits: a bound on the
         partitions of weight at most ``weight`` (each a possible term),
-        times :attr:`monomials`, times 1 + :attr:`digits`, which grows with
-        the work and the printed length of the value."""
-        return count_partitions_up_to(self.weight) * self.monomials * (1 + self.digits)
+        times ``monomials`` (:attr:`monomials`, passed in so that a caller
+        that has it does not count it again), times 1 + :attr:`digits`,
+        which grows with the work and the printed length of the value."""
+        return count_partitions_up_to(self.weight) * monomials * (1 + self.digits)
 
     @property
     def monomials(self) -> int:
@@ -438,6 +439,12 @@ def _same_parity(n: int, a: int, b: int) -> int:
     return (b - a) // 2 + 1 if a <= b else 0
 
 
+# u^i*v^j of each coefficient symbol, as (i, j)
+_VARIABLES = {"q": (1, 1), "u": (1, 0), "v": (0, 1)}
+_new = tuple.__new__
+_FLOAT_MAX = sys.float_info.max
+
+
 def bounds(expr: Expr) -> Bounds:
     # Grades add under products and take the max under sums; the intervals
     # of i - j and i + j add under products and take the hull under sums.  The l1
@@ -447,55 +454,55 @@ def bounds(expr: Expr) -> Bounds:
     # denominator.  x^0 is 1, but x is still evaluated: it keeps the bounds
     # of x, with the intervals widened to hold 0.  So every bound, the
     # intervals by their widths, grows from each operand to its parent, and
-    # the bounds of the whole also cover each intermediate value.
-    if isinstance(expr, IntLit):
-        return Bounds(0, 0, 0, 0, 0, 0, 0, log10(abs(expr.value)) if expr.value else 0.0, 0.0)
-    if isinstance(expr, VarAtom):
+    # the bounds of the whole also cover each intermediate value.  A chain
+    # carries its nine bounds as locals and builds one tuple at its end.
+    kind = type(expr)
+    if kind is IntLit:
+        value = expr.value
+        return _new(Bounds, (0, 0, 0, 0, 0, 0, 0, log10(abs(value)) if value else 0.0, 0.0))
+    if kind is VarAtom:
         # u^i*v^j: u = u^1*v^0, v = u^0*v^1 and q = u^1*v^1
-        i, j = int(expr.name != "v"), int(expr.name != "u")
-        return Bounds(0, i, j, i - j, i - j, i + j, i + j, 0.0, 0.0)
-    if isinstance(expr, PowerAtom):
-        return Bounds(expr.n, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
-    if isinstance(expr, (SchurAtom, HomAtom)):
-        n = weight(expr.mu) if isinstance(expr, SchurAtom) else expr.n
-        return Bounds(n, 0, 0, 0, 0, 0, 0, 0.0, lgamma(n + 1) / log(10))
-    if isinstance(expr, Neg):
-        return bounds(expr.operand)
-    if isinstance(expr, Pow):
-        base = bounds(expr.base)
+        i, j = _VARIABLES[expr.name]
+        return _new(Bounds, (0, i, j, i - j, i - j, i + j, i + j, 0.0, 0.0))
+    if kind is SchurAtom or kind is HomAtom:
+        n = weight(expr.mu) if kind is SchurAtom else expr.n
+        return _new(Bounds, (n, 0, 0, 0, 0, 0, 0, 0.0, lgamma(n + 1) / log(10)))
+    if kind is Add or kind is Sub or kind is Mul:
+        first, links = _unchain(expr)
+        w, du, dv, lo, hi, tlo, thi, norm, den = bounds(first)
+        for link in links:
+            bw, bdu, bdv, blo, bhi, btlo, bthi, bnorm, bden = bounds(link.right)
+            if type(link) is Mul:
+                w, du, dv, lo, hi = w + bw, du + bdu, dv + bdv, lo + blo, hi + bhi
+                tlo, thi, norm = tlo + btlo, thi + bthi, norm + bnorm
+            else:
+                w, du, dv = w if w >= bw else bw, du if du >= bdu else bdu, dv if dv >= bdv else bdv
+                lo, hi = lo if lo <= blo else blo, hi if hi >= bhi else bhi
+                tlo, thi = tlo if tlo <= btlo else btlo, thi if thi >= bthi else bthi
+                top, low = (norm, bnorm) if norm >= bnorm else (bnorm, norm)
+                norm = top + log10(1 + 10 ** (low - top)) if low < top else top + log10(2)
+            den = den + bden
+        return _new(Bounds, (w, du, dv, lo, hi, tlo, thi, norm, den))
+    if kind is Pow:
+        w, du, dv, lo, hi, tlo, thi, norm, den = bounds(expr.base)
         k = expr.exponent
         if k == 0:
-            return Bounds(
-                *base[:3], min(base.lo, 0), max(base.hi, 0), min(base.tlo, 0), max(base.thi, 0),
-                base.norm, base.den,
+            return _new(
+                Bounds,
+                (w, du, dv, min(lo, 0), max(hi, 0), min(tlo, 0), max(thi, 0), norm, den),
             )
         # A float cap keeps a huge exponent from overflowing the
         # conversion; the sizes then read inf.
-        kf = min(k, sys.float_info.max)
-        return Bounds(
-            *(k * grade for grade in base[:7]), kf * base.norm, kf * base.den
+        kf = min(k, _FLOAT_MAX)
+        return _new(
+            Bounds, (k * w, k * du, k * dv, k * lo, k * hi, k * tlo, k * thi, kf * norm, kf * den)
         )
-    if isinstance(expr, (Add, Sub, Mul)):
-        first, links = _unchain(expr)
-        a = bounds(first)
-        for link in links:
-            b = bounds(link.right)
-            if isinstance(link, Mul):
-                a = Bounds(*(x + y for x, y in zip(a, b)))
-                continue
-            hi, lo = max(a.norm, b.norm), min(a.norm, b.norm)
-            norm = hi + log10(1 + 10 ** (lo - hi)) if lo < hi else hi + log10(2)
-            a = Bounds(
-                *map(max, a[:3], b[:3]),
-                min(a.lo, b.lo), max(a.hi, b.hi), min(a.tlo, b.tlo), max(a.thi, b.thi),
-                norm, a.den + b.den,
-            )
-        return a
+    if kind is Neg:
+        return bounds(expr.operand)
+    if kind is PowerAtom:
+        return _new(Bounds, (expr.n, 0, 0, 0, 0, 0, 0, 0.0, 0.0))
     raise TypeError(f"not an expression node: {expr!r}")
 
-
-# u^i*v^j of each coefficient symbol, as (i, j)
-_VARIABLES = {"q": (1, 1), "u": (1, 0), "v": (0, 1)}
 
 
 def eval_expression(expr: Expr, trunc: Truncation) -> SymSeries:
@@ -503,66 +510,102 @@ def eval_expression(expr: Expr, trunc: Truncation) -> SymSeries:
     return _series(_eval(expr, trunc), trunc)
 
 
-def _eval(expr: Expr, trunc: Truncation) -> HodgePoly | SymSeries | Partition:
-    """The value of expr: a polynomial where it has no s, h or p atom, else
-    a series, or the partition of a lone s or h atom, left for the sum or
-    product around it to read off.  A sum or difference is one call to
-    ``linear_combination``; a polynomial becomes a constant series only
-    there, and times a series it scales it."""
-    if isinstance(expr, IntLit):
-        return _wrap({(0, 0): expr.value} if expr.value else {}, 1)
-    if isinstance(expr, VarAtom):
-        return _wrap({_VARIABLES[expr.name]: 1}, 1)
-    if isinstance(expr, SchurAtom):
+# A polynomial in u and v while it is evaluated: its numerators keyed by
+# (i, j), nonzero ints, since the grammar has no division.
+Numerators = dict[tuple[int, int], int]
+
+
+def _eval(expr: Expr, trunc: Truncation) -> Numerators | SymSeries | Partition:
+    """The value of expr: the numerators of a polynomial where it has no s,
+    h or p atom, else a series, or the partition of a lone s or h atom,
+    left for the sum or product around it to read off.  A sum or difference
+    with a series term is one call to ``linear_combination``; a polynomial
+    becomes a ``HodgePoly`` only there or as a constant series, and times a
+    series it scales it."""
+    kind = type(expr)
+    if kind is IntLit:
+        return {(0, 0): expr.value} if expr.value else {}
+    if kind is VarAtom:
+        return {_VARIABLES[expr.name]: 1}
+    if kind is SchurAtom:
         return expr.mu
-    if isinstance(expr, HomAtom):
+    if kind is HomAtom:
         return (expr.n,)
-    if isinstance(expr, PowerAtom):
+    if kind is PowerAtom:
         return power_sum(expr.n, trunc)
-    if isinstance(expr, Pow):
+    if kind is Pow:
         base = _eval(expr.base, trunc)
-        return (base if isinstance(base, HodgePoly) else _series(base, trunc)) ** expr.exponent
-    if isinstance(expr, Mul):
+        if type(base) is dict:
+            return _power(base, expr.exponent)
+        return _series(base, trunc) ** expr.exponent
+    if kind is Mul:
         scale, value = _term(expr, trunc)
-        return scale if value is None else linear_combination(trunc, ((1, scale, value),))
-    if isinstance(expr, (Add, Sub, Neg)):
+        return scale if value is None else linear_combination(trunc, ((1, _wrap(scale, 1), value),))
+    if kind is Add or kind is Sub or kind is Neg:
         first, links = _unchain(expr)
-        terms = [(1, first), *((1 if isinstance(link, Add) else -1, link.right) for link in links)]
+        terms = [(1, first), *((1 if type(link) is Add else -1, link.right) for link in links)]
         items = []
         for sign, term in terms:
-            while isinstance(term, Neg):
+            while type(term) is Neg:
                 sign, term = -sign, term.operand
             items.append((sign, *_term(term, trunc)))
         if any(value is not None for _, _, value in items):
-            return linear_combination(trunc, items)
-        signed = [scale if sign == 1 else -scale for sign, scale, _ in items]
-        return sum(signed[1:], signed[0])
+            return linear_combination(
+                trunc, [(sign, _wrap(scale, 1), value) for sign, scale, value in items]
+            )
+        out: Numerators = {}
+        get = out.get
+        for sign, scale, _ in items:
+            for key, c in scale.items():
+                out[key] = get(key, 0) + c if sign == 1 else get(key, 0) - c
+        return {key: c for key, c in out.items() if c}
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _term(expr: Expr, trunc: Truncation) -> tuple[HodgePoly, SymSeries | Partition | None]:
+def _term(expr: Expr, trunc: Truncation) -> tuple[Numerators, SymSeries | Partition | None]:
     """A product (or a single factor) as its polynomial factors multiplied
     together and its series factors: the partition of a lone s or h atom,
     the product of two or more as series, or None for none."""
-    first, links = _unchain(expr) if isinstance(expr, Mul) else (expr, [])
+    first, links = _unchain(expr) if type(expr) is Mul else (expr, [])
     scale, series = None, []
     for factor in [first, *(link.right for link in links)]:
         value = _eval(factor, trunc)
-        if isinstance(value, HodgePoly):
-            scale = value if scale is None else scale * value
+        if type(value) is dict:
+            scale = value if scale is None else _product(scale, value)
         else:
             series.append(value)
     value = series[0] if series else None
     for factor in series[1:]:
         value = _series(value, trunc) * _series(factor, trunc)
-    return (_ONE if scale is None else scale), value
+    return ({(0, 0): 1} if scale is None else scale), value
 
 
-def _series(value: HodgePoly | SymSeries | Partition, trunc: Truncation) -> SymSeries:
+def _product(a: Numerators, b: Numerators) -> Numerators:
+    """a times b: where one of them is a monomial c*u^k*v^l, the other's
+    keys shifted by (k, l) and its numerators scaled by c, as
+    ``HodgePoly.__mul__`` does; else its packed product."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) != 1:
+        return (_wrap(a, 1) * _wrap(b, 1))._terms
+    ((k, l), c), = b.items()
+    return {(i + k, j + l): n * c for (i, j), n in a.items()}
+
+
+def _power(base: Numerators, k: int) -> Numerators:
+    """base^k: of a monomial c*u^i*v^j, c^k*u^(ki)*v^(kj); else the power of
+    ``HodgePoly``."""
+    if len(base) == 1:
+        ((i, j), c), = base.items()
+        return {(i * k, j * k): c**k}
+    return (_wrap(base, 1) ** k)._terms
+
+
+def _series(value: Numerators | SymSeries | Partition, trunc: Truncation) -> SymSeries:
+    if type(value) is dict:
+        return SymSeries.constant(trunc, _wrap(value, 1))
     if isinstance(value, SymSeries):
         return value
-    if isinstance(value, HodgePoly):
-        return SymSeries.constant(trunc, value)
     return schur(value, trunc)
 
 
@@ -585,9 +628,10 @@ def _check_size(expr: Expr, where: str = "") -> int:
             f"{where}coefficients may run to {bound.digits + 1:.6g} digits, past "
             f"the {limit}-digit limit for printing an integer"
         )
-    if bound.monomials > MAX_MONOMIALS:
+    monomials = bound.monomials
+    if monomials > MAX_MONOMIALS:
         raise PreconditionError(
-            f"{where}a coefficient may hold {magnitude(bound.monomials)} "
+            f"{where}a coefficient may hold {magnitude(monomials)} "
             f"monomials in u and v, past the limit of {MAX_MONOMIALS}"
         )
     if bound.grid > MAX_CELLS:
@@ -595,9 +639,10 @@ def _check_size(expr: Expr, where: str = "") -> int:
             f"{where}a coefficient may spread over {magnitude(bound.grid)} cells "
             f"of i - j by the power of u or v, past the limit of {MAX_CELLS}"
         )
-    if bound.size > MAX_SIZE:
+    size = bound.size(monomials)
+    if size > MAX_SIZE:
         raise PreconditionError(
-            f"{where}the value may reach {bound.size:.3g} terms times monomials "
+            f"{where}the value may reach {size:.3g} terms times monomials "
             f"times digits, past the limit of {MAX_SIZE}"
         )
     return bound.weight

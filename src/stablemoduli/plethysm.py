@@ -209,7 +209,7 @@ def closed_moduli_series(f: SymSeries, mode: GluingMode = GluingMode.GRADED) -> 
             values[code] = mult * (x if wide is packing else wide.repack(x, packing))
     for target, group in images.items():
         x = sums.get(target)
-        y = mult * wide.repack(x, packing) if x else 0
+        y = mult * (x if wide is packing else wide.repack(x, packing)) if x else 0
         for k, code in group:
             y += mobius(k) * (mult // k) * wide.adams(sums[code], k, packing)
         if y:

@@ -15,8 +15,11 @@ polynomials only through their public ``items``.  ``decoded`` and
 p-basis series, which the package itself never does, so that the tests
 can compare them with the reference route.  ``tokenize_by_characters``
 reads expression text one character at a time, a reference for the
-package's one-pattern scanner.  The geometric counts (Keel's recursion,
-the divisor classes) use nothing of the package.
+package's one-pattern scanner; ``bounds_by_records`` walks the syntactic
+bounds with a record per node and ``eval_by_polys`` evaluates polynomials
+one ``HodgePoly`` operation at a time, references for the package's bounds
+walk and evaluation.  The geometric counts (Keel's recursion, the divisor
+classes) use nothing of the package.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import count, permutations
-from math import comb
+from math import comb, lgamma, log, log10
 
 from stablemoduli import exprlang, plethysm
 from stablemoduli.errors import ExprParseError
@@ -531,6 +534,86 @@ def eval_as_series(expr: exprlang.Expr, trunc) -> SymSeries:
     if isinstance(expr, exprlang.Sub):
         return a - b
     return a * b
+
+
+def eval_by_polys(expr: exprlang.Expr, trunc) -> SymSeries:
+    """The value of an expression tree with every part that has no s, h or p
+    atom a ``HodgePoly`` built by its arithmetic, one operation at a time,
+    and lifted to a constant series only where it meets a series; s, h and
+    p atoms as in ``eval_as_series``.  So no polynomial is held as bare
+    numerators and no sum is taken in one pass, as in
+    ``exprlang.eval_expression``."""
+    value = _poly_or_series(expr, trunc)
+    return value if isinstance(value, SymSeries) else SymSeries.constant(trunc, value)
+
+
+def _poly_or_series(expr: exprlang.Expr, trunc) -> HodgePoly | SymSeries:
+    variables = {"q": HodgePoly.q(), "u": HodgePoly.u(), "v": HodgePoly.v()}
+    if isinstance(expr, exprlang.IntLit):
+        return HodgePoly.const(expr.value)
+    if isinstance(expr, exprlang.VarAtom):
+        return variables[expr.name]
+    if isinstance(expr, (exprlang.SchurAtom, exprlang.HomAtom, exprlang.PowerAtom)):
+        return eval_as_series(expr, trunc)
+    if isinstance(expr, exprlang.Neg):
+        return -_poly_or_series(expr.operand, trunc)
+    if isinstance(expr, exprlang.Pow):
+        return _poly_or_series(expr.base, trunc) ** expr.exponent
+    a, b = _poly_or_series(expr.left, trunc), _poly_or_series(expr.right, trunc)
+    if isinstance(a, SymSeries) or isinstance(b, SymSeries):
+        a, b = (x if isinstance(x, SymSeries) else SymSeries.constant(trunc, x) for x in (a, b))
+    if isinstance(expr, exprlang.Add):
+        return a + b
+    if isinstance(expr, exprlang.Sub):
+        return a - b
+    return a * b
+
+
+# -- syntactic bounds, one record per node ----------------------------------------------
+
+
+def bounds_by_records(expr: exprlang.Expr) -> exprlang.Bounds:
+    """The bounds of ``exprlang.bounds`` walked with a ``Bounds`` record per
+    operand, read by field name and combined field by field; every float
+    operation in the same order, so the two agree under ==."""
+    Bounds = exprlang.Bounds
+    if isinstance(expr, exprlang.IntLit):
+        return Bounds(0, 0, 0, 0, 0, 0, 0, log10(abs(expr.value)) if expr.value else 0.0, 0.0)
+    if isinstance(expr, exprlang.VarAtom):
+        i, j = int(expr.name != "v"), int(expr.name != "u")
+        return Bounds(0, i, j, i - j, i - j, i + j, i + j, 0.0, 0.0)
+    if isinstance(expr, exprlang.PowerAtom):
+        return Bounds(expr.n, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
+    if isinstance(expr, (exprlang.SchurAtom, exprlang.HomAtom)):
+        n = sum(expr.mu) if isinstance(expr, exprlang.SchurAtom) else expr.n
+        return Bounds(n, 0, 0, 0, 0, 0, 0, 0.0, lgamma(n + 1) / log(10))
+    if isinstance(expr, exprlang.Neg):
+        return bounds_by_records(expr.operand)
+    if isinstance(expr, exprlang.Pow):
+        base = bounds_by_records(expr.base)
+        k = expr.exponent
+        if k == 0:
+            return Bounds(
+                *base[:3], min(base.lo, 0), max(base.hi, 0), min(base.tlo, 0), max(base.thi, 0),
+                base.norm, base.den,
+            )
+        kf = min(k, sys.float_info.max)
+        return Bounds(*(k * grade for grade in base[:7]), kf * base.norm, kf * base.den)
+    first, links = exprlang._unchain(expr)
+    a = bounds_by_records(first)
+    for link in links:
+        b = bounds_by_records(link.right)
+        if isinstance(link, exprlang.Mul):
+            a = Bounds(*(x + y for x, y in zip(a, b)))
+            continue
+        hi, lo = max(a.norm, b.norm), min(a.norm, b.norm)
+        norm = hi + log10(1 + 10 ** (lo - hi)) if lo < hi else hi + log10(2)
+        a = Bounds(
+            *map(max, a[:3], b[:3]),
+            min(a.lo, b.lo), max(a.hi, b.hi), min(a.tlo, b.tlo), max(a.thi, b.thi),
+            norm, a.den + b.den,
+        )
+    return a
 
 
 # -- the expression scanner, one character at a time ------------------------------------

@@ -56,6 +56,40 @@ def partitions(max_weight: int = 6) -> st.SearchStrategy[tuple[int, ...]]:
     )
 
 
+# Exponents: small ones, 0 included, and huge ones, whose bounds reach past
+# every size limit or, nested, past the largest float.
+_exponents = st.integers(0, 3) | st.sampled_from([99999, 10**12, 10**30, 10**400])
+
+
+def expressions(max_leaves: int = 6) -> st.SearchStrategy[str]:
+    """Expression text over the grammar: ints, 0 and ints past 2^64
+    included; q, u and v; s, h and p atoms; + - * between any two
+    expressions; ^ on an atom or a parenthesized expression; parentheses
+    and chains of unary minus."""
+    partition_text = partitions(4).filter(bool).map(lambda mu: f"s[{','.join(map(str, mu))}]")
+    leaves = st.one_of(
+        st.integers(0, 5).map(str),
+        st.integers(0, 10**30).map(str),
+        st.sampled_from("quv"),
+        partition_text,
+        st.integers(1, 4).map(lambda n: f"h[{n}]"),
+        st.integers(1, 4).map(lambda n: f"p[{n}]"),
+    )
+
+    def extend(children: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+        return st.one_of(
+            st.tuples(children, st.sampled_from([" + ", " - ", " * ", "*", "-"]), children).map(
+                "".join
+            ),
+            children.map(lambda text: f"({text})"),
+            st.tuples(st.integers(1, 3), children).map(lambda nt: "-" * nt[0] + nt[1]),
+            st.tuples(children, _exponents).map(lambda tk: f"({tk[0]})^{tk[1]}"),
+            st.tuples(st.sampled_from("quv"), _exponents).map(lambda tk: f"{tk[0]}^{tk[1]}"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
 def series(
     trunc: Truncation,
     min_lambda: int = 0,

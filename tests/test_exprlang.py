@@ -14,6 +14,7 @@ from stablemoduli.errors import (
 )
 from stablemoduli.exprlang import (
     Add,
+    Bounds,
     HomAtom,
     IntLit,
     MAX_CELLS,
@@ -26,6 +27,7 @@ from stablemoduli.exprlang import (
     SchurAtom,
     Sub,
     VarAtom,
+    _check_size,
     _tokenize,
     bounds,
     eval_expression,
@@ -39,6 +41,7 @@ from stablemoduli.hodge import HodgePoly
 from stablemoduli.series import SymSeries, Truncation, complete_homogeneous, schur
 
 import oracles
+from strategies import expressions
 
 T6 = Truncation.flat(0, 6)
 
@@ -429,6 +432,81 @@ def test_digits_bound_examples():
     assert digits("(2^10)^0") == pytest.approx(10 * log10(2))
     huge = "9" * 400
     assert digits(f"(99^{huge})^0 + (99^{huge})^0") == float("inf")
+
+
+@pytest.mark.parametrize("where", ["", "line 2: "])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("s[5]^100", "weight may reach 500, past the limit of 30 for an expression"),
+        ("s[4]^0*p[31]", "weight may reach 35, past the limit of 30 for an expression"),
+        (
+            "2^100000",
+            "coefficients may run to 30104 digits, past the 4300-digit limit for printing "
+            "an integer",
+        ),
+        (
+            "(q+u+v+1)^100*s[1]",
+            "a coefficient may hold 10201 monomials in u and v, past the limit of 1024",
+        ),
+        (
+            "q^999999999",
+            "a coefficient may spread over 1000000000 cells of i - j by the power of u or v, "
+            "past the limit of 4096",
+        ),
+        (
+            "(u+v)^64",
+            "a coefficient may spread over 8385 cells of i - j by the power of u or v, "
+            "past the limit of 4096",
+        ),
+        (
+            "(1+q)^900*s[5]^3",
+            "the value may reach 1.71e+08 terms times monomials times digits, past the limit "
+            "of 10000000",
+        ),
+        (
+            "(1+q)^1000*h[20]",
+            "the value may reach 8.7e+08 terms times monomials times digits, past the limit "
+            "of 10000000",
+        ),
+    ],
+)
+def test_size_refusals_read_in_full(text, message, where):
+    # the whole message, numbers included, standalone and as a table row
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(PreconditionError) as err:
+            if where:
+                parse_table(f"M[0,3] = s[3]\nM[0,4] = {text}")
+            else:
+                evaluate(text)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(err.value) == where + message
+
+
+@given(expressions())
+@settings(max_examples=300)
+def test_bounds_match_a_walk_by_records(text):
+    expr = parse_expression(text)
+    got, want = bounds(expr), oracles.bounds_by_records(expr)
+    assert type(got) is Bounds
+    # floats included: the refusal messages print them
+    for name in Bounds._fields:
+        assert getattr(got, name) == getattr(want, name), name
+    assert (got.digits, got.monomials, got.grid) == (want.digits, want.monomials, want.grid)
+
+
+@given(expressions())
+@settings(max_examples=150)
+def test_evaluate_matches_an_evaluator_by_polynomials(text):
+    expr = parse_expression(text)
+    try:
+        top = _check_size(expr)
+    except PreconditionError:
+        return  # refused before any evaluation; the claim is for the rest
+    assert evaluate(text) == oracles.eval_by_polys(expr, Truncation.flat(0, top))
 
 
 # -- tables -----------------------------------------------------------------------

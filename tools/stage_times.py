@@ -2,9 +2,11 @@
 between source trees.
 
     python3 tools/stage_times.py --src ../parent/src --src src --truncations 5,7,10,12 --runs 10
+    python3 tools/stage_times.py --src src --input rows.dat --truncations 5 --runs 10
 
-Runs the table pipeline stage by stage, graded mode, on the shipped table,
-by the functions ``cli.main`` calls: parse_table (the dataset text),
+Runs the table pipeline stage by stage, graded mode, on the shipped table
+or on the table file given by --input, by the functions ``cli.main`` calls:
+parse_table (reading the file and parsing its text),
 open_moduli_series, closed_moduli_series (the closed series as the command
 line computes it; on a tree whose closed series stays packed, that leaves
 its decode out), the slot reports (``build_slot_report`` on that series,
@@ -20,10 +22,10 @@ characters, partitions and series modules, whatever their names in that
 tree.
 
 After a truncation's stages, and after clearing those caches once more,
-the run times ``cli.main(["table", "--truncation", L, "--format", "json"])``
-with its output captured: the "main" row, the command line's own route,
-argument parsing included.  It is kept out of the "total", which sums the
-stages.
+the run times ``cli.main(["table", "--truncation", L, "--format", "json"])``,
+with ``--input`` and the file when one is given, and its output captured:
+the "main" row, the command line's own route, argument parsing included.
+It is kept out of the "total", which sums the stages.
 
 Each run also times ``import stablemoduli, stablemoduli.cli`` once, before
 its first truncation: the "import" row, the counterpart of perfbench's
@@ -36,13 +38,14 @@ load locale, re and fractions, and are imported by the comparing process
 alone).  As in perfbench, the runs may write bytecode, so after a tree's
 first run the import reads it from the cache.
 
-Prints one JSON object: each tree's median import seconds; for each
-truncation, each tree's median seconds per stage, its median number of
-garbage-collector passes per stage and generation (``gc.get_stats()``
-deltas, so a pass that moves from one stage to another shows beside the
-times it moves) and the sha256 of its JSON text; and, with more than one
---src, the ratio of each later tree's median seconds to the first's.  Exits 1
-if the sha256 differs between trees at any truncation.
+Prints one JSON object: the --input file (null for the shipped table);
+each tree's median import seconds; for each truncation, each tree's median
+seconds per stage, its median number of garbage-collector passes per stage
+and generation (``gc.get_stats()`` deltas, so a pass that moves from one
+stage to another shows beside the times it moves) and the sha256 of its
+JSON text; and, with more than one --src, the ratio of each later tree's
+median seconds to the first's.  Exits 1 if the sha256 differs between
+trees at any truncation.
 """
 
 from __future__ import annotations
@@ -89,7 +92,11 @@ def run_main(argv: list[str]) -> str:
         sys.stdout, sys.stderr = saved
 
 
-def one_run(truncation: int) -> tuple[dict[str, float], list[str], dict[str, list[int]]]:
+def one_run(
+    truncation: int, input_path: str | None
+) -> tuple[dict[str, float], list[str], dict[str, list[int]]]:
+    from pathlib import Path  # loaded by the package already
+
     from stablemoduli.cli import _emit_reports
     from stablemoduli.dataset import dataset_text
     from stablemoduli.exprlang import parse_table
@@ -114,7 +121,11 @@ def one_run(truncation: int) -> tuple[dict[str, float], list[str], dict[str, lis
         passes[name] = [b - a for a, b in zip(before, collections())]
         return result
 
-    table = stage("parse_table", lambda: parse_table(dataset_text()))
+    if input_path is None:
+        read = dataset_text
+    else:
+        read = lambda: Path(input_path).read_text(encoding="utf-8")  # noqa: E731
+    table = stage("parse_table", lambda: parse_table(read()))
     f = stage(
         "open_moduli_series",
         lambda: open_moduli_series(table, Truncation.standard(truncation)),
@@ -130,11 +141,13 @@ def one_run(truncation: int) -> tuple[dict[str, float], list[str], dict[str, lis
     passes["total"] = [sum(gen) for gen in zip(*passes.values())]
     clear_caches()
     argv = ["table", "--truncation", str(truncation), "--format", "json"]
+    if input_path is not None:
+        argv += ["--input", input_path]
     out = stage("main", lambda: run_main(argv))
     return times, [sha256(text), sha256(out)], passes
 
 
-def one(src: str, truncations: str) -> int:
+def one(src: str, truncations: str, input_path: str | None) -> int:
     """The run of a fresh interpreter: print {"import": seconds, "L=..":
     [times, [sha256 of the JSON text, of cli.main's output], gc passes]}."""
     sys.path.insert(0, src)
@@ -142,16 +155,18 @@ def one(src: str, truncations: str) -> int:
     import stablemoduli.cli  # noqa: F401  (imports stablemoduli first)
 
     runs: dict = {"import": perf_counter() - start}
-    runs.update((f"L={t}", one_run(t)) for t in map(int, truncations.split(",")))
+    runs.update((f"L={t}", one_run(t, input_path)) for t in map(int, truncations.split(",")))
     print(json.dumps(runs))
     return 0
 
 
-def spawn(src: str, truncations: str) -> dict:
+def spawn(src: str, truncations: str, input_path: str | None) -> dict:
     """One fresh interpreter's run of every truncation from the tree src."""
     import subprocess
 
     argv = [sys.executable, __file__, "--one", "--src", src, "--truncations", truncations]
+    if input_path is not None:
+        argv += ["--input", input_path]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     return json.loads(
         subprocess.run(argv, check=True, capture_output=True, text=True, env=env).stdout
@@ -161,7 +176,7 @@ def spawn(src: str, truncations: str) -> dict:
 def main() -> int:
     # spawn's argv, read before argparse (and what it loads) is imported
     if sys.argv[1:2] == ["--one"]:
-        return one(sys.argv[3], sys.argv[5])
+        return one(sys.argv[3], sys.argv[5], sys.argv[7] if len(sys.argv) > 7 else None)
     import argparse
     from statistics import median
 
@@ -169,15 +184,16 @@ def main() -> int:
     parser.add_argument("--src", action="append", help="a source tree; give it once per tree")
     parser.add_argument("--truncations", default="5,7,10,12")
     parser.add_argument("--runs", type=int, default=5, help="fresh interpreters per tree")
+    parser.add_argument("--input", help="a table file to run on (default: the shipped table)")
     args = parser.parse_args()
     trees = args.src or ["src"]
     results: dict[str, list[dict]] = {src: [] for src in trees}
     order = list(trees)
     for _ in range(args.runs):
         for src in order:
-            results[src].append(spawn(src, args.truncations))
+            results[src].append(spawn(src, args.truncations, args.input))
         order.reverse()
-    out: dict = {"trees": trees, "runs_per_tree": args.runs, "import": {}}
+    out: dict = {"trees": trees, "input": args.input, "runs_per_tree": args.runs, "import": {}}
     for src in trees:
         seconds = median(run["import"] for run in results[src])
         out["import"][src] = {"median_s": round(seconds, 4)}
