@@ -6,9 +6,11 @@ Multiplication is always explicit ("q*s[4]", never "qs[4]") and partitions
 must be written weakly decreasing; both rules exist to surface transcription
 errors instead of silently repairing them.
 
-Text is scanned by one compiled pattern, a token per match.  A part of an
-expression with no s, h or p atom evaluates to a polynomial in u and v, held
-as a dict of int numerators keyed by (i, j); a sum or difference with a
+Text is split into tokens, plain strings, by one ``re.findall`` and parsed
+by a recursive descent over a local index; line and column are worked out
+only for a refusal, by scanning the text again.  A part of an expression
+with no s, h or p atom evaluates to a polynomial in u and v, held as a dict
+of int numerators keyed by (i, j); a sum or difference with a
 series term, of any length, is one call to ``series.linear_combination``
 with a (sign, polynomial factors, series factor) per term, a lone s or h atom
 passed as its partition and read off its character row there, so that every
@@ -65,8 +67,8 @@ MAX_MONOMIALS = 1024
 MAX_SIZE = 10**7
 
 # The deepest nesting of parentheses and unary minus an expression may
-# have.  Each level takes four stack frames in the parser and a few in
-# ``bounds`` and the evaluation, so this keeps every walk far from the
+# have.  Each level takes at most two stack frames in the parser and a few
+# in ``bounds`` and the evaluation, so this keeps every walk far from the
 # interpreter's recursion limit; the shipped table nests two deep.
 MAX_NESTING = 100
 
@@ -196,180 +198,162 @@ def _unchain(expr: Expr) -> tuple[Expr, list[Add | Sub | Mul]]:
 # -- tokenizer --------------------------------------------------------------------
 
 
-class _Token(_Record):
-    __slots__ = ()
-    kind: str  # "int", "name", a punctuation character, or "eof"
-    text: str
-    line: int
-    col: int
-
-    def __new__(cls, kind, text, line, col):
-        return tuple.__new__(cls, (kind, text, line, col))
-
-
-# One token per match, after any spaces, tabs and carriage returns: a
-# newline, an int, a run of ASCII letters, a punctuation character, or any
-# other character, which is an error.  Trailing blanks match nothing.  It
-# is compiled on the first scan, through re's cache, so an import does not
-# pay for it.
-_SCAN = r"[ \t\r]*(?:(\n)|([0-9]+)|([A-Za-z]+)|([][(),^*+-])|([^ \t\r]))"
+# A token is a run of ASCII digits, a run of ASCII letters or any other
+# character but a blank; spaces, tabs, carriage returns and newlines only
+# separate tokens.  The pattern is compiled on the first scan, through re's
+# cache, so an import does not pay for it.
+_TOKEN = r"[0-9]+|[A-Za-z]+|[^ \t\r\n]"
 _ATOM_NAMES = set("quvshp")
+_PUNCTUATION = set("[](),^*+-")
 
 
-def _tokenize(text: str, line: int, col: int) -> list[_Token]:
+def _tokenize(text: str, line: int, col: int) -> list[tuple[str, int, int]]:
+    """The tokens of text as (text, line, col), then ("", line, col) at the
+    end of input; or the first scan error in text order: an int past the
+    interpreter's digit limit, a run of letters that is not one of q, u, v,
+    s, h, p, or a character outside the grammar."""
     tokens = []
-    append, new = tokens.append, tuple.__new__
     limit = sys.get_int_max_str_digits()
-    origin = -col  # the column of index i of text is i - origin
-    for m in re.finditer(_SCAN, text):
-        group = m.lastindex
-        word = m[group]
-        if group == 4:
-            append(new(_Token, (word, word, line, m.end() - 1 - origin)))
-            continue
-        if group == 1:
-            line += 1
-            origin = m.end() - 1
-            continue
-        col = m.start(group) - origin
-        if group == 2:
+    start, origin = 0, -col  # the column of index i of text is i - origin
+    for word, at in [*((m[0], m.start()) for m in re.finditer(_TOKEN, text)), ("", len(text))]:
+        breaks = text.count("\n", start, at)
+        if breaks:
+            line += breaks
+            origin = text.rindex("\n", start, at)
+        start, col = at, at - origin
+        first = word[:1]
+        if first.isascii() and first.isdigit():
             if limit and len(word) > limit:
                 raise ExprParseError(
                     f"integer literal of {len(word)} digits exceeds the {limit}-digit limit",
                     line,
                     col,
                 )
-            append(new(_Token, ("int", word, line, col)))
-        elif group == 3:
+        elif first.isascii() and first.isalpha():
             if len(word) != 1 or word not in _ATOM_NAMES:
                 raise ExprParseError(f"unknown symbol {word!r}", line, col)
-            append(new(_Token, ("name", word, line, col)))
-        else:
+        elif word and word not in _PUNCTUATION:
             raise ExprParseError(f"unexpected character {word!r}", line, col)
-    append(new(_Token, ("eof", "", line, len(text) - origin)))
+        tokens.append((word, line, col))
     return tokens
 
 
 # -- parser -----------------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.idx = 0
-        self.depth = 0  # open parentheses and unary minuses around the token
+class _Refusal(Exception):
+    """A parse refusal: its message and the index of the token it names."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.idx]
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.idx]
-        self.idx += 1
-        return token
-
-    def expect(self, kind: str, what: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            found = repr(token.text) if token.kind != "eof" else "end of input"
-            raise ExprParseError(f"expected {what}, got {found}", token.line, token.col)
-        return self.advance()
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind in "+-":
-            op = self.advance()
-            right = self.term()
-            node = Add(node, right) if op.kind == "+" else Sub(node, right)
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
-            node = Mul(node, self.factor())
-        return node
-
-    def nest(self, token: _Token) -> None:
-        """Enter a parenthesis or unary minus, refusing one past
-        ``MAX_NESTING``: each takes stack frames in the parser and in the
-        walks over the tree."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ExprParseError(
-                f"parentheses and unary minus nest deeper than {MAX_NESTING} levels",
-                token.line,
-                token.col,
-            )
-
-    def factor(self) -> Expr:
-        if self.peek().kind == "-":
-            self.nest(self.advance())
-            node = Neg(self.factor())
-            self.depth -= 1
-            return node
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            token = self.expect("int", "a nonnegative integer exponent")
-            return Pow(base, int(token.text))
-        return base
-
-    def atom(self) -> Expr:
-        token = self.peek()
-        if token.kind == "int":
-            self.advance()
-            return IntLit(int(token.text))
-        if token.kind == "(":
-            self.nest(self.advance())
-            node = self.expr()
-            self.expect(")", "')'")
-            self.depth -= 1
-            return node
-        if token.kind == "name":
-            self.advance()
-            if token.text in "quv":
-                return VarAtom(token.text)
-            if token.text == "s":
-                return SchurAtom(self._bracket_partition())
-            index = self._bracket_index()
-            return HomAtom(index) if token.text == "h" else PowerAtom(index)
-        found = repr(token.text) if token.kind != "eof" else "end of input"
-        raise ExprParseError(f"expected a value, got {found}", token.line, token.col)
-
-    def _bracket_partition(self) -> Partition:
-        opening = self.expect("[", "'['")
-        parts = [int(self.expect("int", "a partition part").text)]
-        while self.peek().kind == ",":
-            self.advance()
-            parts.append(int(self.expect("int", "a partition part").text))
-        self.expect("]", "']'")
-        if any(part < 1 for part in parts):
-            raise ExprParseError("partition parts must be positive", opening.line, opening.col)
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ExprParseError(
-                "partition parts must be weakly decreasing", opening.line, opening.col
-            )
-        return tuple(parts)
-
-    def _bracket_index(self) -> int:
-        opening = self.expect("[", "'['")
-        token = self.expect("int", "an index")
-        self.expect("]", "']'")
-        if int(token.text) < 1:
-            raise ExprParseError("index must be positive", opening.line, opening.col)
-        return int(token.text)
+def _found(token: str) -> str:
+    return repr(token) if token else "end of input"
 
 
 def parse_expression(text: str, line: int = 1, col: int = 1) -> Expr:
-    """Parse a full expression; trailing input is an error."""
-    parser = _Parser(_tokenize(text, line, col))
-    node = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ExprParseError(
-            f"unexpected trailing input {trailing.text!r}", trailing.line, trailing.col
-        )
-    return node
+    """Parse a full expression; trailing input is an error.
+
+    The tokens are plain strings, "" past the last, read by a recursive
+    descent over a local index.  Only a refusal reads positions: it scans
+    the text again with ``_tokenize``, which raises any scan error first,
+    and otherwise names the line and column of the token refused."""
+    tokens = re.findall(_TOKEN, text)
+    tokens.append("")
+    i = depth = 0
+
+    def expr() -> Expr:
+        # a sum of products, each chain left-deep
+        nonlocal i
+        op = None
+        while True:
+            term = factor()
+            while tokens[i] == "*":
+                i += 1
+                term = Mul(term, factor())
+            node = term if op is None else Add(node, term) if op == "+" else Sub(node, term)
+            op = tokens[i]
+            if op != "+" and op != "-":
+                return node
+            i += 1
+
+    def factor() -> Expr:
+        nonlocal i, depth
+        token = tokens[i]
+        if token == "(" or token == "-":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise _Refusal(
+                    f"parentheses and unary minus nest deeper than {MAX_NESTING} levels", i
+                )
+            i += 1
+            if token == "-":
+                node = Neg(factor())
+                depth -= 1
+                return node
+            node = expr()
+            if tokens[i] != ")":
+                raise _Refusal(f"expected ')', got {_found(tokens[i])}", i)
+            i += 1
+            depth -= 1
+        elif token == "q" or token == "u" or token == "v":
+            i += 1
+            node = VarAtom(token)
+        elif "0" <= token < ":":  # a run of ASCII digits
+            i += 1
+            node = IntLit(int(token))
+        elif token == "s" or token == "h" or token == "p":
+            opening = i + 1
+            if tokens[opening] != "[":
+                raise _Refusal(f"expected '[', got {_found(tokens[opening])}", opening)
+            what = "a partition part" if token == "s" else "an index"
+            parts = []
+            while True:
+                i += 2
+                part = tokens[i]
+                if not "0" <= part < ":":
+                    raise _Refusal(f"expected {what}, got {_found(part)}", i)
+                parts.append(int(part))
+                if tokens[i + 1] != "," or token != "s":
+                    break
+            i += 1
+            if tokens[i] != "]":
+                raise _Refusal(f"expected ']', got {_found(tokens[i])}", i)
+            i += 1
+            if token == "s":
+                if min(parts) < 1:
+                    raise _Refusal("partition parts must be positive", opening)
+                if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
+                    raise _Refusal("partition parts must be weakly decreasing", opening)
+                node = SchurAtom(tuple(parts))
+            elif parts[0] < 1:
+                raise _Refusal("index must be positive", opening)
+            else:
+                node = HomAtom(parts[0]) if token == "h" else PowerAtom(parts[0])
+        else:
+            raise _Refusal(f"expected a value, got {_found(token)}", i)
+        if tokens[i] == "^":
+            i += 1
+            exponent = tokens[i]
+            if not "0" <= exponent < ":":
+                raise _Refusal(
+                    f"expected a nonnegative integer exponent, got {_found(exponent)}", i
+                )
+            i += 1
+            node = Pow(node, int(exponent))
+        return node
+
+    try:
+        node = expr()
+        if tokens[i]:
+            raise _Refusal(f"unexpected trailing input {tokens[i]!r}", i)
+        return node
+    except _Refusal as refusal:
+        message, at = refusal.args
+    except ValueError:
+        # int() refuses a literal past the digit limit, which _tokenize
+        # raises below as a scan error
+        message, at = "", 0
+    _, line, col = _tokenize(text, line, col)[at]
+    raise ExprParseError(message, line, col)
 
 
 class Bounds(_Record):
@@ -659,16 +643,19 @@ def evaluate(text: str) -> SymSeries:
 # -- table documents ----------------------------------------------------------------
 
 
-_ROW = re.compile(r"^M\[(\d+),(\d+)\]\s*=\s*(\S.*?)\s*$")
+# ASCII digits and blanks only, as in the expression: M[٣,1] is not a key.
+_ROW = re.compile(r"^M\[(\d+),(\d+)\]\s*=\s*(\S.*?)\s*$", re.ASCII)
 
 
 def parse_table(text: str) -> ModuliTable:
     """Read a table document row by row in file order: check the row's
     shape, that its key is new and stable, refuse it where ``evaluate``
     would, evaluate it and check it is homogeneous of weight n.  The first
-    bad line is the one reported."""
+    bad line is the one reported.  Lines end at a newline only, the one
+    line break the expression scanner counts; a carriage return before it
+    is a blank."""
     entries: dict[tuple[int, int], SymSeries] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, lcm
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 # perfbench/tracer.py patches ``series.character`` by this name; the
@@ -393,13 +394,6 @@ def _character_table(n: int) -> tuple[tuple[Partition, tuple[int, ...], tuple[in
     )
 
 
-@lru_cache(maxsize=None)
-def _class_sizes(n: int) -> tuple[int, ...]:
-    """The size n!/z_rho of the class of each cycle type rho in
-    ``partitions_of(n)``, z_rho its centralizer order."""
-    return tuple(factorial(n) // z_factor(rho) for rho in partitions_of(n))
-
-
 def _measure(terms: dict) -> tuple[int, Box | None, dict]:
     """The common denominator of the coefficients of a term map, the box
     of their monomials, and each one's l1 norm over that denominator, by
@@ -560,9 +554,12 @@ def linear_combination(trunc: Truncation, items) -> SymSeries:
 
     Every numerator is brought over the lcm of the items' denominators and
     added as an int, so each coefficient of the sum is reduced once, when
-    it is done; zeros and terms outside the truncation are left out.  A
-    series times a polynomial other than 1 is scaled first."""
+    it is done; zeros and terms outside the truncation are left out.  The
+    Schur functions are added as dense rows, one list of numerators over
+    ``partitions_of(n)`` per weight n and monomial of the scales, written
+    out once; a series times a polynomial other than 1 is scaled first."""
     parts = []  # (denominator, sign, scale numerators or None, terms)
+    schurs = []  # (denominator, sign, scale numerators, mu, n)
     for sign, scale, value in items:
         if not scale:
             continue
@@ -575,9 +572,21 @@ def linear_combination(trunc: Truncation, items) -> SymSeries:
         elif value is None:
             parts.append((scale._den, sign, scale._terms, ((CONSTANT_KEY, 1),)))
         elif trunc.admits(0, n := weight(value)):
-            parts.append((scale._den * factorial(n), sign, scale._terms, _schur_weights(value)))
-    den = lcm(*(part[0] for part in parts))
+            schurs.append((scale._den * factorial(n), sign, scale._terms, value, n))
+    den = lcm(*(part[0] for part in parts), *(part[0] for part in schurs))
+    rows: dict[tuple[int, tuple[int, int]], list[int]] = {}
+    for d, sign, scale, mu, n in schurs:
+        m = sign * (den // d)
+        row = _schur_row(mu)
+        for ij, x in scale.items():
+            scaled = map(mul, row, repeat(m * x))
+            acc = rows.get((n, ij))
+            rows[n, ij] = list(scaled if acc is None else map(add, acc, scaled))
     sums: dict[Key, dict] = {}
+    for (n, ij), acc in rows.items():
+        for rho, c in zip(partitions_of(n), acc):
+            if c:
+                sums.setdefault((0, rho), {})[ij] = c
     for d, sign, scale, terms in parts:
         if scale is None:  # the terms of a series, each over its own denominator
             pairs = [(key, c._terms.items(), sign * (den // c._den)) for key, c in terms.items()]
@@ -597,9 +606,10 @@ def linear_combination(trunc: Truncation, items) -> SymSeries:
 
 
 @lru_cache(maxsize=None)
-def _schur_weights(mu: Partition) -> tuple[tuple[Key, int], ...]:
-    """((0, rho), chi^mu(rho) n!/z_rho) for each cycle type rho of n = |mu|
-    with chi^mu(rho) != 0: n! s_mu in the p-basis."""
+def _schur_row(mu: Partition) -> tuple[int, ...]:
+    """chi^mu(rho) n!/z_rho for each cycle type rho in ``partitions_of(n)``,
+    n = |mu|, n!/z_rho the size of its class: n! s_mu in the p-basis, as a
+    dense row."""
     n = weight(mu)
-    row = zip(partitions_of(n), character_row(mu), _class_sizes(n))
-    return tuple(((0, rho), chi * size) for rho, chi, size in row if chi)
+    sizes = (factorial(n) // z_factor(rho) for rho in partitions_of(n))
+    return tuple(map(mul, character_row(mu), sizes))

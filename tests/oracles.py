@@ -14,8 +14,9 @@ polynomials only through their public ``items``.  ``decoded`` and
 ``flow_parts`` turn the packed ints of the gluing recursion back into
 p-basis series, which the package itself never does, so that the tests
 can compare them with the reference route.  ``tokenize_by_characters``
-reads expression text one character at a time, a reference for the
-package's one-pattern scanner; ``bounds_by_records`` walks the syntactic
+reads expression text one character at a time and ``parse_by_tokens``
+parses its tokens by a method per grammar rule, references for the
+package's scanner and parser; ``bounds_by_records`` walks the syntactic
 bounds with a record per node and ``eval_by_polys`` evaluates polynomials
 one ``HodgePoly`` operation at a time, references for the package's bounds
 walk and evaluation.  The geometric counts (Keel's recursion, the divisor
@@ -665,6 +666,125 @@ def tokenize_by_characters(text: str, line: int, col: int) -> list[tuple[str, st
             raise ExprParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+class _TokenParser:
+    """A recursive descent with a method per rule over the tokens of
+    ``tokenize_by_characters``, each carrying its own position."""
+
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
+        self.tokens = tokens
+        self.idx = 0
+        self.depth = 0  # open parentheses and unary minuses around the token
+
+    def peek(self) -> tuple[str, str, int, int]:
+        return self.tokens[self.idx]
+
+    def advance(self) -> tuple[str, str, int, int]:
+        token = self.tokens[self.idx]
+        self.idx += 1
+        return token
+
+    def refuse(self, message: str, token: tuple[str, str, int, int]) -> ExprParseError:
+        return ExprParseError(message, token[2], token[3])
+
+    def expect(self, kind: str, what: str) -> tuple[str, str, int, int]:
+        token = self.peek()
+        if token[0] != kind:
+            found = repr(token[1]) if token[0] != "eof" else "end of input"
+            raise self.refuse(f"expected {what}, got {found}", token)
+        return self.advance()
+
+    def expr(self) -> exprlang.Expr:
+        node = self.term()
+        while self.peek()[0] in "+-":
+            op = self.advance()
+            right = self.term()
+            node = exprlang.Add(node, right) if op[0] == "+" else exprlang.Sub(node, right)
+        return node
+
+    def term(self) -> exprlang.Expr:
+        node = self.factor()
+        while self.peek()[0] == "*":
+            self.advance()
+            node = exprlang.Mul(node, self.factor())
+        return node
+
+    def nest(self, token: tuple[str, str, int, int]) -> None:
+        self.depth += 1
+        if self.depth > exprlang.MAX_NESTING:
+            raise self.refuse(
+                f"parentheses and unary minus nest deeper than {exprlang.MAX_NESTING} levels",
+                token,
+            )
+
+    def factor(self) -> exprlang.Expr:
+        if self.peek()[0] == "-":
+            self.nest(self.advance())
+            node = exprlang.Neg(self.factor())
+            self.depth -= 1
+            return node
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            token = self.expect("int", "a nonnegative integer exponent")
+            return exprlang.Pow(base, int(token[1]))
+        return base
+
+    def atom(self) -> exprlang.Expr:
+        token = self.peek()
+        if token[0] == "int":
+            self.advance()
+            return exprlang.IntLit(int(token[1]))
+        if token[0] == "(":
+            self.nest(self.advance())
+            node = self.expr()
+            self.expect(")", "')'")
+            self.depth -= 1
+            return node
+        if token[0] == "name":
+            self.advance()
+            if token[1] in "quv":
+                return exprlang.VarAtom(token[1])
+            if token[1] == "s":
+                return exprlang.SchurAtom(self.bracket_partition())
+            index = self.bracket_index()
+            return exprlang.HomAtom(index) if token[1] == "h" else exprlang.PowerAtom(index)
+        found = repr(token[1]) if token[0] != "eof" else "end of input"
+        raise self.refuse(f"expected a value, got {found}", token)
+
+    def bracket_partition(self) -> tuple[int, ...]:
+        opening = self.expect("[", "'['")
+        parts = [int(self.expect("int", "a partition part")[1])]
+        while self.peek()[0] == ",":
+            self.advance()
+            parts.append(int(self.expect("int", "a partition part")[1]))
+        self.expect("]", "']'")
+        if any(part < 1 for part in parts):
+            raise self.refuse("partition parts must be positive", opening)
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise self.refuse("partition parts must be weakly decreasing", opening)
+        return tuple(parts)
+
+    def bracket_index(self) -> int:
+        opening = self.expect("[", "'['")
+        token = self.expect("int", "an index")
+        self.expect("]", "']'")
+        if int(token[1]) < 1:
+            raise self.refuse("index must be positive", opening)
+        return int(token[1])
+
+
+def parse_by_tokens(text: str, line: int = 1, col: int = 1) -> exprlang.Expr:
+    """The syntax tree of expression text, or its ExprParseError: the whole
+    text is scanned by ``tokenize_by_characters`` before any token is
+    parsed, so a scan error anywhere comes before a parse error."""
+    parser = _TokenParser(tokenize_by_characters(text, line, col))
+    node = parser.expr()
+    trailing = parser.peek()
+    if trailing[0] != "eof":
+        raise parser.refuse(f"unexpected trailing input {trailing[1]!r}", trailing)
+    return node
 
 
 # -- the packed closed series and the gluing recursion read back ------------------------

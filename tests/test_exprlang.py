@@ -38,6 +38,8 @@ from stablemoduli.exprlang import (
     render_table,
 )
 from stablemoduli.hodge import HodgePoly
+from stablemoduli.partitions import partitions_of
+from stablemoduli.pipeline import is_stable
 from stablemoduli.series import SymSeries, Truncation, complete_homogeneous, schur
 
 import oracles
@@ -107,9 +109,9 @@ def test_letters_and_digits_outside_ascii_are_parse_errors(text, ch):
 
 
 def _scan(scanner, text, line, col):
-    """The tokens of a scanner as plain tuples, or its error."""
+    """The tokens of a scanner as (text, line, col), or its error."""
     try:
-        return [tuple(token) for token in scanner(text, line, col)]
+        return [tuple(token)[-3:] for token in scanner(text, line, col)]
     except ExprParseError as exc:
         return str(exc), exc.line, exc.col
 
@@ -127,6 +129,67 @@ _scanner_texts = st.text(st.sampled_from(_grammar), max_size=60) | st.text(
 @settings(max_examples=300)
 def test_scanner_matches_a_character_at_a_time_reference(text, line, col):
     assert _scan(_tokenize, text, line, col) == _scan(oracles.tokenize_by_characters, text, line, col)
+
+
+def _parsed(parser, text, line, col):
+    """The syntax tree of a parser, or its error."""
+    try:
+        return parser(text, line, col)
+    except ExprParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+# Expression texts with one character put in or taken out, most of them
+# refused by the parser rather than the scanner.
+_edits = st.sampled_from(list("()[],^*+-qsh7 \n") + [""])
+_damaged = st.tuples(expressions(), st.integers(0, 80), _edits).map(
+    lambda tpc: tpc[0][: tpc[1]] + tpc[2] + tpc[0][tpc[1] + (tpc[2] == "") :]
+)
+_origins = st.sampled_from([(1, 1), (1, 9), (4, 1), (12, 40)]) | st.tuples(
+    st.integers(1, 10**6), st.integers(1, 10**6)
+)
+
+
+@given(expressions() | _damaged | _scanner_texts, _origins)
+@settings(max_examples=400)
+def test_parser_matches_a_parser_by_tokens(text, origin):
+    # the same tree, or the same message, line and column
+    want = _parsed(oracles.parse_by_tokens, text, *origin)
+    assert _parsed(parse_expression, text, *origin) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * MAX_NESTING + "q" + ")" * MAX_NESTING,
+        "(" * (MAX_NESTING + 1) + "q" + ")" * (MAX_NESTING + 1),
+        "-" * MAX_NESTING + "q",
+        "-" * (MAX_NESTING + 1) + "q",
+        "-(" * (MAX_NESTING // 2) + "q" + ")" * (MAX_NESTING // 2),
+        "(-" * (MAX_NESTING // 2) + "-q" + ")" * (MAX_NESTING // 2),
+        "q + " + "7" * 4301,
+        "s[" + "1" * 4301 + "]",
+        "q^" + "2" * 4301,
+        "q + ) + " + "9" * 4301,
+        "(q + ) + w",
+        "2^3^2",
+        "(q)^2^2",
+        "q + 1 )",
+        "q q",
+        "s[2,1] s[1]",
+        "s[2,]", "s[0,0]", "s[1,2]", "s[2", "s 2", "h[2,1]", "p[0]", "h[]", "q^-1", "q^s[2]",
+        "", "  \n\t", "q +\n\n", "-", "()", "(q", "q*", "*q",
+    ],
+)
+@pytest.mark.parametrize("origin", [(1, 1), (3, 17)])
+def test_parser_matches_a_parser_by_tokens_on_edge_cases(text, origin):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the literals of 4301 digits pass it
+    try:
+        want = _parsed(oracles.parse_by_tokens, text, *origin)
+        assert _parsed(parse_expression, text, *origin) == want
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize(
@@ -539,6 +602,47 @@ def test_bad_row_shape():
         parse_table("N[0,3] = s[3]")
 
 
+@pytest.mark.parametrize("key", ["M[٣,1]", "M[1,٣]", "M[０,3]"])
+def test_row_keys_take_ascii_digits_only(key):
+    with pytest.raises(TableFormatError) as err:
+        parse_table(f"{key} = (q^7 + 2*q^6 + q^5 + q + 1)*s[1]")
+    assert str(err.value).startswith("line 1: expected 'M[g,n] = expression'")
+
+
+@pytest.mark.parametrize(
+    "mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_lines_end_at_newlines_only(mark):
+    # a break that is not a newline is a character of the row, and the
+    # expression scanner refuses it where it stands
+    for doc, col in [
+        (f"M[0,3] = s[3] + s[2,1]{mark} - s[1,1,1]", 23),
+        (f"M[0,3] = s[3]{mark}M[0,4] = s[4]", 14),
+    ]:
+        with pytest.raises(ExprParseError) as err:
+            parse_table(doc)
+        assert f"unexpected character {mark!r}" in str(err.value)
+        assert (err.value.line, err.value.col) == (1, col)
+    # in a comment it is ignored, and counts no line
+    with pytest.raises(ExprParseError) as err:
+        parse_table(f"M[0,3] = s[3]\n# a{mark}b\nM[0,4] = s[4] +\n")
+    assert (err.value.line, err.value.col) == (3, 16)
+
+
+def test_crlf_documents_read_as_newline_documents():
+    for doc in [GOOD_DOC, "M[0,3] = s[3]\nM[0,4] = s[4] + \n", "M[0,3] = s[3]\n\nM[0,4] = (q\n"]:
+        crlf = doc.replace("\n", "\r\n")
+        try:
+            want = parse_table(doc)
+        except ExprParseError as exc:
+            with pytest.raises(ExprParseError) as err:
+                parse_table(crlf)
+            assert (str(err.value), err.value.line, err.value.col) == (str(exc), exc.line, exc.col)
+        else:
+            assert parse_table(crlf) == want
+    assert parse_table(GOOD_DOC.replace("\n", "\r\n")).keys() == [(0, 3), (1, 3)]
+
+
 def test_duplicate_key():
     with pytest.raises(TableFormatError) as err:
         parse_table("M[0,3] = s[3]\nM[0,3] = s[3]")
@@ -618,3 +722,56 @@ def test_table_round_trip():
     text = render_table(table)
     assert parse_table(text) == table
     assert render_table(parse_table(text)) == text
+
+
+def _ascending(poly: dict[int, int]) -> str:
+    """A q-polynomial in ascending powers, q^1 written out."""
+    text = ""
+    for k in sorted(poly):
+        c = poly[k]
+        mono = str(abs(c)) if k == 0 else f"{abs(c)}*q^{k}"
+        if not text:
+            text = mono if c > 0 else f"-{mono}"
+        else:
+            text += f" + {mono}" if c > 0 else f" - {mono}"
+    return text
+
+
+_slots = [(g, n) for g in range(3) for n in range(1, 9) if is_stable(g, n)]
+
+
+@st.composite
+def _generated_documents(draw):
+    """A document of rows M[g,n], n <= 8, each an integer q-polynomial on a
+    random set of the Schur functions of weight n; rows and terms shuffled,
+    powers ascending: (q^0, q^1, ...) unlike the canonical rendering."""
+    keys = draw(st.lists(st.sampled_from(_slots), min_size=1, max_size=5, unique=True))
+    rows = {}
+    lines = ["# generated table document", ""]
+    for g, n in keys:
+        shapes = partitions_of(n)
+        chosen = st.lists(st.sampled_from(shapes), min_size=1, max_size=len(shapes), unique=True)
+        nonzero = st.integers(-3, 3).filter(bool)
+        coeffs = st.dictionaries(st.integers(0, 4), nonzero, min_size=1, max_size=4)
+        row = {mu: draw(coeffs) for mu in draw(chosen)}
+        rows[(g, n)] = row
+        terms = draw(st.permutations(list(row.items())))
+        body = " + ".join(f"({_ascending(c)})*s[{','.join(map(str, mu))}]" for mu, c in terms)
+        lines.append(f"M[{g},{n}] = {body}")
+    return "\n".join(lines) + "\n", rows
+
+
+@given(_generated_documents())
+@settings(max_examples=40, deadline=None)
+def test_rows_of_many_terms_round_trip(document):
+    doc, rows = document
+    table = parse_table(doc)
+    text = render_table(table)
+    assert parse_table(text) == table
+    assert render_table(parse_table(text)) == text
+    for (g, n), row in rows.items():
+        read = {
+            mu: {k: int(c) for k, c in coeff.q_coefficients()}
+            for mu, coeff in table.entries[(g, n)].schur_coefficients(0, n)
+        }
+        assert read == row

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from stablemoduli.dataset import embedded_dataset
 from stablemoduli.errors import OffDiagonalError, PreconditionError
-from stablemoduli.exprlang import Bounds, _Token
+from stablemoduli.exprlang import Bounds
 from stablemoduli.hodge import HodgePoly, Packing
 from stablemoduli.partitions import partitions_of, weight
 from stablemoduli.pipeline import (
@@ -301,7 +301,6 @@ def test_satisfies_duality():
     [
         (SlotReport, "g n lam dim equivariant rank off_diagonal duality_ok coeff_q rank_q"),
         (Bounds, "weight du dv lo hi tlo thi norm den"),
-        (_Token, "kind text line col"),
     ],
 )
 def test_records_keep_their_fields_in_order(record, fields):
