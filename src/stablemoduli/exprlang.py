@@ -8,13 +8,17 @@ errors instead of silently repairing them.
 
 Text is split into tokens, plain strings, by one ``re.findall`` and parsed
 by a recursive descent over a local index; line and column are worked out
-only for a refusal, by scanning the text again.  A part of an expression
-with no s, h or p atom evaluates to a polynomial in u and v, held as a dict
-of int numerators keyed by (i, j); a sum or difference with a
-series term, of any length, is one call to ``series.linear_combination``
-with a (sign, polynomial factors, series factor) per term, a lone s or h atom
-passed as its partition and read off its character row there, so that every
-coefficient of the sum is added as ints and reduced once.
+only for a refusal, by scanning the text again.  The syntax tree holds a
+run of + and - as one ``Sum`` of its terms in text order, a term after a
+'-' wrapped in ``Neg``, and a run of * as one ``Product`` of its factors, so
+no walk takes a stack frame per operand; h[n] is read as s[n], the same
+function.  A part of an expression with no s, h or p atom evaluates to a
+polynomial in u and v, held as a dict of int numerators keyed by (i, j); a
+sum with a series term, of any length, is one call to
+``series.linear_combination`` with a (sign, polynomial factors, series
+factor) per term, a lone s atom passed as its partition and read off its
+character row there, so that every coefficient of the sum is added as ints
+and reduced once.
 
 A table document has one row "M[g,n] = expression" per line, with '#'
 comments and blank lines ignored.  Rendering a table produces a canonical
@@ -125,13 +129,6 @@ class SchurAtom(_Node):
         self.mu = mu
 
 
-class HomAtom(_Node):
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-
 class PowerAtom(_Node):
     __slots__ = ("n",)
 
@@ -146,28 +143,22 @@ class Neg(_Node):
         self.operand = operand
 
 
-class Add(_Node):
-    __slots__ = ("left", "right")
+class Sum(_Node):
+    """Two or more terms in text order; a term after a binary '-' is a Neg."""
 
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
+    __slots__ = ("terms",)
 
-
-class Sub(_Node):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
+    def __init__(self, terms: tuple[Expr, ...]):
+        self.terms = terms
 
 
-class Mul(_Node):
-    __slots__ = ("left", "right")
+class Product(_Node):
+    """Two or more factors in text order."""
 
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Expr, ...]):
+        self.factors = factors
 
 
 class Pow(_Node):
@@ -178,21 +169,7 @@ class Pow(_Node):
         self.exponent = exponent
 
 
-Expr = Union[IntLit, VarAtom, SchurAtom, HomAtom, PowerAtom, Neg, Add, Sub, Mul, Pow]
-
-
-def _unchain(expr: Expr) -> tuple[Expr, list[Add | Sub | Mul]]:
-    """Split the left-deep chain that the parser makes of a + b - c ... (or
-    of a * b * c ...) into its first operand and its links in order, so a
-    walk over a long sum or product takes no stack per term; any other node
-    is a first operand with no links."""
-    kinds = (Mul,) if type(expr) is Mul else (Add, Sub)
-    links = []
-    while type(expr) in kinds:
-        links.append(expr)
-        expr = expr.left
-    links.reverse()
-    return expr, links
+Expr = Union[IntLit, VarAtom, SchurAtom, PowerAtom, Neg, Sum, Product, Pow]
 
 
 # -- tokenizer --------------------------------------------------------------------
@@ -261,18 +238,20 @@ def parse_expression(text: str, line: int = 1, col: int = 1) -> Expr:
     i = depth = 0
 
     def expr() -> Expr:
-        # a sum of products, each chain left-deep
+        # a sum of products; a lone term or factor stays itself
         nonlocal i
-        op = None
+        terms = []
+        op = "+"
         while True:
-            term = factor()
+            factors = [factor()]
             while tokens[i] == "*":
                 i += 1
-                term = Mul(term, factor())
-            node = term if op is None else Add(node, term) if op == "+" else Sub(node, term)
+                factors.append(factor())
+            term = factors[0] if len(factors) == 1 else Product(tuple(factors))
+            terms.append(term if op == "+" else Neg(term))
             op = tokens[i]
             if op != "+" and op != "-":
-                return node
+                return terms[0] if len(terms) == 1 else Sum(tuple(terms))
             i += 1
 
     def factor() -> Expr:
@@ -326,8 +305,8 @@ def parse_expression(text: str, line: int = 1, col: int = 1) -> Expr:
                 node = SchurAtom(tuple(parts))
             elif parts[0] < 1:
                 raise _Refusal("index must be positive", opening)
-            else:
-                node = HomAtom(parts[0]) if token == "h" else PowerAtom(parts[0])
+            else:  # h_n = s_(n)
+                node = SchurAtom((parts[0],)) if token == "h" else PowerAtom(parts[0])
         else:
             raise _Refusal(f"expected a value, got {_found(token)}", i)
         if tokens[i] == "^":
@@ -438,8 +417,9 @@ def bounds(expr: Expr) -> Bounds:
     # denominator.  x^0 is 1, but x is still evaluated: it keeps the bounds
     # of x, with the intervals widened to hold 0.  So every bound, the
     # intervals by their widths, grows from each operand to its parent, and
-    # the bounds of the whole also cover each intermediate value.  A chain
-    # carries its nine bounds as locals and builds one tuple at its end.
+    # the bounds of the whole also cover each intermediate value.  A sum or
+    # product folds its operands in text order, its nine bounds held as
+    # locals, and builds one tuple at its end.
     kind = type(expr)
     if kind is IntLit:
         value = expr.value
@@ -448,15 +428,15 @@ def bounds(expr: Expr) -> Bounds:
         # u^i*v^j: u = u^1*v^0, v = u^0*v^1 and q = u^1*v^1
         i, j = _VARIABLES[expr.name]
         return _new(Bounds, (0, i, j, i - j, i - j, i + j, i + j, 0.0, 0.0))
-    if kind is SchurAtom or kind is HomAtom:
-        n = weight(expr.mu) if kind is SchurAtom else expr.n
+    if kind is SchurAtom:
+        n = weight(expr.mu)
         return _new(Bounds, (n, 0, 0, 0, 0, 0, 0, 0.0, lgamma(n + 1) / log(10)))
-    if kind is Add or kind is Sub or kind is Mul:
-        first, links = _unchain(expr)
+    if kind is Sum or kind is Product:
+        first, *rest = expr.terms if kind is Sum else expr.factors
         w, du, dv, lo, hi, tlo, thi, norm, den = bounds(first)
-        for link in links:
-            bw, bdu, bdv, blo, bhi, btlo, bthi, bnorm, bden = bounds(link.right)
-            if type(link) is Mul:
+        for operand in rest:
+            bw, bdu, bdv, blo, bhi, btlo, bthi, bnorm, bden = bounds(operand)
+            if kind is Product:
                 w, du, dv, lo, hi = w + bw, du + bdu, dv + bdv, lo + blo, hi + bhi
                 tlo, thi, norm = tlo + btlo, thi + bthi, norm + bnorm
             else:
@@ -488,7 +468,6 @@ def bounds(expr: Expr) -> Bounds:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-
 def eval_expression(expr: Expr, trunc: Truncation) -> SymSeries:
     """Evaluate to a series at lambda^0; q expands to u*v."""
     return _series(_eval(expr, trunc), trunc)
@@ -502,10 +481,10 @@ Numerators = dict[tuple[int, int], int]
 def _eval(expr: Expr, trunc: Truncation) -> Numerators | SymSeries | Partition:
     """The value of expr: the numerators of a polynomial where it has no s,
     h or p atom, else a series, or the partition of a lone s or h atom,
-    left for the sum or product around it to read off.  A sum or difference
-    with a series term is one call to ``linear_combination``; a polynomial
-    becomes a ``HodgePoly`` only there or as a constant series, and times a
-    series it scales it."""
+    left for the sum or product around it to read off.  A sum with a series
+    term is one call to ``linear_combination``; a polynomial becomes a
+    ``HodgePoly`` only there or as a constant series, and times a series it
+    scales it."""
     kind = type(expr)
     if kind is IntLit:
         return {(0, 0): expr.value} if expr.value else {}
@@ -513,8 +492,6 @@ def _eval(expr: Expr, trunc: Truncation) -> Numerators | SymSeries | Partition:
         return {_VARIABLES[expr.name]: 1}
     if kind is SchurAtom:
         return expr.mu
-    if kind is HomAtom:
-        return (expr.n,)
     if kind is PowerAtom:
         return power_sum(expr.n, trunc)
     if kind is Pow:
@@ -522,14 +499,13 @@ def _eval(expr: Expr, trunc: Truncation) -> Numerators | SymSeries | Partition:
         if type(base) is dict:
             return _power(base, expr.exponent)
         return _series(base, trunc) ** expr.exponent
-    if kind is Mul:
+    if kind is Product:
         scale, value = _term(expr, trunc)
         return scale if value is None else linear_combination(trunc, ((1, _wrap(scale, 1), value),))
-    if kind is Add or kind is Sub or kind is Neg:
-        first, links = _unchain(expr)
-        terms = [(1, first), *((1 if type(link) is Add else -1, link.right) for link in links)]
+    if kind is Sum or kind is Neg:
         items = []
-        for sign, term in terms:
+        for term in expr.terms if kind is Sum else (expr,):
+            sign = 1
             while type(term) is Neg:
                 sign, term = -sign, term.operand
             items.append((sign, *_term(term, trunc)))
@@ -550,9 +526,8 @@ def _term(expr: Expr, trunc: Truncation) -> tuple[Numerators, SymSeries | Partit
     """A product (or a single factor) as its polynomial factors multiplied
     together and its series factors: the partition of a lone s or h atom,
     the product of two or more as series, or None for none."""
-    first, links = _unchain(expr) if type(expr) is Mul else (expr, [])
     scale, series = None, []
-    for factor in [first, *(link.right for link in links)]:
+    for factor in expr.factors if type(expr) is Product else (expr,):
         value = _eval(factor, trunc)
         if type(value) is dict:
             scale = value if scale is None else _product(scale, value)
@@ -643,8 +618,10 @@ def evaluate(text: str) -> SymSeries:
 # -- table documents ----------------------------------------------------------------
 
 
-# ASCII digits and blanks only, as in the expression: M[٣,1] is not a key.
-_ROW = re.compile(r"^M\[(\d+),(\d+)\]\s*=\s*(\S.*?)\s*$", re.ASCII)
+# ASCII digits only, as in the expression: M[٣,1] is not a key.  The blanks
+# are the scanner's, so any other character after '=' is the scanner's to
+# name at its column.
+_ROW = re.compile(r"^M\[(\d+),(\d+)\][ \t\r]*=[ \t\r]*([^ \t\r].*?)[ \t\r]*$", re.ASCII)
 
 
 def parse_table(text: str) -> ModuliTable:
@@ -652,11 +629,11 @@ def parse_table(text: str) -> ModuliTable:
     shape, that its key is new and stable, refuse it where ``evaluate``
     would, evaluate it and check it is homogeneous of weight n.  The first
     bad line is the one reported.  Lines end at a newline only, the one
-    line break the expression scanner counts; a carriage return before it
-    is a blank."""
+    line break the expression scanner counts, and its blanks (space, tab
+    and carriage return) are a row's only blanks."""
     entries: dict[tuple[int, int], SymSeries] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0].strip(" \t\r")
         if not body:
             continue
         m = _ROW.match(body)

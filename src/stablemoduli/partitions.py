@@ -78,17 +78,6 @@ def z_factor(rho: Partition) -> int:
     return z
 
 
-def conjugate(rho: Partition) -> Partition:
-    """Transpose of the Young diagram."""
-    if not rho:
-        return ()
-    cols = [0] * rho[0]
-    for part in rho:
-        for col in range(part):
-            cols[col] += 1
-    return tuple(cols)
-
-
 def mobius(k: int) -> int:
     """Number-theoretic Mobius function, by trial division (k stays tiny here)."""
     if k < 1:

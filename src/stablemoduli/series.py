@@ -97,10 +97,6 @@ class Truncation:
     def admits(self, e: int, w: int) -> bool:
         return 0 <= e <= self.lambda_max and w <= self.weight_caps[e]
 
-    @property
-    def max_weight(self) -> int:
-        return self.weight_caps[-1] if self.weight_caps else 0
-
 
 class SymSeries:
     """Truncated graded series in the power-sum basis."""

@@ -361,6 +361,12 @@ def homogeneous_p_expansion(n: int) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
+def conjugate(rho: tuple[int, ...]) -> tuple[int, ...]:
+    """The transpose of the Young diagram of rho: its i-th part counts the
+    parts of rho greater than i."""
+    return tuple(sum(part > i for part in rho) for i in range(rho[0] if rho else 0))
+
+
 def schur_jacobi_trudi(mu: tuple[int, ...], trunc) -> SymSeries:
     """s_mu as the Jacobi-Trudi determinant det(h_{mu_i - i + j}), expanded
     over permutations with each h from ``homogeneous_p_expansion``.
@@ -374,10 +380,9 @@ def schur_jacobi_trudi(mu: tuple[int, ...], trunc) -> SymSeries:
     if len(mu) <= (mu[0] if mu else 0):
         total = _jacobi_trudi(mu)
     else:
-        conjugate = tuple(sum(part > i for part in mu) for i in range(mu[0]))
         total = {
             rho: c * (-1) ** (sum(rho) - len(rho))
-            for rho, c in _jacobi_trudi(conjugate).items()
+            for rho, c in _jacobi_trudi(conjugate(mu)).items()
         }
     return SymSeries(trunc, {(0, rho): c for rho, c in total.items() if c})
 
@@ -521,20 +526,26 @@ def eval_as_series(expr: exprlang.Expr, trunc) -> SymSeries:
         return SymSeries.constant(trunc, variables[expr.name])
     if isinstance(expr, exprlang.SchurAtom):
         return schur_jacobi_trudi(expr.mu, trunc)
-    if isinstance(expr, exprlang.HomAtom):
-        return SymSeries(trunc, {(0, rho): c for rho, c in homogeneous_p_expansion(expr.n).items()})
     if isinstance(expr, exprlang.PowerAtom):
         return SymSeries(trunc, {(0, (expr.n,)): 1})
     if isinstance(expr, exprlang.Neg):
         return -eval_as_series(expr.operand, trunc)
     if isinstance(expr, exprlang.Pow):
         return eval_as_series(expr.base, trunc) ** expr.exponent
-    a, b = eval_as_series(expr.left, trunc), eval_as_series(expr.right, trunc)
-    if isinstance(expr, exprlang.Add):
-        return a + b
-    if isinstance(expr, exprlang.Sub):
-        return a - b
-    return a * b
+    return _fold(expr, [eval_as_series(operand, trunc) for operand in _operands(expr)])
+
+
+def _operands(expr: exprlang.Sum | exprlang.Product) -> tuple[exprlang.Expr, ...]:
+    return expr.terms if isinstance(expr, exprlang.Sum) else expr.factors
+
+
+def _fold(expr: exprlang.Sum | exprlang.Product, values: list):
+    """The values of the operands of a sum or product added or multiplied
+    one pair at a time, left to right."""
+    total = values[0]
+    for value in values[1:]:
+        total = total + value if isinstance(expr, exprlang.Sum) else total * value
+    return total
 
 
 def eval_by_polys(expr: exprlang.Expr, trunc) -> SymSeries:
@@ -554,20 +565,16 @@ def _poly_or_series(expr: exprlang.Expr, trunc) -> HodgePoly | SymSeries:
         return HodgePoly.const(expr.value)
     if isinstance(expr, exprlang.VarAtom):
         return variables[expr.name]
-    if isinstance(expr, (exprlang.SchurAtom, exprlang.HomAtom, exprlang.PowerAtom)):
+    if isinstance(expr, (exprlang.SchurAtom, exprlang.PowerAtom)):
         return eval_as_series(expr, trunc)
     if isinstance(expr, exprlang.Neg):
         return -_poly_or_series(expr.operand, trunc)
     if isinstance(expr, exprlang.Pow):
         return _poly_or_series(expr.base, trunc) ** expr.exponent
-    a, b = _poly_or_series(expr.left, trunc), _poly_or_series(expr.right, trunc)
-    if isinstance(a, SymSeries) or isinstance(b, SymSeries):
-        a, b = (x if isinstance(x, SymSeries) else SymSeries.constant(trunc, x) for x in (a, b))
-    if isinstance(expr, exprlang.Add):
-        return a + b
-    if isinstance(expr, exprlang.Sub):
-        return a - b
-    return a * b
+    values = [_poly_or_series(operand, trunc) for operand in _operands(expr)]
+    if any(isinstance(x, SymSeries) for x in values):
+        values = [x if isinstance(x, SymSeries) else SymSeries.constant(trunc, x) for x in values]
+    return _fold(expr, values)
 
 
 # -- syntactic bounds, one record per node ----------------------------------------------
@@ -585,8 +592,8 @@ def bounds_by_records(expr: exprlang.Expr) -> exprlang.Bounds:
         return Bounds(0, i, j, i - j, i - j, i + j, i + j, 0.0, 0.0)
     if isinstance(expr, exprlang.PowerAtom):
         return Bounds(expr.n, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
-    if isinstance(expr, (exprlang.SchurAtom, exprlang.HomAtom)):
-        n = sum(expr.mu) if isinstance(expr, exprlang.SchurAtom) else expr.n
+    if isinstance(expr, exprlang.SchurAtom):
+        n = sum(expr.mu)
         return Bounds(n, 0, 0, 0, 0, 0, 0, 0.0, lgamma(n + 1) / log(10))
     if isinstance(expr, exprlang.Neg):
         return bounds_by_records(expr.operand)
@@ -600,11 +607,11 @@ def bounds_by_records(expr: exprlang.Expr) -> exprlang.Bounds:
             )
         kf = min(k, sys.float_info.max)
         return Bounds(*(k * grade for grade in base[:7]), kf * base.norm, kf * base.den)
-    first, links = exprlang._unchain(expr)
+    first, *rest = _operands(expr)
     a = bounds_by_records(first)
-    for link in links:
-        b = bounds_by_records(link.right)
-        if isinstance(link, exprlang.Mul):
+    for operand in rest:
+        b = bounds_by_records(operand)
+        if isinstance(expr, exprlang.Product):
             a = Bounds(*(x + y for x, y in zip(a, b)))
             continue
         hi, lo = max(a.norm, b.norm), min(a.norm, b.norm)
@@ -696,19 +703,19 @@ class _TokenParser:
         return self.advance()
 
     def expr(self) -> exprlang.Expr:
-        node = self.term()
+        terms = [self.term()]
         while self.peek()[0] in "+-":
             op = self.advance()
             right = self.term()
-            node = exprlang.Add(node, right) if op[0] == "+" else exprlang.Sub(node, right)
-        return node
+            terms.append(right if op[0] == "+" else exprlang.Neg(right))
+        return terms[0] if len(terms) == 1 else exprlang.Sum(tuple(terms))
 
     def term(self) -> exprlang.Expr:
-        node = self.factor()
+        factors = [self.factor()]
         while self.peek()[0] == "*":
             self.advance()
-            node = exprlang.Mul(node, self.factor())
-        return node
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else exprlang.Product(tuple(factors))
 
     def nest(self, token: tuple[str, str, int, int]) -> None:
         self.depth += 1
@@ -749,7 +756,7 @@ class _TokenParser:
             if token[1] == "s":
                 return exprlang.SchurAtom(self.bracket_partition())
             index = self.bracket_index()
-            return exprlang.HomAtom(index) if token[1] == "h" else exprlang.PowerAtom(index)
+            return exprlang.SchurAtom((index,)) if token[1] == "h" else exprlang.PowerAtom(index)
         found = repr(token[1]) if token[0] != "eof" else "end of input"
         raise self.refuse(f"expected a value, got {found}", token)
 

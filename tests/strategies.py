@@ -97,7 +97,6 @@ def series(
 ) -> st.SearchStrategy[SymSeries]:
     """Random series honoring the truncation, with lambda exponent at least
     min_lambda on every term (min_lambda=1 suits plethystic Exp/Log)."""
-    max_w = trunc.max_weight
 
     def term_keys(e: int) -> st.SearchStrategy:
         return partitions(trunc.cap(e)).map(lambda rho: (e, rho))

@@ -6,10 +6,10 @@ import pytest
 from stablemoduli.characters import character
 from stablemoduli.errors import PreconditionError
 from stablemoduli.hodge import HodgePoly
-from stablemoduli.partitions import conjugate, partitions_of, z_factor
+from stablemoduli.partitions import partitions_of, z_factor
 from stablemoduli.series import Truncation
 
-from oracles import hook_length_count, schur_jacobi_trudi
+from oracles import conjugate, hook_length_count, schur_jacobi_trudi
 
 # Full character table of the symmetric group on 3 letters; rows indexed by
 # the irreducible's partition, columns by cycle type (1,1,1), (2,1), (3).

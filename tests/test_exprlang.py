@@ -13,19 +13,17 @@ from stablemoduli.errors import (
     TableFormatError,
 )
 from stablemoduli.exprlang import (
-    Add,
     Bounds,
-    HomAtom,
     IntLit,
     MAX_CELLS,
     MAX_MONOMIALS,
     MAX_NESTING,
-    Mul,
     Neg,
     Pow,
     PowerAtom,
+    Product,
     SchurAtom,
-    Sub,
+    Sum,
     VarAtom,
     _check_size,
     _tokenize,
@@ -37,10 +35,11 @@ from stablemoduli.exprlang import (
     render_entry,
     render_table,
 )
+from stablemoduli.cli import main
 from stablemoduli.hodge import HodgePoly
 from stablemoduli.partitions import partitions_of
 from stablemoduli.pipeline import is_stable
-from stablemoduli.series import SymSeries, Truncation, complete_homogeneous, schur
+from stablemoduli.series import SymSeries, Truncation, schur
 
 import oracles
 from strategies import expressions
@@ -53,11 +52,22 @@ T6 = Truncation.flat(0, 6)
 
 def test_parse_examples():
     e = parse_expression("q*s[4] - s[2,2]")
-    assert e == Sub(Mul(VarAtom("q"), SchurAtom((4,))), SchurAtom((2, 2)))
+    assert e == Sum((Product((VarAtom("q"), SchurAtom((4,)))), Neg(SchurAtom((2, 2)))))
     e = parse_expression("q^4*s[1] + q^3*s[1]")
-    assert e == Add(
-        Mul(Pow(VarAtom("q"), 4), SchurAtom((1,))),
-        Mul(Pow(VarAtom("q"), 3), SchurAtom((1,))),
+    assert e == Sum((
+        Product((Pow(VarAtom("q"), 4), SchurAtom((1,)))),
+        Product((Pow(VarAtom("q"), 3), SchurAtom((1,)))),
+    ))
+    e = parse_expression("q - p[2]*s[2,1]")
+    assert e == Sum((VarAtom("q"), Neg(Product((PowerAtom(2), SchurAtom((2, 1)))))))
+    # h_n = s_(n); a lone operand stays itself, and parentheses nest a sum
+    assert parse_expression("h[3]") == SchurAtom((3,))
+    assert parse_expression("((q))") == VarAtom("q")
+    assert parse_expression("1 - 2 + -3 - -4") == Sum(
+        (IntLit(1), Neg(IntLit(2)), Neg(IntLit(3)), Neg(Neg(IntLit(4))))
+    )
+    assert parse_expression("(q + 1)*u + v") == Sum(
+        (Product((Sum((VarAtom("q"), IntLit(1))), VarAtom("u"))), VarAtom("v"))
     )
 
 
@@ -239,21 +249,47 @@ def test_exponent_rules():
 
 
 def test_nodes_equal_only_nodes_of_their_class_with_equal_fields():
-    leaves = [IntLit(2), HomAtom(2), PowerAtom(2)]
+    leaves = [IntLit(2), PowerAtom(2), Neg(IntLit(2))]
     for i, a in enumerate(leaves):
         for j, b in enumerate(leaves):
             assert (a == b) == (i == j)
     assert len(set(leaves + [IntLit(2)])) == 3
     a, b = VarAtom("q"), SchurAtom((2, 1))
-    assert Add(a, b) != Mul(a, b) and Add(a, b) != Sub(a, b) and Add(a, b) != Add(b, a)
-    assert IntLit(2) != 2 and IntLit(2) != (2,) and Add(a, b) != (a, b)
-    built = [IntLit(2), Add(a, b), Pow(Neg(Mul(a, b)), 3)]
-    rebuilt = [IntLit(2), Add(VarAtom("q"), SchurAtom((2, 1))),
-               Pow(Neg(Mul(VarAtom("q"), SchurAtom((2, 1)))), 3)]
+    assert Sum((a, b)) != Product((a, b)) and Sum((a, b)) != Sum((b, a))
+    assert Sum((a, b)) != Sum((a, Neg(b))) and Sum((a, b)) != Sum((a, b, b))
+    assert IntLit(2) != 2 and IntLit(2) != (2,) and Sum((a, b)) != (a, b)
+    built = [IntLit(2), Sum((a, b)), Pow(Neg(Product((a, b))), 3)]
+    rebuilt = [IntLit(2), Sum((VarAtom("q"), SchurAtom((2, 1)))),
+               Pow(Neg(Product((VarAtom("q"), SchurAtom((2, 1))))), 3)]
     for x, y in zip(built, rebuilt):
         assert x == y and x is not y and hash(x) == hash(y)
-    assert (Pow(a, 2).base, Pow(a, 2).exponent, Neg(a).operand, HomAtom(3).n) == (a, 2, a, 3)
-    assert repr(Add(IntLit(1), b)) == "Add(left=IntLit(value=1), right=SchurAtom(mu=(2, 1)))"
+    assert (Pow(a, 2).base, Pow(a, 2).exponent, Neg(a).operand, PowerAtom(3).n) == (a, 2, a, 3)
+    assert (Sum((a, b)).terms, Product((b, a)).factors) == ((a, b), (b, a))
+    assert repr(Sum((IntLit(1), Neg(b)))) == (
+        "Sum(terms=(IntLit(value=1), Neg(operand=SchurAtom(mu=(2, 1)))))"
+    )
+    assert repr(Product((a, b))) == "Product(factors=(VarAtom(name='q'), SchurAtom(mu=(2, 1))))"
+
+
+@pytest.mark.parametrize("op, count", [("+", 600), ("-", 600), ("*", 400)])
+def test_long_sums_and_products_are_flat_trees(op, count):
+    # equality, hashing and repr walk a flat tuple of operands, not a chain
+    # of a frame per operand
+    operands = ["q", "s[2,1]", "(u - 1)", "p[2]", "3"]
+    text = op.join(operands[k % len(operands)] for k in range(count))
+    tree = parse_expression(text)
+    assert type(tree) is (Product if op == "*" else Sum)
+    assert len(tree.factors if op == "*" else tree.terms) == count
+    want = oracles.parse_by_tokens(text)
+    assert tree == want and tree is not want and hash(tree) == hash(want)
+    assert repr(tree) == repr(want)
+    if op != "*":
+        terms = [evaluate(operand) for operand in operands]
+        total = SymSeries.zero(terms[1].trunc)
+        for k in range(count):
+            term = terms[k % len(operands)].with_truncation(total.trunc)
+            total = total - term if k and op == "-" else total + term
+        assert evaluate(text) == total
 
 
 def test_nesting_is_capped_with_the_position_that_passes_the_cap():
@@ -365,20 +401,30 @@ def test_monomial_bound():
     assert huge.monomials == huge.grid == 10**5 * (2 * 99999 + 1)
 
 
-_exprs = st.recursive(
+def _trees(leaves: st.SearchStrategy, top: int, max_leaves: int) -> st.SearchStrategy:
+    """Syntax trees: sums of 2 to 4 terms, some of them negated, products
+    of 2 to 4 factors, negations and powers up to top."""
+
+    def extend(children):
+        terms = children | children.map(Neg)
+        return st.one_of(
+            st.lists(terms, min_size=2, max_size=4).map(lambda ts: Sum(tuple(ts))),
+            st.lists(children, min_size=2, max_size=4).map(lambda fs: Product(tuple(fs))),
+            children.map(Neg),
+            st.tuples(children, st.integers(0, top)).map(lambda bk: Pow(*bk)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+_exprs = _trees(
     st.one_of(
         st.integers(-4, 4).map(IntLit),
         st.sampled_from("quv").map(VarAtom),
         st.sampled_from([(1,), (2,), (1, 1), (2, 1)]).map(SchurAtom),
     ),
-    lambda children: st.one_of(
-        st.tuples(children, children).map(lambda ab: Add(*ab)),
-        st.tuples(children, children).map(lambda ab: Sub(*ab)),
-        st.tuples(children, children).map(lambda ab: Mul(*ab)),
-        children.map(Neg),
-        st.tuples(children, st.integers(0, 2)).map(lambda bk: Pow(*bk)),
-    ),
-    max_leaves=6,
+    2,
+    6,
 )
 
 
@@ -387,44 +433,33 @@ _exprs = st.recursive(
 def test_eval_is_a_ring_homomorphism(a, b):
     t = Truncation.flat(0, 8)
     va, vb = eval_expression(a, t), eval_expression(b, t)
-    assert eval_expression(Add(a, b), t) == va + vb
-    assert eval_expression(Sub(a, b), t) == va - vb
-    assert eval_expression(Mul(a, b), t) == va * vb
+    assert eval_expression(Sum((a, b)), t) == va + vb
+    assert eval_expression(Sum((a, Neg(b))), t) == va - vb
+    assert eval_expression(Sum((a, b, Neg(a))), t) == vb
+    assert eval_expression(Product((a, b)), t) == va * vb
+    assert eval_expression(Product((a, b, a)), t) == va * vb * va
     assert eval_expression(Neg(a), t) == -va
     assert eval_expression(Pow(a, 2), t) == va * va
 
 
-def _trees(leaves: st.SearchStrategy) -> st.SearchStrategy:
-    return st.recursive(
-        leaves,
-        lambda children: st.one_of(
-            st.tuples(children, children).map(lambda ab: Add(*ab)),
-            st.tuples(children, children).map(lambda ab: Sub(*ab)),
-            st.tuples(children, children).map(lambda ab: Mul(*ab)),
-            children.map(Neg),
-            st.tuples(children, st.integers(0, 3)).map(lambda bk: Pow(*bk)),
-        ),
-        max_leaves=5,
-    )
-
-
 _numbers = st.one_of(st.integers(-4, 4).map(IntLit), st.sampled_from("quv").map(VarAtom))
 _atoms = st.one_of(
-    st.sampled_from([(1,), (2,), (1, 1), (2, 1)]).map(SchurAtom),
-    st.integers(1, 3).map(HomAtom),
+    st.sampled_from([(1,), (2,), (3,), (1, 1), (2, 1)]).map(SchurAtom),
     st.integers(1, 3).map(PowerAtom),
 )
 # without an atom, a polynomial; with one at the top, a series on every route
-_polynomial_exprs = _trees(_numbers)
-_series_exprs = st.tuples(_trees(st.one_of(_numbers, _atoms)), _atoms).map(lambda ea: Mul(*ea))
+_polynomial_exprs = _trees(_numbers, 3, 5)
+_series_exprs = st.tuples(_trees(_numbers | _atoms, 3, 5), _atoms).map(Product)
 
 
-@given(_trees(st.one_of(_numbers, _atoms)), _polynomial_exprs, _series_exprs)
+@given(_trees(_numbers | _atoms, 3, 5), _polynomial_exprs, _series_exprs)
 @settings(max_examples=80)
 def test_eval_matches_a_series_only_evaluator(expr, poly, series):
     lifted = [
-        Add(poly, series), Add(series, poly), Sub(poly, series), Sub(series, poly),
-        Mul(poly, series), Mul(series, poly), Pow(poly, 0), Pow(series, 0),
+        Sum((poly, series)), Sum((series, poly)), Sum((poly, Neg(series))),
+        Sum((series, Neg(poly))), Sum((poly, series, Neg(poly))),
+        Product((poly, series)), Product((series, poly)), Product((poly, series, poly)),
+        Pow(poly, 0), Pow(series, 0),
     ]
     for case in [expr, poly, series, *lifted]:
         value = eval_expression(case, T6)
@@ -627,6 +662,31 @@ def test_lines_end_at_newlines_only(mark):
     with pytest.raises(ExprParseError) as err:
         parse_table(f"M[0,3] = s[3]\n# a{mark}b\nM[0,4] = s[4] +\n")
     assert (err.value.line, err.value.col) == (3, 16)
+
+
+@pytest.mark.parametrize(
+    "doc, col",
+    [
+        # only space, tab and carriage return are blanks: any other character
+        # leaves the row's shape unmatched or, after '=', is the scanner's to name
+        ("\xa0M[0,3] = s[3]", None),
+        ("M[0,3]\x0b= s[3]", None),
+        ("M[0,3] =\x0cs[3]", 9),
+        ("M[0,3] =\xa0s[3]", 9),
+        ("M[0,3] = s[3]\u2028", 14),
+    ],
+)
+def test_row_blanks_are_the_scanners_blanks(doc, col, tmp_path, capsys):
+    with pytest.raises((TableFormatError, ExprParseError)) as err:
+        parse_table(doc)
+    if col is None:
+        assert str(err.value) == f"line 1: expected 'M[g,n] = expression', got {doc!r}"
+    else:
+        assert str(err.value) == f"1:{col}: unexpected character {doc[col - 1]!r}"
+    path = tmp_path / "rows.dat"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["table", "--truncation", "3", "--input", str(path)]) == 3
+    assert str(err.value) in capsys.readouterr().err
 
 
 def test_crlf_documents_read_as_newline_documents():

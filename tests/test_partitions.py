@@ -6,7 +6,6 @@ from fractions import Fraction
 from stablemoduli.errors import PreconditionError
 from stablemoduli.partitions import (
     check_partition,
-    conjugate,
     count_partitions_up_to,
     format_partition,
     mobius,
@@ -16,7 +15,7 @@ from stablemoduli.partitions import (
     z_factor,
 )
 
-from oracles import partition_count
+from oracles import conjugate, partition_count
 
 
 def test_partition_counts_match_pentagonal_recurrence():

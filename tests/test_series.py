@@ -75,7 +75,7 @@ def test_truncation_families():
     assert std.admits(2, 6) and not std.admits(2, 7) and not std.admits(6, 1)
     flat = Truncation.flat(2, 4)
     assert flat.weight_caps == (4, 4, 4)
-    assert flat.max_weight == 4
+    assert flat.weight_caps[-1] == 4
 
 
 def test_construction_respects_truncation():

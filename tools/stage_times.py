@@ -44,7 +44,8 @@ seconds per stage, its median number of garbage-collector passes per stage
 and generation (``gc.get_stats()`` deltas, so a pass that moves from one
 stage to another shows beside the times it moves) and the sha256 of its
 JSON text; and, with more than one --src, the ratio of each later tree's
-median seconds to the first's.  Exits 1 if the sha256 differs between
+median seconds to the first's, taken from the medians before they are
+rounded to 0.1 ms for printing.  Exits 1 if the sha256 differs between
 trees at any truncation.
 """
 
@@ -173,12 +174,51 @@ def spawn(src: str, truncations: str, input_path: str | None) -> dict:
     )
 
 
+def summary(trees: list[str], results: dict[str, list[dict]]) -> dict:
+    """The medians of each tree's runs, rounded to 0.1 ms as printed, and
+    each later tree's ratios to the first tree's, taken before rounding so
+    that a stage of well under a millisecond reads no rounding step as a
+    change; beside them, per truncation, the gc passes and the sha256."""
+    from statistics import median
+
+    first = trees[0]
+    imports = {src: median(run["import"] for run in results[src]) for src in trees}
+    out: dict = {"import": {}}
+    for src in trees:
+        out["import"][src] = {"median_s": round(imports[src], 4)}
+        if src != first:
+            out["import"][src]["ratio"] = round(imports[src] / imports[first], 3)
+    for key in results[first][0]:
+        if key == "import":
+            continue
+        entry: dict = {}
+        seconds: dict = {}
+        for src in trees:
+            runs = [run[key] for run in results[src]]
+            stages = runs[0][0]
+            seconds[src] = {s: median(t[s] for t, _, _ in runs) for s in stages}
+            entry[src] = {
+                "median_s": {s: round(m, 4) for s, m in seconds[src].items()},
+                "gc_passes": {
+                    s: [median(gens) for gens in zip(*(p[s] for _, _, p in runs))]
+                    for s in stages
+                },
+                "sha256": sorted({sha for _, shas, _ in runs for sha in shas}),
+            }
+        for src in trees[1:]:
+            entry[src]["ratio"] = {
+                s: round(m / seconds[first][s], 3) if seconds[first][s] else None
+                for s, m in seconds[src].items()
+            }
+        out[key] = entry
+    return out
+
+
 def main() -> int:
     # spawn's argv, read before argparse (and what it loads) is imported
     if sys.argv[1:2] == ["--one"]:
         return one(sys.argv[3], sys.argv[5], sys.argv[7] if len(sys.argv) > 7 else None)
     import argparse
-    from statistics import median
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", help="a source tree; give it once per tree")
@@ -193,39 +233,15 @@ def main() -> int:
         for src in order:
             results[src].append(spawn(src, args.truncations, args.input))
         order.reverse()
-    out: dict = {"trees": trees, "input": args.input, "runs_per_tree": args.runs, "import": {}}
-    for src in trees:
-        seconds = median(run["import"] for run in results[src])
-        out["import"][src] = {"median_s": round(seconds, 4)}
-        if src != trees[0]:
-            out["import"][src]["ratio"] = round(seconds / out["import"][trees[0]]["median_s"], 3)
-    same = True
-    for key in results[trees[0]][0]:
-        if key == "import":
-            continue
-        entry: dict = {}
-        for src in trees:
-            runs = [run[key] for run in results[src]]
-            stages = runs[0][0]
-            entry[src] = {
-                "median_s": {s: round(median(t[s] for t, _, _ in runs), 4) for s in stages},
-                "gc_passes": {
-                    s: [median(gens) for gens in zip(*(p[s] for _, _, p in runs))]
-                    for s in stages
-                },
-                "sha256": sorted({sha for _, shas, _ in runs for sha in shas}),
-            }
-        shas = {sha for src in trees for sha in entry[src]["sha256"]}
-        same = same and len(shas) == 1
-        first = entry[trees[0]]["median_s"]
-        for src in trees[1:]:
-            entry[src]["ratio"] = {
-                s: round(m / first[s], 3) if first[s] else None
-                for s, m in entry[src]["median_s"].items()
-            }
-        out[key] = entry
+    out = {"trees": trees, "input": args.input, "runs_per_tree": args.runs}
+    out.update(summary(trees, results))
     print(json.dumps(out, indent=2))
-    if not same:
+    shas = [
+        {sha for src in trees for sha in entry[src]["sha256"]}
+        for key, entry in out.items()
+        if key.startswith("L=")
+    ]
+    if any(len(found) != 1 for found in shas):
         print(
             "error: the JSON text differs between trees or from cli.main's output",
             file=sys.stderr,
