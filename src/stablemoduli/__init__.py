@@ -38,7 +38,6 @@ from .pipeline import (
     open_moduli_series,
     required_inputs,
     satisfies_duality,
-    slot_schur,
     stable_slots,
 )
 from .exprlang import (
@@ -87,7 +86,6 @@ __all__ = [
     "required_inputs",
     "satisfies_duality",
     "schur",
-    "slot_schur",
     "stable_slots",
     "weight",
     "z_factor",

@@ -35,7 +35,7 @@ from math import lgamma, log, log10
 from typing import Union
 
 from .errors import ExprParseError, OffDiagonalError, PreconditionError, TableFormatError
-from .hodge import MAX_CELLS, _wrap, join_signed, magnitude
+from .hodge import MAX_CELLS, _convolve, _wrap, join_signed, magnitude
 from .partitions import Partition, count_partitions_up_to, format_partition, weight
 from .pipeline import ModuliTable, _Record, is_stable
 from .series import SymSeries, Truncation, linear_combination, power_sum, schur
@@ -51,23 +51,27 @@ from .series import SymSeries, Truncation, linear_combination, power_sum, schur
 MAX_EXPR_WEIGHT = 30
 
 # The most monomials u^i*v^j a coefficient may hold, by the bound
-# ``Bounds.monomials``, in ``evaluate`` and in a table row.  On the same
-# host, ``expr`` took end to end about 0.23 s for (1+q)^1023 (bound 1024),
-# 0.17 s for (1+q+q^2)^511 (1023) and 0.11 s for (q+u+v+1)^21 (484), most
-# of it start-up and printing, while evaluating (1+q)^2047 (2048) took
-# 0.9 s, against 0.1 s for (1+q)^1023.  A Serre polynomial of M_{g,n}
-# within the largest truncation has degree under 20 in u and in v, so its
-# bound stays under 400.
+# ``Bounds.monomials``, in ``evaluate`` and in a table row.  Polynomials
+# multiply monomial by monomial (``hodge._convolve``), so a product of two
+# dense factors of m monomials each costs m^2 multiply-adds.  On the same
+# host, ``expr`` took end to end about 0.24 s for (1+q)^1023 (bound 1024),
+# 0.33 s for (1+2*q)^1023, 0.22 s for (1+q+q^2)^511 (1023) and 0.05 s for
+# (q+u+v+1)^21 (484); evaluating alone took 0.2-0.28 s for (1+q)^1023,
+# 0.28-0.38 s for (1+2*q)^1023 and 0.02 s for (1+u+v)^43 (990), while
+# (1+q)^2047 (2048) took 1.4 s.  A Serre polynomial of M_{g,n} within the
+# largest truncation has degree under 20 in u and in v, so its bound stays
+# under 400.
 MAX_MONOMIALS = 1024
 
 # The most terms times monomials times digits, by the bound
 # ``Bounds.size``, that an expression in ``evaluate`` or a table row may
 # reach: the caps above hold one at a time, but work and output grow with
-# their product.  On the same host, ``expr`` took end to end 0.29 s and
-# printed 2.5 MB for (1+q)^1000*h[6] (bound 9.2e6), 0.32 s for s[30]
-# (9.6e5, the largest bound in the tests) and 0.85 s and 17 MB for
-# (1+q)^1000*h[12] (8.5e7), while (1+q)^1000*h[20] (8.7e8) took 5.7 s and
-# printed 141 MB.  The rows of the shipped table stay under 10^4.
+# their product.  On the same host, ``expr`` took end to end 0.26 s and
+# printed 2.5 MB for (1+q)^1000*h[6] (bound 9.2e6), 0.13 s for s[30]
+# (9.6e5, the largest bound in the tests) and 0.54-0.67 s and 17 MB for
+# (1+q)^1000*h[12] (8.5e7), while (1+q)^1000*h[20] (8.7e8), timed before
+# polynomials multiplied monomial by monomial, took 5.7 s and printed
+# 141 MB.  The rows of the shipped table stay under 10^4.
 MAX_SIZE = 10**7
 
 # The deepest nesting of parentheses and unary minus an expression may
@@ -77,9 +81,12 @@ MAX_SIZE = 10**7
 MAX_NESTING = 100
 
 # A coefficient may spread over at most ``hodge.MAX_CELLS`` cells, by the
-# bound ``Bounds.grid``: the products of ``hodge.Packing`` hold it as one int
-# with a digit per cell, so this caps their size where the monomial bound
-# cannot, as for (u+v)^32, 33 monomials in 2145 cells.
+# bound ``Bounds.grid``.  The gluing recursion holds each coefficient of a
+# table's series as one int of ``hodge.Packing``, with a digit per cell, and
+# refuses a layout past that limit; so an expression, in a row as in
+# ``evaluate``, is refused by the same limit before it is evaluated, where
+# the monomial bound cannot see it, as for (u+v)^32, 33 monomials in 2145
+# cells.
 
 # -- abstract syntax -------------------------------------------------------------
 
@@ -542,11 +549,14 @@ def _term(expr: Expr, trunc: Truncation) -> tuple[Numerators, SymSeries | Partit
 def _product(a: Numerators, b: Numerators) -> Numerators:
     """a times b: where one of them is a monomial c*u^k*v^l, the other's
     keys shifted by (k, l) and its numerators scaled by c, as
-    ``HodgePoly.__mul__`` does; else its packed product."""
+    ``HodgePoly.__mul__`` does; else the sum of the products of their
+    monomials (``hodge._convolve``)."""
     if len(a) == 1:
         a, b = b, a
     if len(b) != 1:
-        return (_wrap(a, 1) * _wrap(b, 1))._terms
+        out: Numerators = {}
+        _convolve(out, a, b)
+        return {key: c for key, c in out.items() if c}
     ((k, l), c), = b.items()
     return {(i + k, j + l): n * c for (i, j), n in a.items()}
 

@@ -16,21 +16,24 @@ forms read the ints too.  Fractions appear only at the public boundary, and
 ``coefficient``, ``q_coefficients``) hand them out, and a caller may pass one
 as a scalar.
 
-A :class:`Packing` holds the numerators in a packed form (Kronecker
-substitution): it lays the monomials u^i v^j of a box out as the digits of
-one int in base 2^bits, one band of digits per value of i - j, so that the
-product of two polynomials is one int multiply and a sum of products one
-multiply-add per pair.  It serves the products of two polynomials of
-several terms, the gluing recursion and the Schur read-off; callers keep
-their sums of packed ints in a dict and turn them into polynomials with
-:meth:`Packing.polys`, or read the digits of each once
-(:meth:`Packing.digits`, :meth:`Packing.poly_of`, :meth:`Packing.diagonal`).
-Every width is derived, not guessed: the box of a product is the sum of
-the boxes of its factors, a digit of a sum of products is at most the sum
-of the products of the factors' l1 norms (||ab||_1 <= ||a||_1 ||b||_1),
-and callers size the packing from those bounds before they add anything.  Each finished sum is unpacked and
-reduced once.  A product with a single monomial c*u^k*v^l packs nothing: it
-shifts the other factor's keys by (k, l) and scales its numerators by c.
+Products multiply monomial by monomial: :func:`_convolve` adds the
+product of two numerator maps into a third, and ``HodgePoly.__mul__``, the
+products of series and the expression evaluator all go through it, each
+reducing the finished sum once.  A product with a single monomial
+c*u^k*v^l shifts the other factor's keys by (k, l) and scales its
+numerators by c.
+
+A :class:`Packing` holds numerators in a packed form (Kronecker
+substitution) for the gluing recursion of ``plethysm`` and the Schur
+read-off of the closed series it leaves: it lays the monomials u^i v^j of
+a box out as the digits of one int in base 2^bits, one band of digits per
+value of i - j, so that the product of two polynomials is one int multiply
+and a sum of products one multiply-add per pair.  The callers read the
+digits of each finished sum once (:meth:`Packing.digits`,
+:meth:`Packing.poly_of`, :meth:`Packing.diagonal`).  Every width is
+derived, not guessed: a digit of a sum of products is at most the sum of
+the products of the factors' l1 norms (||ab||_1 <= ||a||_1 ||b||_1), and
+callers size the packing from those bounds before they add anything.
 
 Values are immutable; all arithmetic returns fresh polynomials in canonical
 form, and ``items`` iterates in ascending ``(i, j)`` order.
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import sys
 from math import gcd, lcm, log10
-from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 from .errors import OffDiagonalError, PreconditionError
@@ -196,11 +198,9 @@ class HodgePoly:
                     {(i + k, j + l): n * c for (i, j), n in a._terms.items()},
                     a._den * b._den,
                 )
-            (box_a, na), (box_b, nb) = extent(self), extent(other)
-            # the packings hold both factors as well as their product
-            pa, pb, product = product_packings(box_a, box_b, max(na * nb, na, nb))
-            x = pa.pack(self) * pb.pack(other)
-            return product.poly(x, self._den * other._den)
+            out: dict[tuple[int, int], int] = {}
+            _convolve(out, self._terms, other._terms)
+            return _reduced({key: c for key, c in out.items() if c}, self._den * other._den)
         if not isinstance(other, int):
             ratio = _ratio(other)
             if ratio is None:
@@ -442,33 +442,32 @@ def _reduced(terms: dict[tuple[int, int], int], den: int) -> HodgePoly:
     return _wrap(terms, den)
 
 
+def _convolve(
+    out: dict[tuple[int, int], int],
+    a: Mapping[tuple[int, int], int],
+    b: Mapping[tuple[int, int], int],
+) -> None:
+    """Add the product of the numerator maps a and b into out, monomial by
+    monomial; a sum that cancels stays in out as 0."""
+    get = out.get
+    pairs = list(b.items())
+    for (i, j), c in a.items():
+        for (k, l), d in pairs:
+            key = (i + k, j + l)
+            out[key] = get(key, 0) + c * d
+
+
 # The most digits a packing may have.  A packed int holds a digit for each
-# cell of its layout, so a coefficient that would spread over more cells is
-# refused rather than packed: ``exprlang`` refuses expressions by a bound on
-# the cells before it evaluates anything, and a layout past the limit raises
-# PreconditionError.  The pipeline on the shipped table packs 17 cells at
-# the largest truncation.
+# cell of its layout, so the gluing recursion refuses a layout past the
+# limit (PreconditionError) before it packs anything in it, and ``exprlang``
+# refuses an expression by the same bound on the cells of its coefficients
+# before it evaluates anything.  The pipeline on the shipped table packs 17
+# cells at the largest truncation.
 MAX_CELLS = 4096
 
 # The monomials u^i v^j of a polynomial lie in a box: the least and largest
 # i, j and d = i - j, as (ilo, ihi, jlo, jhi, dlo, dhi).
 Box = tuple[int, int, int, int, int, int]
-
-
-def box_of(monomials: Iterable[tuple[int, int]]) -> Box | None:
-    """The box of the exponent pairs (i, j), None if there are none."""
-    keys = list(monomials)
-    if not keys:
-        return None
-    ii, jj = zip(*keys)
-    dd = [i - j for i, j in keys]
-    return min(ii), max(ii), min(jj), max(jj), min(dd), max(dd)
-
-
-def extent(poly: HodgePoly) -> tuple[Box | None, int]:
-    """The box of the monomials of poly (None for zero) and the l1 norm,
-    the sum of absolute values, of its numerators."""
-    return box_of(poly._terms), sum(map(abs, poly._terms.values()))
 
 
 class Packing:
@@ -524,14 +523,6 @@ class Packing:
             return Packing(ihi - ilo + 1, ilo, -dhi, dhi - dlo + 1, bits, True)
         return Packing(jhi - jlo + 1, jlo, dlo, dhi - dlo + 1, bits, False)
 
-    def within(self, box: Box) -> "Packing":
-        """This packing's span, width and orientation, placed on a box
-        whose columns fit the span."""
-        ilo, _, jlo, _, dlo, dhi = box
-        if self.swapped:
-            return Packing(self.span, ilo, -dhi, dhi - dlo + 1, self.bits, True)
-        return Packing(self.span, jlo, dlo, dhi - dlo + 1, self.bits, False)
-
     def times(self, other: "Packing") -> "Packing":
         """The packing of the products x*y of an int x of this packing and
         y of other, when their columns stay below the span."""
@@ -585,11 +576,6 @@ class Packing:
                 return out
         raise OverflowError(f"a value of more digits than cells does not fit {self!r}")
 
-    def poly(self, x: int, den: int) -> HodgePoly:
-        """The canonical polynomial of the packed numerators x over the
-        positive int den."""
-        return self.poly_of(*reduced_digits(self.digits(x), den))
-
     def poly_of(self, digits: list[int], den: int) -> HodgePoly:
         """The polynomial of the signed digits of an int of this packing,
         lowest first, over the positive int den; canonical when den and the
@@ -620,12 +606,6 @@ class Packing:
         while band and not band[-1]:
             band.pop()
         return ([0] * clo + band if band else []), None
-
-    def polys(self, sums: dict, den: int) -> dict:
-        """Each nonzero packed int of sums over the positive int den as a
-        canonical HodgePoly, by key; keys whose sum is zero are left out."""
-        poly = self.poly
-        return {key: poly(x, den) for key, x in sums.items() if x}
 
     def repack(self, x: int, old: "Packing") -> int:
         """An int of ``old``, which differs from this packing at most in
@@ -673,15 +653,6 @@ def reduced_digits(digits: list[int], den: int) -> tuple[list[int], int]:
     if g == 1:
         return digits, den
     return [c // g for c in digits], den // g
-
-
-def product_packings(a: Box, b: Box, bound: int) -> tuple[Packing, Packing, Packing]:
-    """Packings for the two factors of products of polynomials in the boxes
-    a and b, and the packing of their products, with digits that hold
-    bound: the orientation with the fewer cells for the box of products,
-    and a span that holds the columns of both factors together."""
-    product = Packing.holding(tuple(map(add, a, b)), bound)
-    return product.within(a), product.within(b), product
 
 
 def _render_monomial(i: int, j: int) -> str:

@@ -15,10 +15,11 @@ F = sum over k of psi_k(f)/k, the ordinary logarithm W = log(exp(Delta)
 exp(F)) is solved directly by a gluing recursion that stays on connected
 series, and the closed series is sum over k of mu(k)/k psi_k(W), formed on
 the recursion's packed ints (:func:`~stablemoduli.plethysm.closed_moduli_series`,
-which this module re-exports).  It stays packed, and a slot report is the
-one way to read it: the report takes its Schur coefficients straight from
-those ints, and each printed coefficient is unpacked once.  The tests keep
-the composition Log exp(Delta) Exp as the reference it equals.
+which this module re-exports).  It stays packed, and a slot report
+(:func:`build_slot_report`) is the one way to read it: the report takes its
+Schur coefficients straight from those ints, and each printed coefficient
+is unpacked once.  The tests keep the composition Log exp(Delta) Exp as
+the reference it equals, read off by ``SymSeries.schur_coefficients``.
 
 A slot (g, n) at lambda^e has weight n = e + 2 - 2g, so within a lambda
 bound L every slot has weight at most L + 2.  The closed series, a sum over
@@ -128,13 +129,7 @@ def open_moduli_series(table: ModuliTable, trunc: Truncation) -> SymSeries:
     return total
 
 
-def slot_schur(closed: ClosedSeries | SymSeries, g: int, n: int) -> SchurList:
-    """Schur decomposition of the (g, n) slot of the closed-moduli series."""
-    packing, den, _, sums = closed.packed_schur(_slot_exponent(closed, g, n), n)
-    return list(packing.polys(sums, den).items())
-
-
-def _slot_exponent(closed: ClosedSeries | SymSeries, g: int, n: int) -> int:
+def _slot_exponent(closed: ClosedSeries, g: int, n: int) -> int:
     """The lambda exponent of the slot (g, n), or PreconditionError if the
     slot is not stable or lies past the series' truncation."""
     check_stable(g, n)
@@ -266,15 +261,15 @@ class SlotReport(_Record):
         )
 
 
-def build_slot_report(closed: ClosedSeries | SymSeries, g: int, n: int) -> SlotReport:
+def build_slot_report(closed: ClosedSeries, g: int, n: int) -> SlotReport:
     """The report of the slot (g, n), from the packed Schur read-off of its
-    component (:meth:`~stablemoduli.plethysm.ClosedSeries.packed_schur`, or
-    :meth:`~stablemoduli.series.SymSeries.packed_schur` on a series).  Each
-    Schur sum, and the p_1^n coefficient for the rank, is unpacked once; its
-    digits give the polynomial and, for one on the diagonal, the
-    q-coefficients and the duality verdict.  Every digit is below the
-    packing's width, so the print-size check looks at each polynomial only
-    when that width, times n! for the rank, could pass the limit."""
+    component (:meth:`~stablemoduli.plethysm.ClosedSeries.packed_schur`);
+    its ``equivariant`` is the slot's Schur decomposition.  Each Schur sum,
+    and the p_1^n coefficient for the rank, is unpacked once; its digits
+    give the polynomial and, for one on the diagonal, the q-coefficients
+    and the duality verdict.  Every digit is below the packing's width, so
+    the print-size check looks at each polynomial only when that width,
+    times n! for the rank, could pass the limit."""
     e = _slot_exponent(closed, g, n)
     dim = moduli_dim(g, n)
     packing, den, packed, sums = closed.packed_schur(e, n)

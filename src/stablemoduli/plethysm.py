@@ -24,27 +24,23 @@ or its glued image: the gluing recursion (:func:`_flow`) solves for
 W = log(exp(Delta) Exp f) as a sum of connected parts, one per number of
 gluings, by a recursion in the derivatives d/dp_k, and the sum over k of
 mu(k)/k psi_k(W) is formed on the packed sum of the parts.  It stays packed
-(:class:`ClosedSeries`): a slot report reads its Schur sums off those ints,
-and nothing in the package turns them back into p-basis terms.
+(:class:`ClosedSeries`): a slot report reads its Schur sums off those ints
+(:meth:`ClosedSeries.packed_schur`), and nothing in the package turns them
+back into p-basis terms.  The recursion, the closed series and the slot
+reports of ``pipeline`` are the only code that knows the layout of
+``hodge.Packing``; every other product multiplies monomial by monomial.
 """
 
 from __future__ import annotations
 
 import enum
 from math import gcd, lcm
+from operator import mul
 
 from .errors import PreconditionError
 from .hodge import HodgePoly, Packing, _reduced, magnitude
 from .partitions import mobius, multiplicities, partitions_of, weight
-from .series import (
-    SymSeries,
-    Truncation,
-    _measure,
-    _wrap,
-    exp_series,
-    log_series,
-    schur_sums,
-)
+from .series import SymSeries, Truncation, _character_table, _wrap, exp_series, log_series
 
 
 class GluingMode(enum.Enum):
@@ -238,9 +234,14 @@ class ClosedSeries:
         self._fields: dict = {}  # n -> the codes at lambda^0 of partitions_of(n)
 
     def packed_schur(self, e: int, n: int) -> tuple[Packing, int, list[int], dict]:
-        """As :meth:`SymSeries.packed_schur`, from the packed ints: the
-        packing is widened, and the component's ints repacked, only if the
-        read-off's bound needs it."""
+        """The Schur read-off of the (e, n) component from the packed ints:
+        the packing, the denominator, the packed p_rho coefficients aligned
+        with ``partitions_of(n)`` (0 for an absent rho, so p_1^n is last)
+        and {mu: sum over rho of chi^mu(rho) times the packed p_rho
+        coefficient}.  The largest sum over rho of |chi^mu(rho)| times the
+        l1 bound of the p_rho coefficient bounds every digit of every sum;
+        the packing is widened, and the component's ints repacked, only if
+        it does not hold that bound."""
         if self.trunc.admits(e, n):
             fields = self._fields.get(n)
             if fields is None:
@@ -252,15 +253,14 @@ class ClosedSeries:
             codes = [None] * len(partitions_of(n))
         values, norms, packing = self._values, self._norms, self._packing
         ints = [values.get(code, 0) for code in codes]
-
-        def pack(bound: int) -> tuple[Packing, list[int]]:
-            if packing.holds(bound):
-                return packing, ints
+        bounds = [norms.get(code, 0) for code in codes]
+        table = _character_table(n)
+        bound = max(sum(map(mul, magnitudes, bounds)) for _, _, magnitudes in table)
+        if not packing.holds(bound):
             wide = packing.widened(bound)
-            return wide, [wide.repack(x, packing) for x in ints]
-
-        wide, packed, sums = schur_sums(n, [norms.get(code, 0) for code in codes], pack)
-        return wide, self._den, packed, sums
+            ints = [wide.repack(x, packing) for x in ints]
+            packing = wide
+        return packing, self._den, ints, {mu: sum(map(mul, row, ints)) for mu, row, _ in table}
 
 
 class _Codes:
@@ -413,7 +413,7 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
     dv = max((top * j // e for e, _, j in monomials), default=0)
     band = max((top * abs(i - j) // e for e, i, j in monomials), default=0)
     terms = {codes.encode(e, rho): c for (e, rho), c in w0._terms.items() if e}
-    den, _, norms = _measure(terms)
+    den, norms = _measure(terms)
     packing = _sized(Packing.holding((0, du, 0, dv, -band, band), max(norms.values(), default=0)))
     parts = [({code: packing.pack(c, den // c._den) for code, c in terms.items()}, norms, den)]
     moves: dict = {}  # code -> what its term does, from _moves
@@ -472,6 +472,13 @@ def _flow(w0: SymSeries, mode: GluingMode) -> tuple[_Codes, Packing, list[Part]]
                     _add_cross(sums, grouped, other, 2 * k * mult, shift * k, top)
         parts.append(_part(sums, product, 2 * (j + 1) * den, packing))
     return codes, packing, parts
+
+
+def _measure(terms: dict) -> tuple[int, dict]:
+    """The common denominator of the coefficients of a term map, and each
+    one's l1 norm over that denominator, by key."""
+    den = lcm(*(c._den for c in terms.values()))
+    return den, {key: sum(map(abs, c._terms.values())) * (den // c._den) for key, c in terms.items()}
 
 
 def _part(sums: dict, product: Packing, den: int, packing: Packing) -> Part:

@@ -6,6 +6,11 @@ A ``SymSeries`` is a finite sum of terms ``lambda^e * c * p_rho`` where the
 used internally everywhere (Adams operations, derivatives and the plethystic
 maps are all local in it); Schur and complete-homogeneous functions appear
 only at ingestion and presentation, through the conversions in this module.
+Both directions run on int numerators over one denominator, reduced once:
+a Schur function is added as a dense row over the cycle types, and
+:meth:`SymSeries.schur_coefficients` sums each character row against a
+dense column of p_rho numerators per monomial.  Products multiply monomial
+by monomial (``hodge._convolve``); nothing here packs a coefficient.
 
 Every series carries a :class:`Truncation` fixing the maximal retained
 lambda exponent and, per exponent, the maximal retained p-weight.  Arithmetic
@@ -25,7 +30,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 # package itself reads whole rows through ``character_row``.
 from .characters import character, character_row  # noqa: F401
 from .errors import PreconditionError
-from .hodge import Box, HodgePoly, Packing, _ratio, _reduced, box_of
+from .hodge import HodgePoly, _convolve, _ratio, _reduced
 from .partitions import (
     Partition,
     check_partition,
@@ -217,21 +222,6 @@ class SymSeries:
 
     # -- graded structure -------------------------------------------------------
 
-    def component(self, e: int, n: int) -> "SymSeries":
-        """Terms with lambda exponent exactly e and p-weight exactly n."""
-        if e > self.trunc.lambda_max:
-            raise PreconditionError(
-                f"lambda exponent {e} exceeds truncation {self.trunc.lambda_max}"
-            )
-        return _wrap(
-            self.trunc,
-            {
-                (le, rho): c
-                for (le, rho), c in self._terms.items()
-                if le == e and weight(rho) == n
-            },
-        )
-
     def with_truncation(self, trunc: Truncation, lambda_shift: int = 0) -> "SymSeries":
         """Re-truncate (and optionally shift every lambda exponent)."""
         out: dict[Key, HodgePoly] = {}
@@ -291,35 +281,30 @@ class SymSeries:
 
         Returns (partition, coefficient) pairs in reverse-lexicographic
         order, zero coefficients dropped.  The coefficient of s_mu is
-        sum over rho of chi^mu(rho) times the p_rho coefficient; each is
-        unpacked once from :meth:`packed_schur`.
-        """
-        packing, den, _, sums = self.packed_schur(e, n)
-        return list(packing.polys(sums, den).items())
-
-    def packed_schur(self, e: int, n: int) -> tuple[Packing, int, list[int], dict]:
-        """The (e, n) component packed, and its Schur read-off
-        (:func:`schur_sums`): the packing, the denominator, the packed p_rho
-        coefficients aligned with ``partitions_of(n)`` (0 for an absent
-        rho, so p_1^n is last) and {mu: packed s_mu coefficient}.
-
-        The p_rho coefficients are packed once, over their common
-        denominator, in a :class:`~stablemoduli.hodge.Packing` of the box of
-        their monomials, as wide as the read-off needs.
+        sum over rho of chi^mu(rho) times the p_rho coefficient: the p_rho
+        numerators are brought over their lcm as one dense column over
+        ``partitions_of(n)`` per monomial, and each monomial of s_mu is the
+        sum of the products of the character row of mu with that column,
+        reduced once.
         """
         shapes = partitions_of(n)
-        terms = {rho: c for rho in shapes if (c := self._terms.get((e, rho))) is not None}
-        den, box, norms = _measure(terms)
-
-        def pack(bound: int) -> tuple[Packing, list[int]]:
-            packing = Packing.holding(box, bound)
-            return packing, [
-                packing.pack(c, den // c._den) if (c := terms.get(rho)) is not None else 0
-                for rho in shapes
-            ]
-
-        packing, packed, sums = schur_sums(n, [norms.get(rho, 0) for rho in shapes], pack)
-        return packing, den, packed, sums
+        terms = [self._terms.get((e, rho)) for rho in shapes]
+        den = lcm(*(c._den for c in terms if c is not None))
+        columns: dict[tuple[int, int], list[int]] = {}
+        for index, c in enumerate(terms):
+            if c is not None:
+                m = den // c._den
+                for ij, x in c._terms.items():
+                    column = columns.get(ij)
+                    if column is None:
+                        column = columns[ij] = [0] * len(shapes)
+                    column[index] = x * m
+        out = []
+        for mu, row, _ in _character_table(n):
+            coeff = {ij: c for ij, column in columns.items() if (c := sum(map(mul, row, column)))}
+            if coeff:
+                out.append((mu, _reduced(coeff, den)))
+        return out
 
     # -- text and JSON forms ---------------------------------------------------------
 
@@ -362,24 +347,6 @@ def _revlex(rho: Partition) -> tuple[int, ...]:
     return tuple(-part for part in rho) + (1,)
 
 
-def schur_sums(n: int, norms: list[int], pack) -> tuple[Packing, list[int], dict]:
-    """The Schur read-off of a weight-n component on packed ints: the
-    packing, the packed p_rho coefficients and {mu: sum over rho of
-    chi^mu(rho) times the packed p_rho coefficient}, by the character row
-    of each mu in ``partitions_of(n)``.
-
-    norms bounds the l1 norm of the numerators of each p_rho coefficient,
-    in a list aligned with ``partitions_of(n)``, 0 for an absent rho.  The
-    largest sum over rho of |chi^mu(rho)| times those norms bounds every
-    digit of every sum, and pack(bound) gives a packing whose digits hold
-    it and the p_rho coefficients packed in it, aligned as norms.
-    """
-    table = _character_table(n)
-    bound = max(sum(map(mul, magnitudes, norms)) for _, _, magnitudes in table)
-    packing, packed = pack(bound)
-    return packing, packed, {mu: sum(map(mul, row, packed)) for mu, row, _ in table}
-
-
 @lru_cache(maxsize=None)
 def _character_table(n: int) -> tuple[tuple[Partition, tuple[int, ...], tuple[int, ...]], ...]:
     """(mu, its character row, the row's absolute values) for each mu in
@@ -388,16 +355,6 @@ def _character_table(n: int) -> tuple[tuple[Partition, tuple[int, ...], tuple[in
     return tuple(
         (mu, row, tuple(map(abs, row))) for mu in partitions_of(n) for row in (character_row(mu),)
     )
-
-
-def _measure(terms: dict) -> tuple[int, Box | None, dict]:
-    """The common denominator of the coefficients of a term map, the box
-    of their monomials, and each one's l1 norm over that denominator, by
-    key."""
-    den = lcm(*(c._den for c in terms.values()))
-    box = box_of(ij for c in terms.values() for ij in c._terms)
-    norms = {key: sum(map(abs, c._terms.values())) * (den // c._den) for key, c in terms.items()}
-    return den, box, norms
 
 
 def _product(trunc: Truncation, a: dict, b: dict) -> dict[Key, HodgePoly]:
@@ -418,11 +375,7 @@ def _product(trunc: Truncation, a: dict, b: dict) -> dict[Key, HodgePoly]:
             if not trunc.admits(e1 + e2, w1 + w2):
                 continue
             key = (e1 + e2, tuple(sorted(rho + sigma, reverse=True)))
-            out = sums.setdefault(key, {})
-            for (i, j), c in x.items():
-                for (k, l), d in y.items():
-                    ij = (i + k, j + l)
-                    out[ij] = out.get(ij, 0) + c * d
+            _convolve(sums.setdefault(key, {}), x, y)
     den = da * db
     product = {}
     for key, out in sums.items():

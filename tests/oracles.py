@@ -33,7 +33,7 @@ from math import comb, lgamma, log, log10
 
 from stablemoduli import exprlang, plethysm
 from stablemoduli.errors import ExprParseError
-from stablemoduli.hodge import HodgePoly
+from stablemoduli.hodge import HodgePoly, Packing, reduced_digits
 from stablemoduli.plethysm import ClosedSeries, GluingMode
 from stablemoduli.series import SymSeries, _wrap
 
@@ -486,6 +486,11 @@ def lambda_component(s: SymSeries, e: int) -> SymSeries:
     return SymSeries(s.trunc, {key: c for key, c in s.items() if key[0] == e})
 
 
+def component(s: SymSeries, e: int, n: int) -> SymSeries:
+    """The terms of s at lambda^e of p-weight n, in the same truncation."""
+    return SymSeries(s.trunc, {key: c for key, c in s.items() if key[0] == e and sum(key[1]) == n})
+
+
 def max_exponent(p: HodgePoly) -> int:
     """Largest single-variable exponent of p (0 for the zero polynomial)."""
     return max((max(i, j) for (i, j), _ in p.items()), default=0)
@@ -804,13 +809,19 @@ def code_key(codes: plethysm._Codes, code: int) -> tuple[int, tuple[int, ...]]:
     return code & codes.emask, rho
 
 
+def unpacked(packing: Packing, x: int, den: int) -> HodgePoly:
+    """The canonical polynomial of the packed numerators x of packing over
+    the positive int den."""
+    return packing.poly_of(*reduced_digits(packing.digits(x), den))
+
+
 def decoded(closed: ClosedSeries) -> SymSeries:
     """The closed series as a series in the p-basis: every packed term
     decoded, in the truncation of the closed series."""
-    poly, den = closed._packing.poly, closed._den
+    packing, den = closed._packing, closed._den
     return _wrap(
         closed.trunc,
-        {code_key(closed._codes, code): poly(x, den) for code, x in closed._values.items()},
+        {code_key(closed._codes, code): unpacked(packing, x, den) for code, x in closed._values.items()},
     )
 
 
@@ -819,6 +830,6 @@ def flow_parts(w0: SymSeries, mode: GluingMode = GluingMode.GRADED) -> list[SymS
     the package's gluing recursion, each decoded to a series."""
     codes, packing, parts = plethysm._flow(w0, mode)
     return [w0] + [
-        _wrap(w0.trunc, {code_key(codes, code): packing.poly(x, den) for code, x in values.items()})
+        _wrap(w0.trunc, {code_key(codes, code): unpacked(packing, x, den) for code, x in values.items()})
         for values, _, den in parts[1:]
     ]

@@ -19,7 +19,6 @@ from stablemoduli.pipeline import (
     build_slot_report,
     closed_moduli_series,
     open_moduli_series,
-    slot_schur,
     stable_slots,
 )
 from stablemoduli.plethysm import GluingMode, plethystic_exp, plethystic_log
@@ -76,7 +75,7 @@ def rank(closed, g, n):
 def test_a1_headline(closed, capsys):
     with verdict(capsys, "A1 (headline)"):
         assert rank(closed, 3, 1) == HEADLINE
-        assert slot_schur(closed, 3, 1) == [((1,), HEADLINE)]
+        assert build_slot_report(closed, 3, 1).equivariant == [((1,), HEADLINE)]
 
 
 def test_a2_boundary_correction(capsys):
@@ -95,7 +94,7 @@ def test_a3_small_slot_oracles(closed, capsys):
         # frozen literals
         assert rank(closed, 1, 1) == 1 + q
         assert rank(closed, 0, 4) == 1 + q
-        assert slot_schur(closed, 0, 4) == [((4,), 1 + q)]
+        assert build_slot_report(closed, 0, 4).equivariant == [((4,), 1 + q)]
         assert rank(closed, 0, 5) == 1 + 5 * q + q**2
         assert rank(closed, 0, 6) == 1 + 16 * q + 16 * q**2 + q**3
         # independent stratification oracle (sum over dual graphs)

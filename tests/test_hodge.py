@@ -8,19 +8,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stablemoduli.errors import ExprParseError, OffDiagonalError, PreconditionError
-from stablemoduli.hodge import (
-    HodgePoly,
-    Packing,
-    box_of,
-    _render_monomial,
-    extent,
-    join_signed,
-    product_packings,
-    ratio_text,
-)
+from stablemoduli.hodge import HodgePoly, Packing, _render_monomial, join_signed, ratio_text
 from stablemoduli.plethysm import _part
 
 import oracles
+from oracles import unpacked
 from strategies import REFUSED_SCALARS, SCALARS, Quarter, hodge_polys, small_fractions, wide_polys
 
 Q = HodgePoly.q()
@@ -241,30 +233,50 @@ def test_equal_values_by_different_routes_share_form_and_hash():
     assert cancelled._den == 1 and (third * 0)._den == 1
 
 
+def l1(p):
+    """The l1 norm, the sum of absolute values, of the numerators of p."""
+    return sum(map(abs, p._terms.values()))
+
+
+def box(*polys):
+    """The box (ilo, ihi, jlo, jhi, dlo, dhi) of the monomials of polys,
+    d = i - j, None for none.  With 1 among them, its corner is u^0 v^0, as
+    in the gluing recursion."""
+    keys = [ij for p in polys for ij in p._terms]
+    if not keys:
+        return None
+    ii, jj = zip(*keys)
+    dd = [i - j for i, j in keys]
+    return min(ii), max(ii), min(jj), max(jj), min(dd), max(dd)
+
+
+def polys(packing, sums, den):
+    """Each nonzero packed sum of packing over den, by key."""
+    return {key: unpacked(packing, x, den) for key, x in sums.items() if x}
+
+
 def packed_sums(entries):
     """The sums by key of scale*a*b over the (key, a, b, scale) in entries,
-    b None for scale*a alone, through the packed kernel as its callers use
-    it: one denominator, a packing whose span and band add the operands'
-    and whose width holds the l1 bound, each product one multiply-add at
-    level 2.  Returns (packing, {key: packed sum}, denominator)."""
+    b None for scale*a alone, through the packed kernel as the gluing
+    recursion uses it: one denominator, one packing of a box with its
+    corner at u^0 v^0 that holds every factor and product, with digits that
+    hold the l1 bound, and each product one multiply-add of two of its ints
+    in its ``Packing.times``.  Returns (packing, product packing,
+    {key: packed sum}, denominator)."""
     one = HodgePoly.one()
     entries = [(key, a, one if b is None else b, scale) for key, a, b, scale in entries]
     den = lcm(*(a._den * b._den for _, a, b, _ in entries))
     bound = 0
     for _, a, b, scale in entries:
-        (_, na), (_, nb) = extent(a), extent(b)
         m = abs(scale) * (den // (a._den * b._den))
-        bound = max(bound + m * na * nb, m * na, nb)
-    box_a = box_of(ij for _, a, _, _ in entries for ij in a._terms)
-    box_b = box_of(ij for _, _, b, _ in entries for ij in b._terms)
-    if box_a is None or box_b is None:
-        return Packing.holding(None, 0), {}, den
-    pa, pb, product = product_packings(box_a, box_b, bound)
+        bound = max(bound + m * l1(a) * l1(b), m * l1(a), l1(b))
+    packing = Packing.holding(box(one, *(p for _, a, b, _ in entries for p in (a, b, a * b))), bound)
+    product = packing.times(packing)
     sums: dict = {}
     for key, a, b, scale in entries:
-        x = pa.pack(a, scale * (den // (a._den * b._den))) * pb.pack(b)
+        x = packing.pack(a, scale * (den // (a._den * b._den))) * packing.pack(b)
         sums[key] = sums.get(key, 0) + x
-    return product, sums, den
+    return packing, product, sums, den
 
 
 @given(
@@ -285,9 +297,9 @@ def test_packed_sums_match_oracle_and_ring(products, a, b, divisor):
     """Products and multiples of polynomials with any denominators, times
     int scales (zero and negative included), a sum that cancels, then
     division by divisor through the denominator; the sums also as one part
-    over one denominator."""
+    over one denominator, moved back into the factors' packing."""
     entries = products + [("cancels", a, b, 1), ("cancels", -a, b, 1)]
-    packing, sums, den = packed_sums(entries)
+    packing, product, sums, den = packed_sums(entries)
     expected: dict = {}
     by_ring: dict = {}
     for key, x, y, scale in entries:
@@ -295,7 +307,7 @@ def test_packed_sums_match_oracle_and_ring(products, a, b, divisor):
         expected[key] = oracles.uv_add(expected.get(key, {}), value)
         by_ring[key] = by_ring.get(key, HodgePoly.zero()) + (x if y is None else x * y) * scale
 
-    out = packing.polys(sums, den * divisor)
+    out = polys(product, sums, den * divisor)
     assert "cancels" not in out
     assert {key: as_dict(value) for key, value in out.items()} == {
         key: oracles.uv_scale(value, Fraction(1, divisor)) for key, value in expected.items() if value
@@ -305,15 +317,15 @@ def test_packed_sums_match_oracle_and_ring(products, a, b, divisor):
         ring = by_ring[key] * Fraction(1, divisor)
         assert value == ring and hash(value) == hash(ring)
 
-    values, norms, part_den = _part(sums, packing, den * divisor, packing)
-    assert {key: packing.poly(x, part_den) for key, x in values.items()} == out
-    assert norms == {key: extent(value)[1] * (part_den // value._den) for key, value in out.items()}
+    values, norms, part_den = _part(sums, product, den * divisor, packing)
+    assert polys(packing, values, part_den) == out
+    assert norms == {key: l1(value) * (part_den // value._den) for key, value in out.items()}
     assert gcd(part_den, *(c for x in values.values() for c in packing.digits(x))) == 1
 
 
 def test_packed_sums_are_reduced_once():
     half = HodgePoly.const(Fraction(1, 2))
-    packing, sums, den = packed_sums(
+    packing, product, sums, den = packed_sums(
         [
             ("q", half, Q, 1),
             ("q", Fraction(1, 6) * Q, None, 3),  # mixed denominators: 2 and 6
@@ -323,48 +335,52 @@ def test_packed_sums_are_reduced_once():
             ("zero", HodgePoly.one(), None, -1),
         ]
     )
-    out = packing.polys(sums, den)
+    out = polys(product, sums, den)
     assert out == {"q": Q, "u": U}
     assert out["q"]._den == out["u"]._den == 1
     assert hash(out["q"]) == hash(Q) and hash(out["u"]) == hash(U)
-    assert packing.polys(sums, 4 * den) == {"q": Fraction(1, 4) * Q, "u": Fraction(1, 4) * U}
-    values, norms, part_den = _part(sums, packing, 4 * den, packing)
+    assert polys(product, sums, 4 * den) == {"q": Fraction(1, 4) * Q, "u": Fraction(1, 4) * U}
+    values, norms, part_den = _part(sums, product, 4 * den, packing)
     assert part_den == 4 and norms == {"q": 1, "u": 1}
 
 
 # -- widths of the packed kernel -------------------------------------------------
 
 
-@given(wide_polys(max_exp=4))
-def test_pack_round_trips(p):
+@given(wide_polys(max_exp=4), st.integers(2, 3))
+def test_pack_round_trips(p, k):
     # either orientation, by which of the u- and v-degrees spreads less
-    box, norm = extent(p)
+    norm = l1(p)
     largest = max((abs(c) for c in p._terms.values()), default=0)
-    packing = Packing.holding(box, largest)
-    assert packing.poly(packing.pack(p), p._den) == p
+    packing = Packing.holding(box(p), largest)
+    assert unpacked(packing, packing.pack(p), p._den) == p
     wider = packing.widened(3 * norm)
     assert wider.bits >= 2 * packing.bits and wider.holds(3 * norm)
     x = wider.repack(packing.pack(p), packing)
     assert x == wider.pack(p)
     assert wider.digits(3 * x) == [3 * c for c in wider.digits(x)]
+    # psi_k into a wider packing of a box that holds its image
+    packing = Packing.holding(box(p, p.adams(k)), largest)
+    wider = packing.widened(3 * norm)
+    assert wider.adams(packing.pack(p), k, packing) == wider.pack(p.adams(k))
     # a monomial of any degree is one digit
     far = HodgePoly({(10**6, 3 * 10**6): 5})
-    assert Packing.holding(extent(far)[0], 5).pack(far) == 5
+    assert Packing.holding(box(far), 5).pack(far) == 5
 
 
 @given(wide_polys(max_exp=4), wide_polys(max_exp=4))
 def test_rebase_moves_between_offsets(p, q):
-    # the product packing holds p * q and, lifted, p * 1
-    (box_p, np), (box_q, nq) = extent(p), extent(q)
-    assume(box_p is not None and box_q is not None)
+    # the packing of products holds p * q and, lifted, p * 1
+    assume(p and q)
     one = HodgePoly.one()
-    hull = box_of(list(p._terms) + list((p * q)._terms) + [(0, 0)])
-    outer = Packing.holding(hull, np * nq + np)
-    inner = outer.within(box_p)
-    lifted = outer.rebase(inner.pack(p), inner)
-    assert lifted == outer.pack(p)
-    assert inner.rebase(lifted, outer) == inner.pack(p)
-    assert outer.poly(lifted, p._den) == p * one
+    packing = Packing.holding(box(one, p, q, p * q), l1(p) * l1(q) + l1(p))
+    product = packing.times(packing)
+    lifted = product.rebase(packing.pack(p), packing)
+    assert lifted == product.pack(p)
+    assert packing.rebase(lifted, product) == packing.pack(p)
+    assert unpacked(product, lifted, p._den) == p * one
+    x = packing.rebase(packing.pack(p) * packing.pack(q), product)
+    assert unpacked(packing, x, p._den * q._den) == p * q
 
 
 uv_keys = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -377,10 +393,10 @@ def test_digits_at_the_edge_of_the_width_round_trip(bits, data):
     terms = data.draw(st.dictionaries(uv_keys, digits, min_size=1, max_size=6))
     terms[data.draw(uv_keys)] = data.draw(st.sampled_from([edge, -edge]))
     p = HodgePoly(terms)
-    packing = Packing.holding(extent(p)[0], edge)
+    packing = Packing.holding(box(p), edge)
     assert packing.bits == bits and packing.holds(edge) and not packing.holds(edge + 1)
     assert packing.digits(packing.pack(p))[-1] != 0
-    assert packing.poly(packing.pack(p), 1) == p
+    assert unpacked(packing, packing.pack(p), 1) == p
     with pytest.raises(OverflowError):
         packing.pack(HodgePoly({(0, 0): edge + 1}))
 
@@ -389,8 +405,8 @@ def test_digits_at_the_edge_of_the_width_round_trip(bits, data):
 def test_packed_products_match_the_ring_and_oracle(a, b):
     expected = oracles.uv_mul(as_dict(a), as_dict(b))
     assert as_dict(a * b) == expected
-    packing, sums, den = packed_sums([("ab", a, b, 1)])
-    assert as_dict(packing.polys(sums, den).get("ab", HodgePoly.zero())) == expected
+    _, product, sums, den = packed_sums([("ab", a, b, 1)])
+    assert as_dict(polys(product, sums, den).get("ab", HodgePoly.zero())) == expected
 
 
 @given(st.integers(2, 80), uv_keys, uv_keys, st.sampled_from([1, -1]))
@@ -398,10 +414,10 @@ def test_a_product_digit_at_the_edge_of_the_width(bits, ij, kl, sign):
     # a monomial times a monomial is one digit, as large as the l1 bound
     edge = (1 << (bits - 1)) - 1
     a, b = HodgePoly({ij: edge}), HodgePoly({kl: sign})
-    packing, sums, den = packed_sums([("ab", a, b, 1)])
-    assert packing.bits == bits
-    assert packing.polys(sums, den) == {"ab": HodgePoly({(ij[0] + kl[0], ij[1] + kl[1]): sign * edge})}
-    assert a * b == packing.polys(sums, den)["ab"]
+    _, product, sums, den = packed_sums([("ab", a, b, 1)])
+    assert product.bits == bits
+    assert polys(product, sums, den) == {"ab": HodgePoly({(ij[0] + kl[0], ij[1] + kl[1]): sign * edge})}
+    assert a * b == polys(product, sums, den)["ab"]
 
 
 # a nonzero coefficient off the diagonal or on it, negative or fractional
@@ -429,7 +445,6 @@ def test_product_by_one_monomial_reduces_its_denominator():
 
 
 def test_power_stops_squaring_at_its_last_bit(monkeypatch):
-    # (u+v)^64 would spread over 65*129 = 8385 cells, past hodge.MAX_CELLS
     assert (U + V) ** 32 == HodgePoly({(k, 32 - k): comb(32, k) for k in range(33)})
     degrees = []
     product = HodgePoly.__mul__

@@ -22,7 +22,6 @@ from stablemoduli.pipeline import (
     render_schur_latex,
     required_inputs,
     satisfies_duality,
-    slot_schur,
     stable_slots,
 )
 from stablemoduli.plethysm import (
@@ -34,7 +33,7 @@ from stablemoduli.plethysm import (
 )
 from stablemoduli.series import SymSeries, Truncation, schur
 
-from oracles import decoded, flow_parts, weights_at
+from oracles import component, decoded, flow_parts, weights_at
 from strategies import hodge_polys
 from hypothesis import strategies as st
 
@@ -139,14 +138,14 @@ def test_open_series_placement():
 def test_closed_point_slot_is_fixed():
     trunc = Truncation.standard(2)
     psi = closed_moduli_series(open_moduli_series(POINT_TABLE, trunc))
-    assert slot_schur(psi, 0, 3) == [((3,), HodgePoly.one())]
+    assert build_slot_report(psi, 0, 3).equivariant == [((3,), HodgePoly.one())]
 
 
 def test_closed_genus1_slot():
     # the one-marked-point genus-1 space compactifies by a single point
     trunc = Truncation.standard(1)
     psi = closed_moduli_series(open_moduli_series(GENUS1_TABLE, trunc))
-    assert slot_schur(psi, 1, 1) == [((1,), Q + 1)]
+    assert build_slot_report(psi, 1, 1).equivariant == [((1,), Q + 1)]
 
 
 def test_closed_four_point_slot_without_open_part():
@@ -161,9 +160,9 @@ def test_slot_errors():
     trunc = Truncation.standard(2)
     psi = closed_moduli_series(open_moduli_series(POINT_TABLE, trunc))
     with pytest.raises(PreconditionError):
-        slot_schur(psi, 3, 1)  # beyond truncation
+        build_slot_report(psi, 3, 1)  # beyond truncation
     with pytest.raises(PreconditionError):
-        slot_schur(psi, 0, 2)  # unstable
+        build_slot_report(psi, 0, 2)  # unstable
 
 
 @given(hodge_polys(diagonal=True, max_exp=3))
@@ -175,7 +174,7 @@ def test_top_slot_is_linear_in_its_entry(c):
     base = closed_moduli_series(open_moduli_series(POINT_TABLE, trunc))
     perturbed_table = mini_table(((0, 3), {(3,): 1}), ((0, 4), {(2, 2): c}))
     perturbed = closed_moduli_series(open_moduli_series(perturbed_table, trunc))
-    diff = decoded(perturbed).component(2, 4) - decoded(base).component(2, 4)
+    diff = component(decoded(perturbed), 2, 4) - component(decoded(base), 2, 4)
     expected = entry(4, {(2, 2): c}).with_truncation(perturbed.trunc, lambda_shift=2)
     assert diff == expected
 
@@ -356,10 +355,11 @@ def test_off_diagonal_report():
 
 
 def test_slot_json_writes_a_fraction_as_a_string():
-    # (1/2 + q) p_1 at lambda^1: the s_1 coefficient and the rank are both
-    # 1/2 + q, past the integral path
+    # M[1,1] = (1/2 + q) p_1 alone: the s_1 coefficient and the rank are
+    # both 1/2 + q, past the integral path
     coeff = HodgePoly({(0, 0): Fraction(1, 2), (1, 1): 1})
-    closed = SymSeries(Truncation.standard(1), {(1, (1,)): coeff})
+    table = ModuliTable({(1, 1): SymSeries(Truncation.flat(0, 1), {(0, (1,)): coeff})})
+    closed = closed_moduli_series(open_moduli_series(table, Truncation.standard(1)))
     obj = build_slot_report(closed, 1, 1).to_json_obj()
     assert obj["schur"] == [{"partition": [1], "coeff_q": ["1/2", 1]}]
     assert obj["rank_q"] == ["1/2", 1]
@@ -367,11 +367,11 @@ def test_slot_json_writes_a_fraction_as_a_string():
 
 @pytest.mark.parametrize("c", [1, Fraction(1, 2)], ids=["integral", "fractional"])
 def test_slot_json_refuses_an_off_diagonal_schur_coefficient(c):
-    # p_1^2 + c u p_2 at lambda^2: the rank 2 is diagonal, but the
+    # M[1,2] = p_1^2 + c u p_2 alone: the rank 2 is diagonal, but the
     # coefficients of s_2 and s_11 are 1 + c u and 1 - c u
-    closed = SymSeries(
-        Truncation.standard(2), {(2, (1, 1)): 1, (2, (2,)): c * HodgePoly.u()}
-    )
+    row = SymSeries(Truncation.flat(0, 2), {(0, (1, 1)): 1, (0, (2,)): c * HodgePoly.u()})
+    table = ModuliTable({(1, 2): row})
+    closed = closed_moduli_series(open_moduli_series(table, Truncation.standard(2)))
     report = build_slot_report(closed, 1, 2)
     assert report.off_diagonal is None and report.rank == 2
     with pytest.raises(OffDiagonalError) as caught:
@@ -384,7 +384,7 @@ def test_literal_mode_misplaces_boundary():
     psi = closed_moduli_series(
         open_moduli_series(GENUS1_TABLE, trunc), GluingMode.LITERAL
     )
-    assert slot_schur(psi, 1, 1) == [((1,), Q)]  # boundary point lost
+    assert build_slot_report(psi, 1, 1).equivariant == [((1,), Q)]  # boundary point lost
 
 
 # -- latex rendering -------------------------------------------------------------------------

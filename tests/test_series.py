@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablemoduli.dataset import dataset_text
 from stablemoduli.errors import PreconditionError
-from stablemoduli.hodge import HodgePoly
+from stablemoduli.exprlang import evaluate, parse_table, render_table
+from stablemoduli.hodge import HodgePoly, Packing
 from stablemoduli.partitions import partitions_of
 from stablemoduli.series import (
     SymSeries,
@@ -192,13 +194,10 @@ def test_scalar_product_matches_constant_product(s, c):
 # -- graded structure ------------------------------------------------------------------
 
 
-def test_component_and_weights():
+def test_weights_and_lambda_component():
     s = SymSeries(FLAT_33, {(1, (2,)): 1, (1, (1,)): 2, (2, (2, 1)): 1})
-    assert s.component(1, 2) == SymSeries(FLAT_33, {(1, (2,)): 1})
     assert weights_at(s, 1) == {1, 2}
     assert lambda_component(s, 2) == SymSeries(FLAT_33, {(2, (2, 1)): 1})
-    with pytest.raises(PreconditionError):
-        s.component(9, 1)
 
 
 def test_with_truncation_shift():
@@ -466,6 +465,31 @@ def test_schur_coefficients_read_back_a_jacobi_trudi_sum(drawn, base, e):
         if c:
             expected.append((mu, c))
     assert total.schur_coefficients(e, n) == expected
+
+
+def test_table_rows_and_expressions_read_off_without_a_packing(monkeypatch):
+    # hodge.Packing serves the gluing recursion and the closed series alone:
+    # table rows, their Schur read-off and expression products run without it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coefficient was packed")
+
+    for name, value in list(vars(Packing).items()):
+        if callable(value) or isinstance(value, staticmethod):
+            monkeypatch.setattr(Packing, name, refuse)
+    table = parse_table(dataset_text())
+    assert render_table(table) == dataset_text()
+    for (_, n), entry in table.entries.items():
+        assert entry.schur_coefficients(0, n)
+    value = evaluate("(1+q)^5*s[2]*p[1] + (u+v)^3*s[1,1]")
+    assert value.rank(0, 3) == 3 * (1 + HodgePoly.q()) ** 5
+    assert value.schur_coefficients(0, 2) == [((1, 1), (HodgePoly.u() + HodgePoly.v()) ** 3)]
+
+
+def test_schur_coefficients_of_a_high_degree_coefficient():
+    # u^5000 + v^5000 would spread over 5001 * 10001 cells of a packing
+    c = HodgePoly({(5000, 0): 1, (0, 5000): 1})
+    s = SymSeries(Truncation.flat(0, 1), {(0, (1,)): c})
+    assert s.schur_coefficients(0, 1) == [((1,), c)]
 
 
 def test_schur_round_trip():

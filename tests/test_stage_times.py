@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_stage_times_runs_on_this_tree(tmp_path):
     # two copies of this tree, so each gets its own runs and the second its
-    # ratios; the tool merges a tree given twice into one
+    # ratios; the tool refuses a tree given twice
     trees = []
     for name in ("a", "b"):
         copy = tmp_path / name / "src"
@@ -44,6 +44,19 @@ def test_stage_times_runs_on_this_tree(tmp_path):
     # collector passes per stage and generation, beside the times
     assert entry["gc_passes"].keys() == stages.keys()
     assert all(len(gens) == 3 for gens in entry["gc_passes"].values())
+
+
+def test_stage_times_refuses_a_tree_given_twice():
+    # runs are keyed by the --src string: a repeat would merge into one tree
+    # and read every ratio 1.0
+    argv = [
+        sys.executable, "tools/stage_times.py",
+        "--src", "src", "--src", "src", "--truncations", "3", "--runs", "1",
+    ]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "--src src is given more than once" in done.stderr
 
 
 def test_stage_times_runs_on_a_given_table_file(tmp_path, capsys):

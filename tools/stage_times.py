@@ -46,7 +46,7 @@ stage to another shows beside the times it moves) and the sha256 of its
 JSON text; and, with more than one --src, the ratio of each later tree's
 median seconds to the first's, taken from the medians before they are
 rounded to 0.1 ms for printing.  Exits 1 if the sha256 differs between
-trees at any truncation.
+trees at any truncation, and 2, before any run, if a --src is given twice.
 """
 
 from __future__ import annotations
@@ -227,6 +227,10 @@ def main() -> int:
     parser.add_argument("--input", help="a table file to run on (default: the shipped table)")
     args = parser.parse_args()
     trees = args.src or ["src"]
+    for src in trees:
+        if trees.count(src) > 1:
+            # the runs are keyed by the --src string, so a repeat would merge
+            parser.error(f"--src {src} is given more than once")
     results: dict[str, list[dict]] = {src: [] for src in trees}
     order = list(trees)
     for _ in range(args.runs):
